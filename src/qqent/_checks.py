@@ -15,6 +15,8 @@ def as_square_matrix(m, dim=None):
         raise InvalidState(f"expected a square matrix, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise InvalidState(f"expected dimension {dim}, got {m.shape[0]}")
+    if not np.isfinite(m).all():
+        raise InvalidState("matrix has a NaN or infinite entry")
     return m
 
 

@@ -19,9 +19,11 @@ import numpy as np
 
 from . import __version__
 from ._checks import as_density_matrix
-from .decompositions import iter_decomposition_samples
+from .decompositions import _search_chunks
 from .errors import (
     FormError,
+    InvalidSeed,
+    InvalidSpectrum,
     InvalidState,
     NotMinimalSGX,
     NotMinimalTGX,
@@ -164,9 +166,9 @@ def _parse_spectrum(text, n):
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise InvalidState(f"cannot parse spectrum {text!r}") from exc
+        raise InvalidSpectrum(f"cannot parse spectrum {text!r}") from exc
     if len(vals) != n:
-        raise InvalidState(f"expected {n} eigenvalues, got {len(vals)}")
+        raise InvalidSpectrum(f"expected {n} eigenvalues, got {len(vals)}")
     arr = np.array(vals)
     srt = np.sort(arr)[::-1]
     if np.any(np.abs(srt - arr) > 0):
@@ -177,7 +179,11 @@ def _parse_spectrum(text, n):
 def _default_seed(args):
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("QQ_SEED", "0"))
+    text = os.environ.get("QQ_SEED", "0")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidSeed(f"QQ_SEED={text!r} is not an integer") from exc
 
 
 # -- subcommands -----------------------------------------------------------
@@ -349,18 +355,15 @@ def cmd_sample(args):
         header = ["trial_index", "trial_seed", "avg_E"]
     best = np.inf
     rows = []
-    for index, params, avg in iter_decomposition_samples(
-        rho, args.D, budget=args.budget, seed=seed
-    ):
-        best = min(best, avg)
-        rows.append((index, params, avg))
+    for params, averages in _search_chunks(rho, args.D, args.budget, seed):
+        best = min(best, float(averages.min()))
+        for p, avg in zip(params, averages.tolist()):
+            rows.append([len(rows), *p, avg])
     formula = _formula_value(rho)
     if args.format == "json":
         outputs = {
             "columns": header,
-            "rows": [
-                [index, *[p for p in params], avg] for index, params, avg in rows
-            ],
+            "rows": rows,
             "min_avg_E": best,
             "formula_E": formula,
         }
@@ -368,12 +371,8 @@ def cmd_sample(args):
         _write(dumps_json(_record(args, inputs, outputs)), args.output)
         return 0
     lines = [",".join(header)]
-    for index, params, avg in rows:
-        fields = [str(index)]
-        for p in params:
-            fields.append(str(p) if isinstance(p, int) else _fmt(p))
-        fields.append(_fmt(avg))
-        lines.append(",".join(fields))
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
     lines.append(
         "min_avg_E,%s,formula_E,%s" % (_fmt(best), "" if formula is None else _fmt(formula))
     )

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_density_matrix
-from .errors import AngleOutOfRange, DTooLarge, DTooSmall, NotUnitary
+from .errors import AngleOutOfRange, DTooLarge, DTooSmall, InvalidBudget, NotUnitary
 from .measures import _pure_i_unnormalized
-from .numerics import haar_unitary, hermitian_eig
+from .numerics import BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _haar_from_normals, hermitian_eig
 
-RANK_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-14
 _UNITARY_TOL = 1e-10
 DEFAULT_GRID_BUDGET = 900
@@ -48,12 +47,41 @@ def rank_of(rho):
     return int(np.sum(np.linalg.eigvalsh(rho) > RANK_TOL))
 
 
+def _spectral_factors(rho):
+    """sqrt(lam_k) and eigenvector rows v_k^T over the rank-supporting eigenvalues."""
+    eig = hermitian_eig(rho)
+    r = int(np.sum(eig.values > RANK_TOL))
+    return np.sqrt(np.clip(eig.values[:r], 0.0, None)), eig.vectors[:, :r].T
+
+
+def _mix(u, root, vt):
+    """Subnormalized kets (rows) and weights p_j = sum_k |U_jk|^2 lam_k.
+
+    ``u`` is one D x D mixer or a stack of them; the result stacks alike.
+    """
+    amp = u[..., : root.size] * root
+    return amp @ vt, np.sum(np.abs(amp) ** 2, axis=-1)
+
+
+def _averages(u, root, vt):
+    """Decomposition average for each mixer in the stack ``u``.
+
+    Pure I-concurrence is homogeneous of degree 2, so E(bar_j) = p_j E(ket_j)
+    and no ket needs normalizing; members with p_j <= 1e-14 count as zero.
+    """
+    bars, weights = _mix(u, root, vt)
+    e = _pure_i_unnormalized(bars)
+    return np.where(weights > ZERO_WEIGHT_TOL, e, 0.0).sum(axis=-1)
+
+
 def decompose(rho, mixer):
     """Decomposition of rho from a D x D unitary, D >= rank(rho).
 
     Weights are p_j = sum_k |U_jk|^2 lam_k over the rank-supporting
     eigenvalues; members with p_j <= 1e-14 keep a zero ket and are skipped
-    in averages but retained for reconstruction accounting.
+    in averages but retained for reconstruction accounting.  The searches
+    score the same mixing arithmetic on whole stacks of mixers, so any
+    search row replays through this function.
     """
     rho = as_density_matrix(rho)
     u = np.asarray(mixer, dtype=complex)
@@ -62,17 +90,13 @@ def decompose(rho, mixer):
     d = u.shape[0]
     if np.max(np.abs(u.conj().T @ u - np.eye(d))) > _UNITARY_TOL:
         raise NotUnitary("mixer is not unitary to 1e-10")
-    eig = hermitian_eig(rho)
-    r = int(np.sum(eig.values > RANK_TOL))
-    if d < r:
-        raise DTooSmall(f"D={d} below rank {r}")
-    amp = u[:, :r] * np.sqrt(np.clip(eig.values[:r], 0.0, None))
-    bars = amp @ eig.vectors[:, :r].T  # rows are subnormalized kets
-    weights = np.sum(np.abs(amp) ** 2, axis=1)
+    root, vt = _spectral_factors(rho)
+    if d < root.size:
+        raise DTooSmall(f"D={d} below rank {root.size}")
+    bars, weights = _mix(u, root, vt)
     kets = np.zeros_like(bars)
-    for j in range(d):
-        if weights[j] > ZERO_WEIGHT_TOL:
-            kets[j] = bars[j] / np.sqrt(weights[j])
+    keep = weights > ZERO_WEIGHT_TOL
+    kets[keep] = bars[keep] / np.sqrt(weights[keep])[:, None]
     return PureDecomposition(weights=weights, kets=kets)
 
 
@@ -82,9 +106,23 @@ def mixer_2(theta, phi):
         raise AngleOutOfRange(f"theta={theta} outside [0, pi/2]")
     if not 0.0 <= phi < 2 * np.pi:
         raise AngleOutOfRange(f"phi={phi} outside [0, 2*pi)")
-    a = np.cos(theta)
+    return _mixer_2_stack(theta, phi)
+
+
+def _mixer_2_stack(theta, phi):
+    """mixer_2 without the angle gates; array angles give a stack of mixers."""
     b = np.sin(theta) * np.exp(1j * phi)
-    return np.array([[a, b], [-b.conjugate(), a]])
+    u = np.empty(np.shape(b) + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = np.cos(theta)
+    u[..., 0, 1] = b
+    u[..., 1, 0] = -np.conj(b)
+    return u
+
+
+def _haar_stack(d, seeds):
+    """haar_unitary(d, s) for every s in ``seeds``, as one stack."""
+    normals = np.stack([np.random.default_rng(s).standard_normal((2, d, d)) for s in seeds])
+    return _haar_from_normals(normals[:, 0], normals[:, 1])
 
 
 def average_entanglement(dec):
@@ -96,43 +134,63 @@ def average_entanglement(dec):
     return float(total)
 
 
+def _search_chunks(rho, d, budget, seed):
+    """Yield (params, averages) for successive chunks of the search protocol.
+
+    rho is validated and eigendecomposed once; each chunk of at most
+    BATCH_SIZE trials is scored as one stacked array.  ``params`` lists the
+    per-trial parameter tuples, ``averages`` is the matching float array.
+    """
+    rho = as_density_matrix(rho, dim=6)
+    root, vt = _spectral_factors(rho)
+    r = root.size
+    if d < r:
+        raise DTooSmall(f"D={d} below rank {r}")
+    if d > r * r:
+        raise DTooLarge(f"D={d} above rank^2 = {r * r}")
+    if d > HAAR_MAX_DIM:
+        raise DTooLarge(f"D={d} above the Haar sampler's limit of {HAAR_MAX_DIM}")
+    if budget is None:
+        budget = DEFAULT_GRID_BUDGET if d == 2 else DEFAULT_SAMPLE_BUDGET
+    budget = int(budget)
+    if budget < 1:
+        raise InvalidBudget(f"budget={budget} must be at least 1")
+    if d == 1:
+        yield [()], _averages(np.ones((1, 1, 1), dtype=complex), root, vt)
+        return
+    if d == 2:
+        n_theta = max(2, int(np.sqrt(budget)))
+        n_phi = max(1, budget // n_theta)
+        thetas = np.linspace(0.0, np.pi / 2, n_theta)
+        phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
+        for lo in range(0, n_theta * n_phi, BATCH_SIZE):
+            index = np.arange(lo, min(lo + BATCH_SIZE, n_theta * n_phi))
+            theta, phi = thetas[index // n_phi], phis[index % n_phi]
+            params = list(zip(theta.tolist(), phi.tolist()))
+            yield params, _averages(_mixer_2_stack(theta, phi), root, vt)
+        return
+    for lo in range(0, budget, BATCH_SIZE):
+        seeds = [int(seed) ^ index for index in range(lo, min(lo + BATCH_SIZE, budget))]
+        yield [(s,) for s in seeds], _averages(_haar_stack(d, seeds), root, vt)
+
+
 def iter_decomposition_samples(rho, d, budget=None, seed=0):
     """Yield (trial_index, params, average) over the standard search protocol.
 
     D = 2 sweeps a uniform (theta, phi) lattice of about ``budget`` points
     (default 30 x 30, endpoints included in theta); D >= 3 draws ``budget``
-    Haar unitaries with per-trial seeds derived as seed XOR trial index.
+    Haar unitaries with per-trial seeds derived as seed XOR trial index, so
+    the row of trial seed s replays as decompose(rho, haar_unitary(D, s)).
     ``params`` is (theta, phi) for the grid, (trial_seed,) for sampling, and
-    () for the trivial D = 1 case.
+    () for the trivial D = 1 case.  The search is batched: rho is
+    eigendecomposed once and trials are scored in stacked chunks of
+    BATCH_SIZE (4096), so memory stays bounded for any budget.
     """
-    rho = as_density_matrix(rho, dim=6)
-    r = rank_of(rho)
-    if d < r:
-        raise DTooSmall(f"D={d} below rank {r}")
-    if d > r * r:
-        raise DTooLarge(f"D={d} above rank^2 = {r * r}")
-    if d == 1:
-        dec = decompose(rho, np.eye(1, dtype=complex))
-        yield 0, (), average_entanglement(dec)
-        return
-    if d == 2:
-        budget = DEFAULT_GRID_BUDGET if budget is None else int(budget)
-        n_theta = max(2, int(np.sqrt(budget)))
-        n_phi = max(1, budget // n_theta)
-        thetas = np.linspace(0.0, np.pi / 2, n_theta)
-        phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-        index = 0
-        for theta in thetas:
-            for phi in phis:
-                dec = decompose(rho, mixer_2(theta, phi))
-                yield index, (float(theta), float(phi)), average_entanglement(dec)
-                index += 1
-        return
-    budget = DEFAULT_SAMPLE_BUDGET if budget is None else int(budget)
-    for index in range(budget):
-        trial_seed = int(seed) ^ index
-        dec = decompose(rho, haar_unitary(d, trial_seed))
-        yield index, (trial_seed,), average_entanglement(dec)
+    index = 0
+    for params, averages in _search_chunks(rho, d, budget, seed):
+        for p, avg in zip(params, averages.tolist()):
+            yield index, p, avg
+            index += 1
 
 
 def min_average_search(rho, d, budget=None, seed=0):
@@ -140,12 +198,14 @@ def min_average_search(rho, d, budget=None, seed=0):
 
     A stochastic upper-bound estimator for D >= 3 (not an optimizer); the
     result can never fall below the convex-roof value beyond round-off.
+    Ties go to the earliest trial.
     """
     best = np.inf
     best_params = ()
-    for _, params, avg in iter_decomposition_samples(rho, d, budget=budget, seed=seed):
-        if avg < best:
-            best, best_params = avg, params
+    for params, averages in _search_chunks(rho, d, budget, seed):
+        k = int(np.argmin(averages))
+        if averages[k] < best:
+            best, best_params = float(averages[k]), params[k]
     if d == 2:
         return best, MixerParams(d=2, theta=best_params[0], phi=best_params[1])
     if d == 1:

@@ -80,6 +80,14 @@ class DTooLarge(ValidationError):
     pass
 
 
+class InvalidBudget(ValidationError):
+    pass
+
+
+class InvalidSeed(ValidationError):
+    pass
+
+
 # -- form gates ----------------------------------------------------------
 
 class NotXForm(FormError):

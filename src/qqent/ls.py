@@ -14,7 +14,7 @@ import numpy as np
 from ._checks import as_density_matrix, as_spectrum
 from .errors import AmbiguousQuartet, InvalidQuartet, NotMinimalSGX
 from .measures import SPIN_FLIP_4
-from .numerics import hermitian_eig, takagi_symmetric
+from .numerics import RANK_TOL, hermitian_eig, takagi_symmetric
 from .states import (
     COMPLEMENT_PAIRS,
     DELTA_TOL,
@@ -25,8 +25,6 @@ from .states import (
     e_mems,
     matched_sgx_templates,
 )
-
-RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)

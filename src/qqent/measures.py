@@ -15,7 +15,7 @@ from .errors import (
     NotTGXForm,
     NotXForm,
 )
-from .numerics import haar_unitary
+from .numerics import BATCH_SIZE, haar_unitary
 from .states import QUARTETS, ZERO_TOL, classify, e_mems, subspace_extract
 from .states import _check_physical, DELTA_TOL
 
@@ -108,11 +108,12 @@ def subspace_concurrence_vector(rho):
 
 def _pure_i_unnormalized(a):
     # 2-norm of the three pairwise amplitude cross terms; degree-2 in the
-    # ket, so subnormalized kets contribute p * E(normalized ket)
+    # ket, so subnormalized kets contribute p * E(normalized ket); the
+    # last axis holds the amplitudes, so a stack of kets works too
     return 2.0 * np.sqrt(
-        abs(a[0] * a[4] - a[1] * a[3]) ** 2
-        + abs(a[0] * a[5] - a[2] * a[3]) ** 2
-        + abs(a[1] * a[5] - a[2] * a[4]) ** 2
+        abs(a[..., 0] * a[..., 4] - a[..., 1] * a[..., 3]) ** 2
+        + abs(a[..., 0] * a[..., 5] - a[..., 2] * a[..., 3]) ** 2
+        + abs(a[..., 1] * a[..., 5] - a[..., 2] * a[..., 4]) ** 2
     )
 
 
@@ -225,7 +226,7 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     best = -np.inf
     remaining = samples
     while remaining > 0:
-        batch = min(remaining, 4096)
+        batch = min(remaining, BATCH_SIZE)
         v = haar_unitary(6, rng, count=batch)
         m = root[None, :, None] * v * root[None, None, :]
         s = np.linalg.svd(m, compute_uv=False)

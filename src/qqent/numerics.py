@@ -18,6 +18,11 @@ DEGENERACY_TOL = 1e-10
 REAL_SYMMETRIC_TOL = 1e-12
 _SUPPORT_TOL = 1e-8
 _SV_GROUP_TOL = 1e-8
+HAAR_MAX_DIM = 8
+#: eigenvalues above this count toward a state's rank
+RANK_TOL = 1e-12
+#: matrices per stacked batch in the sampling loops; bounds their memory
+BATCH_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -202,11 +207,15 @@ def haar_unitary(dim, seed, count=None):
     Generator; the construction is QR of a complex Gaussian matrix with the
     triangular factor's diagonal phases divided out.
     """
-    if not 2 <= dim <= 8:
-        raise ValueError("dim must be between 2 and 8")
+    if not 2 <= dim <= HAAR_MAX_DIM:
+        raise ValueError(f"dim must be between 2 and {HAAR_MAX_DIM}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     shape = (dim, dim) if count is None else (int(count), dim, dim)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    return _haar_from_normals(rng.standard_normal(shape), rng.standard_normal(shape))
+
+
+def _haar_from_normals(re, im):
+    """Haar unitaries from the real and imaginary Gaussian parts, stacked or not."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qqent.cli import main, state_from_wire
+from qqent.cli import _parse_spectrum, main, state_from_wire
+from qqent.errors import InvalidSpectrum
 
 FIG2_ARGS = ["construct", "epu-min-tgx", "--spectrum", "0.7,0.3,0,0,0,0",
              "--entanglement", "0.693"]
@@ -215,6 +216,37 @@ class TestSample:
         _, out2, _ = run(capsys, "sample", str(path), "--D", "3", "--budget", "20",
                          "--seed", "7")
         assert out1 == out2
+
+    def test_zero_budget_exit_2(self, tmp_path, capsys):
+        path = write_fig2(tmp_path)
+        for d in ("2", "3"):
+            code, out, err = run(capsys, "sample", str(path), "--D", d, "--budget", "0")
+            assert code == 2 and out == ""
+            assert "InvalidBudget" in err
+
+    def test_non_integer_qq_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = write_fig2(tmp_path)
+        monkeypatch.setenv("QQ_SEED", "abc")
+        code, out, err = run(capsys, "sample", str(path), "--D", "3", "--budget", "5")
+        assert code == 2 and out == ""
+        assert "InvalidSeed" in err
+
+
+class TestInputErrors:
+    def test_non_finite_state_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"mode_dims": [2, 3], "matrix": [[float("nan")] * 2] * 36}))
+        code, out, err = run(capsys, "measure", str(path))
+        assert code == 2 and out == ""
+        assert "InvalidState" in err
+
+    def test_parse_spectrum_error_type(self, capsys):
+        for text, n in (("0.5,x", 2), ("0.5,0.5", 3)):
+            with pytest.raises(InvalidSpectrum):
+                _parse_spectrum(text, n)
+        code, _, err = run(capsys, "construct", "mems", "--spectrum", "1,0,0")
+        assert code == 2
+        assert "InvalidSpectrum" in err
 
 
 class TestVerify:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qqent.decompositions import (
+    _haar_stack,
     average_entanglement,
     decompose,
     iter_decomposition_samples,
@@ -9,7 +10,14 @@ from qqent.decompositions import (
     mixer_2,
     rank_of,
 )
-from qqent.errors import AngleOutOfRange, DTooLarge, DTooSmall, NotUnitary
+from qqent.errors import (
+    AngleOutOfRange,
+    DTooLarge,
+    DTooSmall,
+    InvalidBudget,
+    InvalidState,
+    NotUnitary,
+)
 from qqent.measures import min_sgx_i_concurrence, min_tgx_i_concurrence, pure_i_concurrence
 from qqent.numerics import haar_unitary, hermitian_eig
 from qqent.states import build_alpha_beta, build_epu_min_tgx, physical_entanglement
@@ -150,3 +158,89 @@ class TestMinAverageSearch:
         v1, p1 = min_average_search(rho, 3, budget=50, seed=9)
         v2, p2 = min_average_search(rho, 3, budget=50, seed=9)
         assert v1 == v2 and p1 == p2
+
+
+def reference_mixer(d, params):
+    """The mixer a search row claims: identity, mixer_2 or haar_unitary."""
+    if d == 1:
+        return np.eye(1)
+    if d == 2:
+        return mixer_2(*params)
+    return haar_unitary(d, params[0])
+
+
+def assert_rows_match_per_trial_reference(rho, d, rows):
+    for _, params, avg in rows:
+        ref = average_entanglement(decompose(rho, reference_mixer(d, params)))
+        assert abs(avg - ref) < 1e-14, (d, params, avg, ref)
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_rows_replay_per_trial(self, rank):
+        rng = np.random.default_rng(100 + rank)
+        rho = random_density(rng, 6, rank=rank)
+        assert rank_of(rho) == rank
+        for d in range(rank, min(rank * rank, 8) + 1):
+            seed = int(rng.integers(1000))
+            rows = list(iter_decomposition_samples(rho, d, budget=16, seed=seed))
+            assert [row[0] for row in rows] == list(range(len(rows)))
+            assert_rows_match_per_trial_reference(rho, d, rows)
+            if d >= 3:
+                seeds = [params[0] for _, params, _ in rows]
+                assert seeds == [seed ^ k for k in range(16)]
+                for u, s in zip(_haar_stack(d, seeds), seeds):
+                    assert np.array_equal(u, haar_unitary(d, s))
+        if rank * rank > 8:
+            with pytest.raises(DTooLarge):
+                min_average_search(rho, 9)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_budget_above_chunk_size(self, d):
+        rho = random_density(np.random.default_rng(11), 6, rank=2)
+        rows = list(iter_decomposition_samples(rho, d, budget=5000, seed=3))
+        if d == 2:  # 70 x 71 lattice, theta-major
+            thetas = np.linspace(0.0, np.pi / 2, 70)
+            phis = np.linspace(0.0, 2 * np.pi, 71, endpoint=False)
+            assert [row[1] for row in rows] == [(t, f) for t in thetas for f in phis]
+        else:
+            assert [row[1] for row in rows] == [(3 ^ k,) for k in range(5000)]
+        assert [row[0] for row in rows] == list(range(len(rows)))
+        assert_rows_match_per_trial_reference(rho, d, rows)
+
+    def test_min_search_takes_first_minimum_and_replays(self):
+        rho, _ = build_epu_min_tgx((0.7, 0.3, 0, 0, 0, 0), 0.5)  # rank 2
+        for d in (2, 3, 4):
+            best, params = min_average_search(rho, d, budget=200, seed=5)
+            rows = list(iter_decomposition_samples(rho, d, budget=200, seed=5))
+            avgs = [avg for _, _, avg in rows]
+            first = avgs.index(min(avgs))
+            assert best == avgs[first]
+            if d == 2:
+                assert (params.theta, params.phi) == rows[first][1]
+            else:
+                assert params.seed == rows[first][1][0]
+                replay = average_entanglement(decompose(rho, haar_unitary(d, params.seed)))
+                assert abs(replay - best) < 1e-14
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_budget_below_one_rejected(self, d):
+        psi = np.zeros(6)
+        psi[1] = psi[3] = 1 / np.sqrt(2)
+        base, _ = build_epu_min_tgx((0.7, 0.3, 0, 0, 0, 0), 0.5)  # rank 2
+        rho = np.outer(psi, psi) if d == 1 else base
+        for budget in (0, -4):
+            with pytest.raises(InvalidBudget):
+                min_average_search(rho, d, budget=budget)
+            with pytest.raises(InvalidBudget):
+                list(iter_decomposition_samples(rho, d, budget=budget))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, bad):
+        rho = np.full((6, 6), bad, dtype=complex)
+        with pytest.raises(InvalidState):
+            min_average_search(rho, 2)
+        rho = np.eye(6, dtype=complex) / 6
+        rho[0, 0] = bad
+        with pytest.raises(InvalidState):
+            decompose(rho, np.eye(6))
