@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InvalidSpectrum, InvalidState, NotNormalized
+from .errors import InvalidSeed, InvalidSpectrum, InvalidState, NotNormalized
 
 DENSITY_TOL = 1e-10
 SPECTRUM_TOL = 1e-12
@@ -53,3 +53,10 @@ def as_unit_ket(psi, dim):
     if abs(np.linalg.norm(psi) - 1.0) > KET_NORM_TOL:
         raise NotNormalized("ket is not unit-norm to 1e-10")
     return psi
+
+
+def as_seed(seed):
+    """Validate a nonnegative integer seed, the kind ``default_rng`` accepts."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidSeed(f"seed={seed!r} must be a nonnegative integer")
+    return int(seed)

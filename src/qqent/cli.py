@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._checks import as_density_matrix
+from ._checks import as_density_matrix, as_seed
 from .decompositions import _search_chunks
 from .errors import (
     FormError,
@@ -178,10 +178,10 @@ def _parse_spectrum(text, n):
 
 def _default_seed(args):
     if args.seed is not None:
-        return args.seed
+        return as_seed(args.seed)
     text = os.environ.get("QQ_SEED", "0")
     try:
-        return int(text)
+        return as_seed(int(text))
     except ValueError as exc:
         raise InvalidSeed(f"QQ_SEED={text!r} is not an integer") from exc
 
@@ -347,18 +347,14 @@ def cmd_sample(args):
     if dims != (2, 3):
         raise InvalidState("sample requires a 2x3 state")
     seed = _default_seed(args)
-    if args.D == 2:
-        header = ["trial_index", "theta", "phi", "avg_E"]
-    elif args.D == 1:
-        header = ["trial_index", "avg_E"]
-    else:
-        header = ["trial_index", "trial_seed", "avg_E"]
+    grid = args.D == 2
+    header = ["trial_index", *(["theta", "phi"] if grid else []), "avg_E"]
     best = np.inf
     rows = []
     for params, averages in _search_chunks(rho, args.D, args.budget, seed):
         best = min(best, float(averages.min()))
         for p, avg in zip(params, averages.tolist()):
-            rows.append([len(rows), *p, avg])
+            rows.append([len(rows), *(p if grid else ()), avg])
     formula = _formula_value(rho)
     if args.format == "json":
         outputs = {
@@ -395,13 +391,12 @@ def _suite_epu(trials, seed):
     for t in range(trials):
         lam = _random_spectrum(rng)
         e = physical_entanglement(lam, rng.uniform())
-        rho, params = build_epu_min_tgx(lam, e)
-        expected = e if params.q >= 0.0 else 0.0
+        rho, _ = build_epu_min_tgx(lam, e)
         worst["spectrum"] = max(
             worst["spectrum"], float(np.max(np.abs(hermitian_eig(rho).values - lam)))
         )
         worst["entanglement"] = max(
-            worst["entanglement"], abs(min_tgx_i_concurrence(rho) - expected)
+            worst["entanglement"], abs(min_tgx_i_concurrence(rho) - e)
         )
         if worst["spectrum"] > 1e-9 or worst["entanglement"] > 1e-9:
             return False, worst, f"trial {t}: spectrum={list(lam)} E={e}"
@@ -414,15 +409,14 @@ def _suite_ls(trials, seed):
     for t in range(trials):
         lam = _random_spectrum(rng)
         e = physical_entanglement(lam, rng.uniform())
-        rho, params = build_epu_min_tgx(lam, e)
+        rho, _ = build_epu_min_tgx(lam, e)
         dec = ls_explicit(lam, e)
         recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
-        expected = e if params.q >= 0.0 else 0.0
         if dec.p_e > 1e-12:
             top = hermitian_eig(dec.rho_e).vectors[:, 0]
-            opt = abs(dec.p_e * pure_i_concurrence(top) - expected)
+            opt = abs(dec.p_e * pure_i_concurrence(top) - e)
         else:
-            opt = abs(expected)
+            opt = abs(e)
         neg = 0.0 if dec.p_e >= 1.0 - 1e-12 else _negativity_unchecked(dec.rho_s)
         worst["reconstruction"] = max(
             worst["reconstruction"], float(np.max(np.abs(recon - rho)))

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_density_matrix
+from ._checks import as_density_matrix, as_seed
 from .errors import AngleOutOfRange, DTooLarge, DTooSmall, InvalidBudget, NotUnitary
 from .measures import _pure_i_unnormalized
-from .numerics import BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _haar_from_normals, hermitian_eig
+from .numerics import BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _hermitian_eig_unchecked, haar_unitary
 
 ZERO_WEIGHT_TOL = 1e-14
 _UNITARY_TOL = 1e-10
@@ -33,12 +33,18 @@ class PureDecomposition:
 
 @dataclass(frozen=True)
 class MixerParams:
-    """Parameters of the mixing unitary that achieved a search minimum."""
+    """Parameters of the mixing unitary that achieved a search minimum.
+
+    D = 2 gives the lattice angles (theta, phi).  D >= 3 gives the search
+    ``seed`` and the ``trial`` index, and the mixer is
+    ``haar_unitary(d, seed, count=trial + 1)[trial]``.
+    """
 
     d: int
     theta: float | None = None
     phi: float | None = None
     seed: int | None = None
+    trial: int | None = None
 
 
 def rank_of(rho):
@@ -48,8 +54,11 @@ def rank_of(rho):
 
 
 def _spectral_factors(rho):
-    """sqrt(lam_k) and eigenvector rows v_k^T over the rank-supporting eigenvalues."""
-    eig = hermitian_eig(rho)
+    """sqrt(lam_k) and eigenvector rows v_k^T over the rank-supporting eigenvalues.
+
+    ``rho`` must already have passed ``as_density_matrix``.
+    """
+    eig = _hermitian_eig_unchecked(rho)
     r = int(np.sum(eig.values > RANK_TOL))
     return np.sqrt(np.clip(eig.values[:r], 0.0, None)), eig.vectors[:, :r].T
 
@@ -81,7 +90,8 @@ def decompose(rho, mixer):
     eigenvalues; members with p_j <= 1e-14 keep a zero ket and are skipped
     in averages but retained for reconstruction accounting.  The searches
     score the same mixing arithmetic on whole stacks of mixers, so any
-    search row replays through this function.
+    search row replays through this function: row i of a D >= 3 search with
+    seed s is decompose(rho, haar_unitary(D, s, count=i + 1)[i]).
     """
     rho = as_density_matrix(rho)
     u = np.asarray(mixer, dtype=complex)
@@ -119,12 +129,6 @@ def _mixer_2_stack(theta, phi):
     return u
 
 
-def _haar_stack(d, seeds):
-    """haar_unitary(d, s) for every s in ``seeds``, as one stack."""
-    normals = np.stack([np.random.default_rng(s).standard_normal((2, d, d)) for s in seeds])
-    return _haar_from_normals(normals[:, 0], normals[:, 1])
-
-
 def average_entanglement(dec):
     """sum_j p_j * (pure I-concurrence of ket j) for a 2x3 decomposition."""
     total = 0.0
@@ -155,6 +159,7 @@ def _search_chunks(rho, d, budget, seed):
     budget = int(budget)
     if budget < 1:
         raise InvalidBudget(f"budget={budget} must be at least 1")
+    seed = as_seed(seed)
     if d == 1:
         yield [()], _averages(np.ones((1, 1, 1), dtype=complex), root, vt)
         return
@@ -169,9 +174,11 @@ def _search_chunks(rho, d, budget, seed):
             params = list(zip(theta.tolist(), phi.tolist()))
             yield params, _averages(_mixer_2_stack(theta, phi), root, vt)
         return
+    rng = np.random.default_rng(seed)
     for lo in range(0, budget, BATCH_SIZE):
-        seeds = [int(seed) ^ index for index in range(lo, min(lo + BATCH_SIZE, budget))]
-        yield [(s,) for s in seeds], _averages(_haar_stack(d, seeds), root, vt)
+        index = range(lo, min(lo + BATCH_SIZE, budget))
+        mixers = haar_unitary(d, rng, count=len(index))
+        yield [(k,) for k in index], _averages(mixers, root, vt)
 
 
 def iter_decomposition_samples(rho, d, budget=None, seed=0):
@@ -179,10 +186,12 @@ def iter_decomposition_samples(rho, d, budget=None, seed=0):
 
     D = 2 sweeps a uniform (theta, phi) lattice of about ``budget`` points
     (default 30 x 30, endpoints included in theta); D >= 3 draws ``budget``
-    Haar unitaries with per-trial seeds derived as seed XOR trial index, so
-    the row of trial seed s replays as decompose(rho, haar_unitary(D, s)).
-    ``params`` is (theta, phi) for the grid, (trial_seed,) for sampling, and
-    () for the trivial D = 1 case.  The search is batched: rho is
+    Haar unitaries in order from one ``np.random.default_rng(seed)``, so row
+    i replays as decompose(rho, haar_unitary(D, seed, count=i + 1)[i]) and a
+    larger budget extends a search without reshuffling its first rows.
+    ``params`` is (theta, phi) for the grid, (trial_index,) for sampling, and
+    () for the trivial D = 1 case.  ``seed`` must be a nonnegative integer
+    (``InvalidSeed`` otherwise).  The search is batched: rho is
     eigendecomposed once and trials are scored in stacked chunks of
     BATCH_SIZE (4096), so memory stays bounded for any budget.
     """
@@ -210,4 +219,4 @@ def min_average_search(rho, d, budget=None, seed=0):
         return best, MixerParams(d=2, theta=best_params[0], phi=best_params[1])
     if d == 1:
         return best, MixerParams(d=1)
-    return best, MixerParams(d=d, seed=best_params[0])
+    return best, MixerParams(d=d, seed=int(seed), trial=best_params[0])

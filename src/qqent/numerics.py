@@ -108,6 +108,11 @@ def hermitian_eig(a):
     a = as_square_matrix(a)
     if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL:
         raise NotHermitian("matrix is not Hermitian to 1e-10")
+    return _hermitian_eig_unchecked(a)
+
+
+def _hermitian_eig_unchecked(a):
+    """hermitian_eig for a finite complex square matrix already known Hermitian."""
     w, v = np.linalg.eigh(a)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -205,17 +210,16 @@ def haar_unitary(dim, seed, count=None):
 
     Deterministic for a fixed seed.  ``seed`` may be an int or a numpy
     Generator; the construction is QR of a complex Gaussian matrix with the
-    triangular factor's diagonal phases divided out.
+    triangular factor's diagonal phases divided out.  Each unitary consumes
+    2 * dim**2 consecutive normals (real part, then imaginary part), so row i
+    of a stack is the same for every ``count > i`` and
+    ``haar_unitary(dim, s, count=n)[0]`` equals ``haar_unitary(dim, s)``.
     """
     if not 2 <= dim <= HAAR_MAX_DIM:
         raise ValueError(f"dim must be between 2 and {HAAR_MAX_DIM}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    shape = (dim, dim) if count is None else (int(count), dim, dim)
-    return _haar_from_normals(rng.standard_normal(shape), rng.standard_normal(shape))
-
-
-def _haar_from_normals(re, im):
-    """Haar unitaries from the real and imaginary Gaussian parts, stacked or not."""
-    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    shape = (2, dim, dim) if count is None else (int(count), 2, dim, dim)
+    g = rng.standard_normal(shape)
+    q, r = np.linalg.qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qqent.cli import _parse_spectrum, main, state_from_wire
+from qqent.decompositions import average_entanglement, decompose
 from qqent.errors import InvalidSpectrum
+from qqent.numerics import haar_unitary
 
 FIG2_ARGS = ["construct", "epu-min-tgx", "--spectrum", "0.7,0.3,0,0,0,0",
              "--entanglement", "0.693"]
@@ -230,6 +232,34 @@ class TestSample:
         code, out, err = run(capsys, "sample", str(path), "--D", "3", "--budget", "5")
         assert code == 2 and out == ""
         assert "InvalidSeed" in err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = write_fig2(tmp_path)
+        sample = ["sample", str(path), "--D", "3", "--budget", "5"]
+        verify = ["verify", "epu", "--trials", "2"]
+        for argv in (sample, verify):
+            code, out, err = run(capsys, *argv, "--seed", "-1")
+            assert code == 2 and out == "", argv
+            assert "InvalidSeed" in err
+            monkeypatch.setenv("QQ_SEED", "-1")
+            code, out, err = run(capsys, *argv)
+            monkeypatch.delenv("QQ_SEED")
+            assert code == 2 and out == "", argv
+            assert "InvalidSeed" in err
+
+    def test_d3_header_and_replay(self, tmp_path, capsys):
+        path = write_fig2(tmp_path)
+        code, out, _ = run(capsys, "sample", str(path), "--D", "3", "--budget", "20",
+                           "--seed", "4")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "trial_index,avg_E"
+        rho, _ = state_from_wire(json.loads(path.read_text())["outputs"]["state"])
+        for i, line in enumerate(lines[1:-1]):
+            index, avg = line.split(",")
+            mixer = haar_unitary(3, 4, count=i + 1)[i]
+            assert int(index) == i
+            assert abs(float(avg) - average_entanglement(decompose(rho, mixer))) < 1e-14
 
 
 class TestInputErrors:

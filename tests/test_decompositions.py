@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import qqent.decompositions as decompositions
 from qqent.decompositions import (
-    _haar_stack,
     average_entanglement,
     decompose,
     iter_decomposition_samples,
@@ -15,6 +15,7 @@ from qqent.errors import (
     DTooLarge,
     DTooSmall,
     InvalidBudget,
+    InvalidSeed,
     InvalidState,
     NotUnitary,
 )
@@ -160,53 +161,90 @@ class TestMinAverageSearch:
         assert v1 == v2 and p1 == p2
 
 
-def reference_mixer(d, params):
-    """The mixer a search row claims: identity, mixer_2 or haar_unitary."""
+def reference_mixer(d, params, seed):
+    """The mixer a search row claims: identity, mixer_2 or a row of haar_unitary."""
     if d == 1:
         return np.eye(1)
     if d == 2:
         return mixer_2(*params)
-    return haar_unitary(d, params[0])
+    i = params[0]
+    return haar_unitary(d, seed, count=i + 1)[i]
 
 
-def assert_rows_match_per_trial_reference(rho, d, rows):
+def assert_rows_match_per_trial_reference(rho, d, rows, seed, mixers=None):
+    """Every row's average replays through decompose to 1e-14.
+
+    ``mixers`` (one per row) are the unitaries the search itself scored; when
+    given they must be bit-identical to the replayed ones.
+    """
     for _, params, avg in rows:
-        ref = average_entanglement(decompose(rho, reference_mixer(d, params)))
+        mixer = reference_mixer(d, params, seed)
+        if mixers is not None:
+            assert np.array_equal(mixers[params[0]], mixer), (d, params)
+        ref = average_entanglement(decompose(rho, mixer))
         assert abs(avg - ref) < 1e-14, (d, params, avg, ref)
+
+
+@pytest.fixture
+def scored_mixers(monkeypatch):
+    """Record every mixer stack the search scores, concatenated in order."""
+    stacks = []
+    averages = decompositions._averages
+
+    def recording(u, root, vt):
+        stacks.append(u)
+        return averages(u, root, vt)
+
+    monkeypatch.setattr(decompositions, "_averages", recording)
+
+    def take():
+        out = np.concatenate(stacks)
+        stacks.clear()
+        return out
+
+    return take
 
 
 class TestBatchedSearch:
     @pytest.mark.parametrize("rank", range(1, 7))
-    def test_rows_replay_per_trial(self, rank):
+    def test_rows_replay_per_trial(self, rank, scored_mixers):
         rng = np.random.default_rng(100 + rank)
         rho = random_density(rng, 6, rank=rank)
         assert rank_of(rho) == rank
         for d in range(rank, min(rank * rank, 8) + 1):
             seed = int(rng.integers(1000))
             rows = list(iter_decomposition_samples(rho, d, budget=16, seed=seed))
+            mixers = scored_mixers()
             assert [row[0] for row in rows] == list(range(len(rows)))
-            assert_rows_match_per_trial_reference(rho, d, rows)
             if d >= 3:
-                seeds = [params[0] for _, params, _ in rows]
-                assert seeds == [seed ^ k for k in range(16)]
-                for u, s in zip(_haar_stack(d, seeds), seeds):
-                    assert np.array_equal(u, haar_unitary(d, s))
+                assert [params for _, params, _ in rows] == [(k,) for k in range(16)]
+            assert_rows_match_per_trial_reference(rho, d, rows, seed, mixers if d >= 3 else None)
         if rank * rank > 8:
             with pytest.raises(DTooLarge):
                 min_average_search(rho, 9)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_budget_above_chunk_size(self, d):
+    def test_budget_above_chunk_size(self, d, scored_mixers):
         rho = random_density(np.random.default_rng(11), 6, rank=2)
         rows = list(iter_decomposition_samples(rho, d, budget=5000, seed=3))
+        mixers = scored_mixers()
+        assert [row[0] for row in rows] == list(range(len(rows)))
         if d == 2:  # 70 x 71 lattice, theta-major
             thetas = np.linspace(0.0, np.pi / 2, 70)
             phis = np.linspace(0.0, 2 * np.pi, 71, endpoint=False)
             assert [row[1] for row in rows] == [(t, f) for t in thetas for f in phis]
-        else:
-            assert [row[1] for row in rows] == [(3 ^ k,) for k in range(5000)]
-        assert [row[0] for row in rows] == list(range(len(rows)))
-        assert_rows_match_per_trial_reference(rho, d, rows)
+            assert_rows_match_per_trial_reference(rho, d, rows, 3)
+            return
+        assert [row[1] for row in rows] == [(k,) for k in range(5000)]
+        # every scored unitary is row i of one stack drawn from seed 3 ...
+        assert np.array_equal(mixers, haar_unitary(d, 3, count=5000))
+        # ... which is haar_unitary(d, 3, count=i + 1)[i]; checked on both
+        # sides of the 4096-trial chunk boundary (the rest: test_stack_prefix)
+        boundary = [rows[i] for i in (0, 1, 17, 4095, 4096, 4097, 4999)]
+        assert_rows_match_per_trial_reference(rho, d, boundary, 3, mixers)
+        for _, (i,), avg in rows:
+            ref = average_entanglement(decompose(rho, mixers[i]))
+            assert abs(avg - ref) < 1e-14, (i, avg, ref)
 
     def test_min_search_takes_first_minimum_and_replays(self):
         rho, _ = build_epu_min_tgx((0.7, 0.3, 0, 0, 0, 0), 0.5)  # rank 2
@@ -219,9 +257,32 @@ class TestBatchedSearch:
             if d == 2:
                 assert (params.theta, params.phi) == rows[first][1]
             else:
-                assert params.seed == rows[first][1][0]
-                replay = average_entanglement(decompose(rho, haar_unitary(d, params.seed)))
+                assert (params.seed, params.trial) == (5, first)
+                assert rows[first][1] == (first,)
+                mixer = haar_unitary(d, params.seed, count=params.trial + 1)[params.trial]
+                replay = average_entanglement(decompose(rho, mixer))
                 assert abs(replay - best) < 1e-14
+
+    def test_larger_budget_extends_search(self):
+        rho = random_density(np.random.default_rng(12), 6, rank=3)
+        short = list(iter_decomposition_samples(rho, 3, budget=50, seed=8))
+        long = list(iter_decomposition_samples(rho, 3, budget=5000, seed=8))
+        assert short == long[:50]
+
+    def test_seeds_give_different_minima(self):
+        # the fig-2 state at D = 4: each seed draws its own set of unitaries
+        rho, _ = build_epu_min_tgx((0.7, 0.3, 0, 0, 0, 0), 0.693)
+        minima = {min_average_search(rho, 4, budget=1000, seed=s)[0] for s in (0, 1, 3)}
+        assert len(minima) == 3
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_invalid_seed_rejected(self, d, seed):
+        rho, _ = build_epu_min_tgx((0.7, 0.3, 0, 0, 0, 0), 0.5)  # rank 2
+        with pytest.raises(InvalidSeed):
+            min_average_search(rho, d, budget=5, seed=seed)
+        with pytest.raises(InvalidSeed):
+            list(iter_decomposition_samples(rho, d, budget=5, seed=seed))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_budget_below_one_rejected(self, d):

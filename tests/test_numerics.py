@@ -166,6 +166,18 @@ class TestHaar:
             res = us.conj().transpose(0, 2, 1) @ us - np.eye(dim)
             assert np.max(np.abs(res)) < 1e-12
 
+    def test_stack_prefix(self):
+        # row i of a stack depends only on the seed and i, not on count
+        for dim in (2, 3, 6):
+            full = haar_unitary(dim, 11, count=9)
+            assert np.array_equal(full[0], haar_unitary(dim, 11))
+            for n in range(1, 9):
+                assert np.array_equal(haar_unitary(dim, 11, count=n), full[:n])
+            # drawing in chunks from one generator continues the same stream
+            rng = np.random.default_rng(11)
+            chunks = [haar_unitary(dim, rng, count=n) for n in (4, 1, 4)]
+            assert np.array_equal(np.concatenate(chunks), full)
+
     def test_dim_bounds(self):
         with pytest.raises(ValueError):
             haar_unitary(1, 0)
