@@ -22,14 +22,21 @@ def as_square_matrix(m, dim=None):
 
 def as_density_matrix(rho, dim=None):
     """Validate Hermiticity, unit trace, and positivity (all to 1e-10)."""
+    return density_and_eigvals(rho, dim)[0]
+
+
+def density_and_eigvals(rho, dim=None):
+    """as_density_matrix that also returns the ascending eigenvalues it checked."""
     rho = as_square_matrix(rho, dim)
     if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
         raise InvalidState("density matrix is not Hermitian to 1e-10")
-    if abs(np.trace(rho).real - 1.0) > DENSITY_TOL or abs(np.trace(rho).imag) > DENSITY_TOL:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > DENSITY_TOL or abs(trace.imag) > DENSITY_TOL:
         raise InvalidState("density matrix does not have unit trace to 1e-10")
-    if np.linalg.eigvalsh(rho).min() < -DENSITY_TOL:
+    w = np.linalg.eigvalsh(rho)
+    if w.min() < -DENSITY_TOL:
         raise InvalidState("density matrix has an eigenvalue below -1e-10")
-    return rho
+    return rho, w
 
 
 def as_spectrum(values, n):
@@ -37,6 +44,8 @@ def as_spectrum(values, n):
     arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.shape != (n,):
         raise InvalidSpectrum(f"expected {n} eigenvalues, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise InvalidSpectrum("spectrum has a NaN or infinite eigenvalue")
     if np.any(arr[1:] - arr[:-1] > SPECTRUM_TOL):
         raise InvalidSpectrum("spectrum is not in descending order")
     if np.any(arr < -SPECTRUM_TOL):
@@ -50,6 +59,8 @@ def as_unit_ket(psi, dim):
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (dim,):
         raise InvalidState(f"expected a {dim}-component ket, got {psi.shape[0]}")
+    if not np.isfinite(psi).all():
+        raise InvalidState("ket has a NaN or infinite entry")
     if abs(np.linalg.norm(psi) - 1.0) > KET_NORM_TOL:
         raise NotNormalized("ket is not unit-norm to 1e-10")
     return psi

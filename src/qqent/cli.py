@@ -31,25 +31,29 @@ from .errors import (
     QQEntError,
     UnphysicalEntanglement,
 )
-from .ls import ls_explicit, ls_numeric
+from .ls import _ls_explicit, _ls_numeric, ls_explicit
 from .measures import (
+    _gen_concurrence_max,
+    _min_sgx_i_concurrence,
+    _min_tgx_i_concurrence,
+    _x_concurrence,
     concurrence_2x2,
     gen_concurrence_max,
-    mems_entanglement,
-    min_sgx_i_concurrence,
     min_tgx_i_concurrence,
     pure_i_concurrence,
     sampled_gen_preconcurrence,
     x_concurrence,
 )
-from .numerics import _negativity_unchecked, hermitian_eig
+from .numerics import _hermitian_eig_unchecked, _negativity_unchecked, hermitian_eig
 from .states import (
+    _check_physical,
+    _classify,
+    _e_mems,
+    _epu_min_tgx,
     build_alpha_beta,
     build_epu_min_tgx,
     build_epu_x_2x2,
     build_mems,
-    classify,
-    e_mems,
     enumerate_lpus,
     physical_entanglement,
 )
@@ -187,6 +191,8 @@ def _default_seed(args):
 
 
 # -- subcommands -----------------------------------------------------------
+# Commands pass the state _load_state validated (to 1e-10) to the kernels, and its clipped
+# eigenvalues to the spectral ones: as_spectrum would re-check them at 1e-12.
 
 def cmd_construct(args):
     kind = args.kind
@@ -231,8 +237,9 @@ def cmd_construct(args):
 
 def cmd_measure(args):
     rho, dims = _load_state(args.input)
-    flags = classify(rho) if dims == (2, 3) else None
-    eig = hermitian_eig(rho)
+    flags = _classify(rho) if dims == (2, 3) else None
+    eig = _hermitian_eig_unchecked(rho)
+    lam = np.clip(eig.values, 0.0, None)
     purity = float(np.trace(rho @ rho).real)
     outputs = {
         "mode_dims": list(dims),
@@ -250,16 +257,16 @@ def cmd_measure(args):
             "is_mems_form": flags.is_mems_form,
             "is_diagonal": flags.is_diagonal,
         }
-        outputs["e_mems"] = e_mems(eig.values)
-        outputs["mems_entanglement"] = mems_entanglement(eig.values)
-        outputs["gen_concurrence_max"] = gen_concurrence_max(eig.values)
+        outputs["e_mems"] = _e_mems(lam)
+        outputs["mems_entanglement"] = max(0.0, outputs["e_mems"])
+        outputs["gen_concurrence_max"] = _gen_concurrence_max(lam)
         if flags.is_min_tgx:
-            outputs["min_tgx_i_concurrence"] = min_tgx_i_concurrence(rho)
+            outputs["min_tgx_i_concurrence"] = _min_tgx_i_concurrence(rho)
         else:
             outputs["min_tgx_i_concurrence"] = None
             outputs["min_tgx_reason"] = "NotMinimalTGX"
         if flags.is_min_sgx:
-            outputs["min_sgx_i_concurrence"] = min_sgx_i_concurrence(rho)
+            outputs["min_sgx_i_concurrence"] = _min_sgx_i_concurrence(rho)
         else:
             outputs["min_sgx_i_concurrence"] = None
             outputs["min_sgx_reason"] = "NotMinimalSGX"
@@ -268,7 +275,7 @@ def cmd_measure(args):
     else:
         outputs["concurrence"] = concurrence_2x2(rho)
         try:
-            outputs["x_concurrence"] = x_concurrence(rho)
+            outputs["x_concurrence"] = _x_concurrence(rho)
         except NotXForm:
             outputs["x_concurrence"] = None
             outputs["x_concurrence_reason"] = "NotXForm"
@@ -279,7 +286,7 @@ def cmd_measure(args):
 def _ls_residuals(rho, dec):
     recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
     if dec.p_e > 1e-12:
-        top = hermitian_eig(dec.rho_e).vectors[:, 0]
+        top = _hermitian_eig_unchecked(dec.rho_e).vectors[:, 0]
         optimality = abs(
             dec.p_e * pure_i_concurrence(top)
             - max(0.0, dec.xi[0] - dec.xi[1] - dec.xi[2] - dec.xi[3])
@@ -299,22 +306,21 @@ def cmd_ls(args):
     if dims != (2, 3):
         raise InvalidState("ls requires a 2x3 state")
     if args.route == "explicit":
-        flags = classify(rho)
-        if not flags.is_epu_min_tgx:
+        if not _classify(rho).is_epu_min_tgx:
             raise NotMinimalTGX("explicit route requires the constructed single-coherence form")
-        eig = hermitian_eig(rho)
-        if not flags.is_min_tgx:
-            raise NotMinimalTGX("explicit route requires minimal TGX form")
-        e = min_tgx_i_concurrence(rho)
-        ref, _ = build_epu_min_tgx(eig.values, e)
+        eig = _hermitian_eig_unchecked(rho)
+        lam = np.clip(eig.values, 0.0, None)
+        e = _min_tgx_i_concurrence(rho)
+        e_phys = _check_physical(e, max(0.0, _e_mems(lam)))
+        ref, _ = _epu_min_tgx(lam, e_phys)
         if np.max(np.abs(rho - ref)) > 1e-8:
             raise NotMinimalSGX(
                 "explicit route requires the canonical orientation (coherence at levels 1,6)"
             )
-        dec = ls_explicit(eig.values, e)
+        dec = _ls_explicit(lam, e_phys)
         inputs = {"route": "explicit", "spectrum": list(eig.values), "entanglement": e}
     else:
-        dec = ls_numeric(rho)
+        dec = _ls_numeric(rho)
         inputs = {"route": "numeric"}
     outputs = {
         "p_e": dec.p_e,
@@ -332,13 +338,13 @@ def cmd_ls(args):
 
 
 def _formula_value(rho):
-    flags = classify(rho)
+    flags = _classify(rho)
     if flags.is_min_tgx:
-        return min_tgx_i_concurrence(rho)
+        return _min_tgx_i_concurrence(rho)
     if flags.is_min_sgx:
-        return min_sgx_i_concurrence(rho)
+        return _min_sgx_i_concurrence(rho)
     if float(np.trace(rho @ rho).real) >= 1.0 - PURITY_TOL:
-        return pure_i_concurrence(hermitian_eig(rho).vectors[:, 0])
+        return pure_i_concurrence(_hermitian_eig_unchecked(rho).vectors[:, 0])
     return None
 
 

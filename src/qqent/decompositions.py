@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_density_matrix, as_seed
+from ._checks import as_density_matrix, as_seed, density_and_eigvals
 from .errors import AngleOutOfRange, DTooLarge, DTooSmall, InvalidBudget, NotUnitary
 from .measures import _pure_i_unnormalized
 from .numerics import BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _hermitian_eig_unchecked, haar_unitary
@@ -49,8 +49,7 @@ class MixerParams:
 
 def rank_of(rho):
     """Number of eigenvalues above the 1e-12 rank threshold."""
-    rho = as_density_matrix(rho)
-    return int(np.sum(np.linalg.eigvalsh(rho) > RANK_TOL))
+    return int(np.sum(density_and_eigvals(rho)[1] > RANK_TOL))
 
 
 def _spectral_factors(rho):
@@ -141,11 +140,10 @@ def average_entanglement(dec):
 def _search_chunks(rho, d, budget, seed):
     """Yield (params, averages) for successive chunks of the search protocol.
 
-    rho is validated and eigendecomposed once; each chunk of at most
+    rho, already validated, is eigendecomposed once; each chunk of at most
     BATCH_SIZE trials is scored as one stacked array.  ``params`` lists the
     per-trial parameter tuples, ``averages`` is the matching float array.
     """
-    rho = as_density_matrix(rho, dim=6)
     root, vt = _spectral_factors(rho)
     r = root.size
     if d < r:
@@ -196,7 +194,7 @@ def iter_decomposition_samples(rho, d, budget=None, seed=0):
     BATCH_SIZE (4096), so memory stays bounded for any budget.
     """
     index = 0
-    for params, averages in _search_chunks(rho, d, budget, seed):
+    for params, averages in _search_chunks(as_density_matrix(rho, dim=6), d, budget, seed):
         for p, avg in zip(params, averages.tolist()):
             yield index, p, avg
             index += 1
@@ -211,7 +209,7 @@ def min_average_search(rho, d, budget=None, seed=0):
     """
     best = np.inf
     best_params = ()
-    for params, averages in _search_chunks(rho, d, budget, seed):
+    for params, averages in _search_chunks(as_density_matrix(rho, dim=6), d, budget, seed):
         k = int(np.argmin(averages))
         if averages[k] < best:
             best, best_params = float(averages[k]), params[k]

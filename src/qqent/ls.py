@@ -14,16 +14,16 @@ import numpy as np
 from ._checks import as_density_matrix, as_spectrum
 from .errors import AmbiguousQuartet, InvalidQuartet, NotMinimalSGX
 from .measures import SPIN_FLIP_4
-from .numerics import RANK_TOL, hermitian_eig, takagi_symmetric
+from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_unchecked
 from .states import (
     COMPLEMENT_PAIRS,
     DELTA_TOL,
     QUARTETS,
     ZERO_TOL,
     _check_physical,
-    classify,
-    e_mems,
-    matched_sgx_templates,
+    _classify,
+    _matched_sgx,
+    _physical_pair,
 )
 
 
@@ -77,10 +77,8 @@ def xi_explicit(spectrum, entanglement):
     xi3 = xi4 = sqrt(lam4 lam6), and max{0, xi1 - xi2 - xi3 - xi4} recovers
     the entanglement (E when Q >= 0, zero when Q < 0).
     """
-    lam = as_spectrum(spectrum, 6)
-    e = _check_physical(entanglement, max(0.0, e_mems(lam)))
-    _, _, _, xi = _epu_core(lam[0], lam[4], lam[3], lam[5], e)
-    return xi
+    lam, e = _physical_pair(spectrum, entanglement)
+    return _epu_core(lam[0], lam[4], lam[3], lam[5], e)[3]
 
 
 def xi_explicit_2x2(spectrum, concurrence):
@@ -111,9 +109,12 @@ def wootters_xkets_explicit(spectrum, entanglement):
     orthogonality <x_a|S|x_b*> = xi_a delta_ab and sum to the 0-embedded
     {1,3,4,6} block of the state.
     """
-    lam = as_spectrum(spectrum, 6)
-    e = _check_physical(entanglement, max(0.0, e_mems(lam)))
-    delta, omega, _, xi = _epu_core(lam[0], lam[4], lam[3], lam[5], e)
+    lam, e = _physical_pair(spectrum, entanglement)
+    return _wootters_xkets(lam, _epu_core(lam[0], lam[4], lam[3], lam[5], e))
+
+
+def _wootters_xkets(lam, core):
+    delta, omega, _, xi = core
     rem = np.sqrt(max(delta**2 - omega, 0.0))
     prod = lam[0] * lam[4] * omega
     # Kronecker guard: fires when lam5 * Omega vanishes
@@ -170,10 +171,13 @@ def ls_explicit(spectrum, entanglement):
     (E for Q >= 0, zero for Q < 0), and rho_s has positive partial
     transpose.  For p_e = 1 the separable part degenerates to zero.
     """
-    lam = as_spectrum(spectrum, 6)
-    e = _check_physical(entanglement, max(0.0, e_mems(lam)))
-    xi = xi_explicit(lam, e)
-    x, n1, n2 = wootters_xkets_explicit(lam, e)
+    return _ls_explicit(*_physical_pair(spectrum, entanglement))
+
+
+def _ls_explicit(lam, e):
+    core = _epu_core(lam[0], lam[4], lam[3], lam[5], e)
+    xi = core[3]
+    x, n1, n2 = _wootters_xkets(lam, core)
     outside = np.zeros((6, 6))
     outside[1, 1] = lam[1]
     outside[4, 4] = lam[2]
@@ -189,7 +193,7 @@ def _entanglement_quartet(rho):
     Among matching templates, one whose quartet block is nondiagonal wins;
     a fully diagonal-compatible state defaults to the canonical {1,3,4,6}.
     """
-    matched = matched_sgx_templates(rho)
+    matched = _matched_sgx(rho)
     with_coherence = []
     for k in matched:
         idx = np.array(QUARTETS[k]) - 1
@@ -202,7 +206,7 @@ def _entanglement_quartet(rho):
 
 
 def _require_min_sgx(rho):
-    flags = classify(rho)
+    flags = _classify(rho)
     if not flags.is_min_sgx:
         if flags.is_tgx:
             raise AmbiguousQuartet("coherence spans more than one quartet")
@@ -214,12 +218,18 @@ def _subnormalized_quartet_vectors(rho, quartet):
     0-embedded in the full space; zero rows pad ranks below 4."""
     idx = np.array(quartet) - 1
     block = rho[np.ix_(idx, idx)]
-    eig = hermitian_eig(block)
+    eig = _hermitian_eig_unchecked(block)
     u = np.zeros((4, 6), dtype=complex)
     for k in range(4):
         if eig.values[k] > RANK_TOL:
             u[k, idx] = np.sqrt(eig.values[k]) * eig.vectors[:, k]
     return u
+
+
+def _tau(rho, quartet):
+    u = _subnormalized_quartet_vectors(rho, quartet)
+    tau = u.conj() @ spin_flip_operator(quartet) @ u.conj().T
+    return u, (tau + tau.T) / 2.0
 
 
 def tau_matrix(rho, quartet):
@@ -233,12 +243,9 @@ def tau_matrix(rho, quartet):
     if quartet not in QUARTETS:
         raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
     _require_min_sgx(rho)
-    if QUARTETS.index(quartet) not in matched_sgx_templates(rho):
+    if QUARTETS.index(quartet) not in _matched_sgx(rho):
         raise NotMinimalSGX(f"coherence is not confined to quartet {quartet}")
-    u = _subnormalized_quartet_vectors(rho, quartet)
-    s = spin_flip_operator(quartet)
-    tau = u.conj() @ s @ u.conj().T
-    return (tau + tau.T) / 2.0
+    return _tau(rho, quartet)[1]
 
 
 def ls_numeric(rho):
@@ -249,13 +256,14 @@ def ls_numeric(rho):
     General TGX states with coherence in more than one quartet are
     rejected.
     """
-    rho = as_density_matrix(rho, dim=6)
+    return _ls_numeric(as_density_matrix(rho, dim=6))
+
+
+def _ls_numeric(rho):
     _require_min_sgx(rho)
     quartet = _entanglement_quartet(rho)
-    u = _subnormalized_quartet_vectors(rho, quartet)
-    s = spin_flip_operator(quartet)
-    tau = u.conj() @ s @ u.conj().T
-    fact = takagi_symmetric((tau + tau.T) / 2.0)
+    u, tau = _tau(rho, quartet)
+    fact = _takagi_unchecked(tau)
     xi = fact.values
     x = fact.unitary.T @ u
     for a in range(4):

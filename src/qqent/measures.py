@@ -6,9 +6,10 @@ valid (minimal TGX / minimal SGX input); the form gates raise otherwise.
 
 import numpy as np
 
-from ._checks import as_density_matrix, as_spectrum, as_unit_ket
+from ._checks import as_density_matrix, as_seed, as_spectrum, as_unit_ket
 from .errors import (
     AngleOutOfRange,
+    InvalidBudget,
     InvalidQuartet,
     NotMinimalSGX,
     NotMinimalTGX,
@@ -16,8 +17,8 @@ from .errors import (
     NotXForm,
 )
 from .numerics import BATCH_SIZE, haar_unitary
-from .states import QUARTETS, ZERO_TOL, classify, e_mems, subspace_extract
-from .states import _check_physical, DELTA_TOL
+from .states import QUARTETS, ZERO_TOL, e_mems, subspace_extract
+from .states import _classify, _physical_pair, DELTA_TOL
 
 #: sigma_y (x) sigma_y, the two-qubit spin flip.
 SPIN_FLIP_4 = np.array(
@@ -70,14 +71,17 @@ def _require_x_form(rho):
 
 def x_concurrence(rho):
     """Closed form for X states: 2 max{0, |r14| - sqrt(r22 r33), |r23| - sqrt(r11 r44)}."""
-    rho = as_density_matrix(rho, dim=4)
+    return _x_concurrence(as_density_matrix(rho, dim=4))
+
+
+def _x_concurrence(rho):
     _require_x_form(rho)
-    d = np.clip(rho.diagonal().real, 0.0, None)
-    return 2.0 * max(
-        0.0,
-        abs(rho[0, 3]) - np.sqrt(d[1] * d[2]),
-        abs(rho[1, 2]) - np.sqrt(d[0] * d[3]),
-    )
+    return 2.0 * max(0.0, *_x_pair(rho, np.clip(rho.diagonal().real, 0.0, None), 0, 1, 2, 3))
+
+
+def _x_pair(rho, diag, a, b, c, d):
+    """X-form arguments |r_ad| - sqrt(r_bb r_cc), |r_bc| - sqrt(r_aa r_dd), 0-based."""
+    return abs(rho[a, d]) - np.sqrt(diag[b] * diag[c]), abs(rho[b, c]) - np.sqrt(diag[a] * diag[d])
 
 
 def quartet_x_concurrence(rho, quartet):
@@ -89,20 +93,18 @@ def quartet_x_concurrence(rho, quartet):
     rho = as_density_matrix(rho, dim=6)
     if tuple(quartet) not in QUARTETS:
         raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
-    if not classify(rho).is_tgx:
+    if not _classify(rho).is_tgx:
         raise NotTGXForm("state is not in TGX form")
-    a, b, c, d = (k - 1 for k in quartet)
     diag = np.clip(rho.diagonal().real, 0.0, None)
-    return 2.0 * max(
-        0.0,
-        abs(rho[a, d]) - np.sqrt(diag[b] * diag[c]),
-        abs(rho[b, c]) - np.sqrt(diag[a] * diag[d]),
-    )
+    return 2.0 * max(0.0, *_x_pair(rho, diag, *(k - 1 for k in quartet)))
 
 
 def subspace_concurrence_vector(rho):
     """Concurrences of the three (unnormalized) quartet subspaces."""
-    rho = as_density_matrix(rho, dim=6)
+    return _subspace_concurrence_vector(as_density_matrix(rho, dim=6))
+
+
+def _subspace_concurrence_vector(rho):
     return np.array([_concurrence_block(subspace_extract(rho, q)) for q in QUARTETS])
 
 
@@ -129,28 +131,26 @@ def min_tgx_i_concurrence(rho):
     The six-argument max runs over both X positions of all three quartets;
     equal to the convex-roof minimum average over all decompositions.
     """
-    rho = as_density_matrix(rho, dim=6)
-    if not classify(rho).is_min_tgx:
+    return _min_tgx_i_concurrence(as_density_matrix(rho, dim=6))
+
+
+def _min_tgx_i_concurrence(rho):
+    if not _classify(rho).is_min_tgx:
         raise NotMinimalTGX("state is not in minimal TGX form")
     d = np.clip(rho.diagonal().real, 0.0, None)
-    return 2.0 * max(
-        0.0,
-        abs(rho[0, 4]) - np.sqrt(d[1] * d[3]),
-        abs(rho[1, 3]) - np.sqrt(d[0] * d[4]),
-        abs(rho[0, 5]) - np.sqrt(d[2] * d[3]),
-        abs(rho[2, 3]) - np.sqrt(d[0] * d[5]),
-        abs(rho[1, 5]) - np.sqrt(d[2] * d[4]),
-        abs(rho[2, 4]) - np.sqrt(d[1] * d[5]),
-    )
+    return 2.0 * max(0.0, *(v for q in QUARTETS for v in _x_pair(rho, d, *(k - 1 for k in q))))
 
 
 def min_sgx_i_concurrence(rho):
     """I-concurrence of a minimal SGX state: infinity norm of the
     subspace concurrence vector, with full (not X-shortcut) concurrences."""
-    rho = as_density_matrix(rho, dim=6)
-    if not classify(rho).is_min_sgx:
+    return _min_sgx_i_concurrence(as_density_matrix(rho, dim=6))
+
+
+def _min_sgx_i_concurrence(rho):
+    if not _classify(rho).is_min_sgx:
         raise NotMinimalSGX("state is not in minimal SGX form")
-    return float(subspace_concurrence_vector(rho).max())
+    return float(_subspace_concurrence_vector(rho).max())
 
 
 def mems_entanglement(spectrum):
@@ -183,8 +183,7 @@ def alpha_solve(spectrum, entanglement):
     beyond round-off that only happens when e_mems < 0, where the only
     physical E is 0 and pi/4 still satisfies the round-trip.
     """
-    lam = as_spectrum(spectrum, 6)
-    e = _check_physical(entanglement, max(0.0, e_mems(lam)))
+    lam, e = _physical_pair(spectrum, entanglement)
     gap = lam[0] - lam[4]
     if gap <= DELTA_TOL:
         return np.pi / 4
@@ -198,7 +197,10 @@ def gen_concurrence_max(spectrum):
     max{0, lam1 - lam4 - 2 sqrt(lam2 lam6) - 2 sqrt(lam3 lam5)}; differs
     from the I-concurrence ceiling, so the two measures are not equal.
     """
-    lam = as_spectrum(spectrum, 6)
+    return _gen_concurrence_max(as_spectrum(spectrum, 6))
+
+
+def _gen_concurrence_max(lam):
     return max(
         0.0,
         float(
@@ -215,14 +217,15 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
 
     Draws Haar unitaries V on the full 6-level space and maximizes
     (sigma1 - sum of the rest) of sqrt(L) V sqrt(L); always bounded above by
-    gen_concurrence_max(spectrum).  Deterministic per seed.
+    gen_concurrence_max(spectrum).  Deterministic per seed; samples < 1 raise
+    InvalidBudget, a negative or non-integer seed raises InvalidSeed.
     """
     lam = as_spectrum(spectrum, 6)
     samples = int(samples)
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidBudget(f"samples={samples} must be at least 1")
     root = np.sqrt(lam)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     best = -np.inf
     remaining = samples
     while remaining > 0:

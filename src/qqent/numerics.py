@@ -179,6 +179,11 @@ def takagi_symmetric(t):
     t = as_square_matrix(t)
     if np.max(np.abs(t - t.T)) > HERMITICITY_TOL:
         raise NotSymmetric("matrix is not symmetric to 1e-10")
+    return _takagi_unchecked(t)
+
+
+def _takagi_unchecked(t):
+    """takagi_symmetric for a finite complex square matrix already known symmetric."""
     n = t.shape[0]
     if not np.any(np.abs(t) > 0.0):
         return TakagiFactorization(unitary=np.eye(n, dtype=complex), values=np.zeros(n))

@@ -18,7 +18,7 @@ from .errors import (
     SpectrumMismatch,
     UnphysicalEntanglement,
 )
-from .numerics import hermitian_eig
+from .numerics import _hermitian_eig_unchecked
 
 #: The three 2x2 product subspaces of the 2x3 level set, in canonical order.
 QUARTETS = ((1, 2, 4, 5), (1, 3, 4, 6), (2, 3, 5, 6))
@@ -114,7 +114,10 @@ def classify(rho):
     matches every template.  The minimal TGX / minimal SGX / EPU flags accept
     any of the local-permutation variants of their template.
     """
-    rho = as_density_matrix(rho, dim=6)
+    return _classify(as_density_matrix(rho, dim=6))
+
+
+def _classify(rho):
     nz = _offdiag_support(rho)
     is_tgx = nz <= _TGX_POSITIONS
     # coherence confined to (at most) a single two-level ME support
@@ -132,7 +135,10 @@ def classify(rho):
 
 def matched_sgx_templates(rho):
     """Indices (into quartets()) of the minimal SGX templates a state fits."""
-    rho = as_density_matrix(rho, dim=6)
+    return _matched_sgx(as_density_matrix(rho, dim=6))
+
+
+def _matched_sgx(rho):
     nz = _offdiag_support(rho)
     return [k for k, t in enumerate(_MIN_SGX_TEMPLATES) if nz <= t]
 
@@ -172,7 +178,10 @@ def e_mems(spectrum):
     May be negative; max{0, .} is the largest entanglement any state with
     this spectrum can carry.
     """
-    lam = as_spectrum(spectrum, 6)
+    return _e_mems(as_spectrum(spectrum, 6))
+
+
+def _e_mems(lam):
     return float(lam[0] - lam[4] - 2.0 * np.sqrt(lam[3] * lam[5]))
 
 
@@ -187,6 +196,12 @@ def _check_physical(e, cap, what="E"):
     if e < -DELTA_TOL or e > cap + DELTA_TOL:
         raise UnphysicalEntanglement(f"{what}={e} outside [0, {cap}]")
     return min(max(float(e), 0.0), cap)
+
+
+def _physical_pair(spectrum, entanglement):
+    """Validated spectrum and its entanglement, clamped into [0, max{0, e_mems}]."""
+    lam = as_spectrum(spectrum, 6)
+    return lam, _check_physical(entanglement, max(0.0, _e_mems(lam)))
 
 
 def build_mems(spectrum):
@@ -209,8 +224,10 @@ def build_epu_min_tgx(spectrum, entanglement):
     Q >= 0 the minimal-TGX I-concurrence of the result is exactly E; for
     Q < 0 the only physical E is 0 and the result is separable.
     """
-    lam = as_spectrum(spectrum, 6)
-    e = _check_physical(entanglement, max(0.0, lam[0] - lam[4] - 2 * np.sqrt(lam[3] * lam[5])))
+    return _epu_min_tgx(*_physical_pair(spectrum, entanglement))
+
+
+def _epu_min_tgx(lam, e):
     gap = lam[0] - lam[4]
     q = gap**2 - (e + 2.0 * np.sqrt(lam[3] * lam[5])) ** 2
     omega = max(0.0, q)
@@ -232,26 +249,17 @@ def build_epu_min_tgx(spectrum, entanglement):
 
 
 def build_epu_x_2x2(spectrum, concurrence):
-    """Two-qubit analog: X state of given spectrum and concurrence."""
+    """Two-qubit analog: X state of given spectrum and concurrence.
+
+    It is the {1,3,4,6} block of the 2x3 construction on the six levels
+    (lam1, 0, 0, lam2, lam3, lam4), which runs the same arithmetic.
+    """
     lam = as_spectrum(spectrum, 4)
     c = _check_physical(
         concurrence, max(0.0, lam[0] - lam[2] - 2 * np.sqrt(lam[1] * lam[3])), what="C"
     )
-    gap = lam[0] - lam[2]
-    q = gap**2 - (c + 2.0 * np.sqrt(lam[1] * lam[3])) ** 2
-    omega = max(0.0, q)
-    rho = np.zeros((4, 4), dtype=complex)
-    np.fill_diagonal(
-        rho,
-        (
-            (lam[0] + lam[2] + np.sqrt(omega)) / 2,
-            lam[1],
-            lam[3],
-            (lam[0] + lam[2] - np.sqrt(omega)) / 2,
-        ),
-    )
-    rho[0, 3] = rho[3, 0] = np.sqrt(max(gap**2 - omega, 0.0)) / 2
-    return rho
+    rho, _ = _epu_min_tgx(np.array([lam[0], 0.0, 0.0, lam[1], lam[2], lam[3]]), c)
+    return rho[np.ix_((0, 2, 3, 5), (0, 2, 3, 5))]
 
 
 def build_alpha_beta(spectrum, alpha, beta):
@@ -292,8 +300,8 @@ def epu_unitary(rho, target):
     """
     rho = as_density_matrix(rho)
     target = as_density_matrix(target, dim=rho.shape[0])
-    er = hermitian_eig(rho)
-    et = hermitian_eig(target)
+    er = _hermitian_eig_unchecked(rho)
+    et = _hermitian_eig_unchecked(target)
     if np.max(np.abs(er.values - et.values)) > 1e-9:
         raise SpectrumMismatch("states do not share a spectrum to 1e-9")
     return et.vectors @ er.vectors.conj().T

@@ -84,9 +84,9 @@ def test_criterion_1_epu_round_trip():
     for _ in range(1000):
         lam = random_spectrum(rng)
         e = physical_entanglement(lam, rng.uniform())
-        rho, params = build_epu_min_tgx(lam, e)
+        rho, _ = build_epu_min_tgx(lam, e)
         worst_spec = max(worst_spec, float(np.max(np.abs(hermitian_eig(rho).values - lam))))
-        expected = e if params.q >= 0 else 0.0
+        expected = e
         worst_ent = max(worst_ent, abs(min_tgx_i_concurrence(rho) - expected))
     elapsed = time.time() - start
     ok = worst_spec <= 1e-9 and worst_ent <= 1e-9 and elapsed < 10.0
@@ -169,11 +169,11 @@ def test_criterion_5_ls_identities():
         cases.append((lam, physical_entanglement(lam, rng.uniform())))
     worst_recon = worst_ent = worst_neg = 0.0
     for lam, e in cases:
-        rho, params = build_epu_min_tgx(lam, e)
+        rho, _ = build_epu_min_tgx(lam, e)
         dec = ls_explicit(lam, e)
         recon = dec.p_e * dec.rho_e + (1 - dec.p_e) * dec.rho_s
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - rho))))
-        expected = e if params.q >= 0 else 0.0
+        expected = e
         xi_val = max(0.0, dec.xi[0] - dec.xi[1] - dec.xi[2] - dec.xi[3])
         worst_ent = max(
             worst_ent,
@@ -249,8 +249,7 @@ def test_criterion_8_two_qubit_formulas():
         worst_spec = max(
             worst_spec, float(np.max(np.abs(hermitian_eig(rho).values - lam)))
         )
-        q = (lam[0] - lam[2]) ** 2 - (c + 2 * np.sqrt(lam[1] * lam[3])) ** 2
-        expected = c if q >= 0 else 0.0
+        expected = c
         worst_conc = max(worst_conc, abs(x_concurrence(rho) - expected))
     ok = worst <= 1e-9 and worst_spec <= 1e-9 and worst_conc <= 1e-9
     report(

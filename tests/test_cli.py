@@ -279,6 +279,56 @@ class TestInputErrors:
         assert "InvalidSpectrum" in err
 
 
+#: Diagonal states inside the state check's 1e-10 tolerance but outside the
+#: spectrum check's 1e-12: trace 1 + 3e-11, and an eigenvalue of -5e-11.
+NEAR_TOLERANCE = {
+    "trace": [0.5 + 3e-11, 0.3, 0.2, 0, 0, 0],
+    "negative": [0.5 + 5e-11, 0.3, 0.2, -5e-11, 0, 0],
+}
+#: The same diagonals in the explicit route's canonical layout
+#: (lam1, lam2, lam4, lam6, lam3, lam5).
+NEAR_TOLERANCE_CANONICAL = {
+    "trace": [0.5 + 3e-11, 0.3, 0, 0, 0.2, 0],
+    "negative": [0.5 + 5e-11, 0.3, 0, -5e-11, 0.2, 0],
+}
+
+
+def write_diagonal(tmp_path, diagonal):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({
+        "mode_dims": [2, 3],
+        "matrix": [[diagonal[i] if i == j else 0.0, 0.0] for i in range(6) for j in range(6)],
+    }))
+    return path
+
+
+class TestNearToleranceStates:
+    """A state the input check accepts is not rejected again by a tighter
+    spectrum check inside a command."""
+
+    @pytest.mark.parametrize("kind", sorted(NEAR_TOLERANCE))
+    def test_measure(self, tmp_path, capsys, kind):
+        code, out, err = run(capsys, "measure", str(write_diagonal(tmp_path, NEAR_TOLERANCE[kind])))
+        assert code == 0, err
+        outputs = json.loads(out)["outputs"]
+        assert abs(outputs["e_mems"] - 0.5) < 1e-9
+        assert abs(outputs["gen_concurrence_max"] - 0.5) < 1e-9
+        assert outputs["min_tgx_i_concurrence"] == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(NEAR_TOLERANCE))
+    def test_ls_explicit(self, tmp_path, capsys, kind):
+        path = write_diagonal(tmp_path, NEAR_TOLERANCE_CANONICAL[kind])
+        code, out, err = run(capsys, "ls", str(path), "--route", "explicit")
+        assert code == 0, err
+        outputs = json.loads(out)["outputs"]
+        assert outputs["p_e"] == 0.0
+        assert outputs["residuals"]["reconstruction"] < 1e-9
+        # outside the canonical layout the route refuses the form, not the input
+        path = write_diagonal(tmp_path, NEAR_TOLERANCE[kind])
+        code, _, err = run(capsys, "ls", str(path), "--route", "explicit")
+        assert code == 3 and "NotMinimalSGX" in err
+
+
 class TestVerify:
     def test_suites_pass(self, capsys):
         for suite, trials in (("epu", 100), ("ls", 50), ("formulas", 50), ("genconc", 5)):

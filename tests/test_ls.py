@@ -137,9 +137,8 @@ class TestXiExplicit:
         rng = np.random.default_rng(2)
         for _ in range(100):
             lam, e = random_physical_pair(rng)
-            q = (lam[0] - lam[4]) ** 2 - (e + 2 * np.sqrt(lam[3] * lam[5])) ** 2
             xi = xi_explicit(lam, e)
-            expected = e if q >= 0 else 0.0
+            expected = e
             assert abs(max(0.0, xi[0] - xi[1] - xi[2] - xi[3]) - expected) < 1e-12
 
     def test_xi1_dominant(self):
@@ -228,11 +227,11 @@ class TestLsExplicit:
         rng = np.random.default_rng(7)
         for _ in range(60):
             lam, e = random_physical_pair(rng)
-            rho, params = build_epu_min_tgx(lam, e)
+            rho, _ = build_epu_min_tgx(lam, e)
             dec = ls_explicit(lam, e)
             recon = dec.p_e * dec.rho_e + (1 - dec.p_e) * dec.rho_s
             assert np.max(np.abs(recon - rho)) < 1e-9
-            expected = e if params.q >= 0 else 0.0
+            expected = e
             assert abs(entangled_part_value(dec) - expected) < 1e-9
             assert abs(max(0.0, dec.xi[0] - dec.xi[1] - dec.xi[2] - dec.xi[3]) - expected) < 1e-9
             if dec.p_e < 1 - 1e-12:

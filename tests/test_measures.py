@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qqent.errors import (
+    InvalidBudget,
     InvalidQuartet,
+    InvalidSeed,
     NotMinimalSGX,
     NotMinimalTGX,
     NotNormalized,
@@ -294,6 +296,18 @@ class TestSampledGenPreconcurrence:
             lam = random_spectrum(rng)
             bound = gen_concurrence_max(lam)
             assert sampled_gen_preconcurrence(lam, 300, seed=int(rng.integers(2**31))) <= bound + 1e-9
+
+    def test_samples_below_one_rejected(self):
+        with pytest.raises(InvalidBudget):
+            sampled_gen_preconcurrence((0.7, 0.3, 0, 0, 0, 0), 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSeed):
+            sampled_gen_preconcurrence((0.7, 0.3, 0, 0, 0, 0), 10, seed=-1)
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(InvalidSeed):
+            sampled_gen_preconcurrence((0.7, 0.3, 0, 0, 0, 0), 10, seed=1.5)
 
     def test_monotone_in_samples(self):
         lam = (0.4, 0.3, 0.2, 0.1, 0, 0)
