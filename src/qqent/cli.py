@@ -46,6 +46,7 @@ from .measures import (
 )
 from .numerics import _hermitian_eig_unchecked, _negativity_unchecked, hermitian_eig
 from .states import (
+    _cap_2x2,
     _check_physical,
     _classify,
     _e_mems,
@@ -223,8 +224,7 @@ def cmd_construct(args):
             rho, params = build_epu_min_tgx(lam, e)
             outputs.update({"q": params.q, "omega": params.omega, "delta": params.delta})
         else:  # epu-x-2x2
-            cap = max(0.0, lam[0] - lam[2] - 2.0 * np.sqrt(max(lam[1] * lam[3], 0.0)))
-            c = args.entanglement if args.entanglement is not None else args.eta * cap
+            c = args.entanglement if args.entanglement is not None else args.eta * _cap_2x2(lam)
             if args.eta is not None and not 0.0 <= args.eta <= 1.0:
                 raise UnphysicalEntanglement(f"eta={args.eta} outside [0, 1]")
             inputs["concurrence"] = c
@@ -451,7 +451,7 @@ def _suite_formulas(trials, seed):
             worst["pure_consistency"], abs(pure_i_concurrence(psi) - oracle)
         )
         lam4 = np.sort(rng.dirichlet(np.ones(4)))[::-1]
-        c = rng.uniform() * max(0.0, lam4[0] - lam4[2] - 2 * np.sqrt(lam4[1] * lam4[3]))
+        c = rng.uniform() * _cap_2x2(lam4)
         rho4 = build_epu_x_2x2(lam4, c)
         worst["x_equivalence"] = max(
             worst["x_equivalence"], abs(concurrence_2x2(rho4) - x_concurrence(rho4))

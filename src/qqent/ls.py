@@ -7,6 +7,7 @@ constructed family, and a numeric Takagi route for any minimal SGX state
 (coherence confined to a single quartet).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,10 @@ from .states import (
     DELTA_TOL,
     QUARTETS,
     ZERO_TOL,
+    _cap_2x2,
     _check_physical,
     _classify,
+    _epu_core,
     _matched_sgx,
     _physical_pair,
 )
@@ -57,18 +60,15 @@ def spin_flip_operator(quartet=(1, 3, 4, 6)):
     return s
 
 
-def _epu_core(l1, l5, l4, l6, e):
-    """Delta, Omega, Q, and the four xi values for the canonical family."""
-    gap = l1 - l5
-    delta = gap + (1.0 if gap <= DELTA_TOL else 0.0)
-    q = gap**2 - (e + 2.0 * np.sqrt(l4 * l6)) ** 2
-    omega = max(0.0, q)
-    rem = np.sqrt(max(delta**2 - omega, 0.0))
-    inner = np.sqrt(4.0 * l1 * l5 * delta**2 + gap**2 * rem**2)
-    xi1 = (inner + gap * rem) / (2.0 * delta)
-    xi2 = (inner - gap * rem) / (2.0 * delta)
-    xi34 = np.sqrt(l4 * l6)
-    return delta, omega, q, np.array([xi1, xi2, xi34, xi34])
+def _epu_xi(l1, l5, l4, l6, e):
+    """Delta, Omega, sqrt(Delta^2 - Omega) and the four xi values (a list)
+    of the canonical family, from the states EPU core."""
+    gap, _, omega, delta = _epu_core(l1, l5, l4, l6, e)
+    rem = math.sqrt(max(delta**2 - omega, 0.0))
+    inner = math.sqrt(4.0 * l1 * l5 * delta**2 + gap**2 * rem**2)
+    xi34 = math.sqrt(l4 * l6)
+    xi = [(inner + gap * rem) / (2.0 * delta), (inner - gap * rem) / (2.0 * delta), xi34, xi34]
+    return delta, omega, rem, xi
 
 
 def xi_explicit(spectrum, entanglement):
@@ -78,27 +78,29 @@ def xi_explicit(spectrum, entanglement):
     the entanglement (E when Q >= 0, zero when Q < 0).
     """
     lam, e = _physical_pair(spectrum, entanglement)
-    return _epu_core(lam[0], lam[4], lam[3], lam[5], e)[3]
+    l1, _, _, l4, l5, l6 = lam.tolist()
+    return np.array(_epu_xi(l1, l5, l4, l6, e)[3])
 
 
 def xi_explicit_2x2(spectrum, concurrence):
     """Two-qubit transplant of the closed-form xi values."""
     lam = as_spectrum(spectrum, 4)
-    cap = max(0.0, lam[0] - lam[2] - 2.0 * np.sqrt(lam[1] * lam[3]))
-    c = _check_physical(concurrence, cap, what="C")
-    _, _, _, xi = _epu_core(lam[0], lam[2], lam[1], lam[3], c)
-    return xi
+    c = _check_physical(concurrence, _cap_2x2(lam), what="C")
+    l1, l2, l3, l4 = lam.tolist()
+    return np.array(_epu_xi(l1, l3, l2, l4, c)[3])
 
 
 def _fix_ket_phase(ket):
     """Normalize the free +-1 phase: the largest-magnitude component gets a
-    nonnegative real part (nonnegative imaginary part on a pure-imaginary tie)."""
-    mags = np.abs(ket)
-    if mags.max() <= RANK_TOL:
+    nonnegative real part (nonnegative imaginary part on a pure-imaginary tie).
+    ``ket`` holds Python complex numbers; the first largest one decides."""
+    mags = [abs(z) for z in ket]
+    top = max(mags)
+    if top <= RANK_TOL:
         return ket
-    z = ket[int(np.argmax(mags))]
+    z = ket[mags.index(top)]
     if z.real < -ZERO_TOL or (abs(z.real) <= ZERO_TOL and z.imag < 0.0):
-        return -ket
+        return [-v for v in ket]
     return ket
 
 
@@ -110,58 +112,60 @@ def wootters_xkets_explicit(spectrum, entanglement):
     {1,3,4,6} block of the state.
     """
     lam, e = _physical_pair(spectrum, entanglement)
-    return _wootters_xkets(lam, _epu_core(lam[0], lam[4], lam[3], lam[5], e))
+    lam = lam.tolist()
+    return _wootters_xkets(lam, _epu_xi(lam[0], lam[4], lam[3], lam[5], e))
 
 
 def _wootters_xkets(lam, core):
-    delta, omega, _, xi = core
-    rem = np.sqrt(max(delta**2 - omega, 0.0))
-    prod = lam[0] * lam[4] * omega
+    """``lam`` is the spectrum as a list of floats, ``core`` is _epu_xi's."""
+    delta, omega, rem, xi = core
+    l1, _, _, l4, l5, l6 = lam
+    prod = l1 * l5 * omega
     # Kronecker guard: fires when lam5 * Omega vanishes
-    a_fac = (np.sqrt(prod) + (delta if lam[4] * omega <= DELTA_TOL else 0.0)) / delta
-    b1 = (xi[0] * delta - lam[0] * rem) / delta
-    b2 = (xi[1] * delta - lam[4] * rem) / delta
-    n1 = float(np.sqrt(b1**2 + a_fac**2))
-    n2 = float(np.sqrt(b2**2 + a_fac**2))
-    cp = np.sqrt(max((delta + np.sqrt(omega)) / (2.0 * delta), 0.0))
-    cm = np.sqrt(max((delta - np.sqrt(omega)) / (2.0 * delta), 0.0))
-    r1, r5 = np.sqrt(lam[0]), np.sqrt(lam[4])
-    x = np.zeros((4, 6), dtype=complex)
-    x[0, 0] = 1j / n1 * (a_fac * r1 * cp - b1 * r5 * cm)
-    x[0, 5] = 1j / n1 * (a_fac * r1 * cm + b1 * r5 * cp)
-    x[1, 0] = (b2 * r1 * cp + a_fac * r5 * cm) / n2
-    x[1, 5] = (b2 * r1 * cm - a_fac * r5 * cp) / n2
-    x[2, 2] = np.sqrt(lam[3] / 2.0)
-    x[2, 3] = np.sqrt(lam[5] / 2.0)
-    x[3, 2] = 1j * np.sqrt(lam[3] / 2.0)
-    x[3, 3] = -1j * np.sqrt(lam[5] / 2.0)
-    for a in range(4):
-        x[a] = _fix_ket_phase(x[a])
-    return x, n1, n2
+    a_fac = (math.sqrt(prod) + (delta if l5 * omega <= DELTA_TOL else 0.0)) / delta
+    b1 = (xi[0] * delta - l1 * rem) / delta
+    b2 = (xi[1] * delta - l5 * rem) / delta
+    n1 = math.sqrt(b1**2 + a_fac**2)
+    n2 = math.sqrt(b2**2 + a_fac**2)
+    root = math.sqrt(omega)
+    cp = math.sqrt(max((delta + root) / (2.0 * delta), 0.0))
+    cm = math.sqrt(max((delta - root) / (2.0 * delta), 0.0))
+    r1, r5 = math.sqrt(l1), math.sqrt(l5)
+    h4, h6 = math.sqrt(l4 / 2.0), math.sqrt(l6 / 2.0)
+    # complex entries throughout, so a phase flip also flips the zeros' signs
+    z = 0j
+    kets = (
+        (1j / n1 * (a_fac * r1 * cp - b1 * r5 * cm), z, z, z, z,
+         1j / n1 * (a_fac * r1 * cm + b1 * r5 * cp)),
+        (complex((b2 * r1 * cp + a_fac * r5 * cm) / n2), z, z, z, z,
+         complex((b2 * r1 * cm - a_fac * r5 * cp) / n2)),
+        (z, z, complex(h4), complex(h6), z, z),
+        (z, z, 1j * h4, -1j * h6, z, z),
+    )
+    return np.array([_fix_ket_phase(k) for k in kets]), n1, n2
 
 
-def _assemble(x, xi, extra_separable, p_denominator_trace=1.0):
-    """Shared LS assembly from x kets, xi values, and the separable remainder
-    outside the entanglement quartet."""
-    xi1 = float(xi[0])
+def _assemble(x, xi, extra_separable):
+    """Shared LS assembly from x kets, xi values (a list of floats), and the
+    complex separable remainder outside the entanglement quartet."""
+    xi1, xi2, xi3, xi4 = xi
+    rest = xi2 + xi3 + xi4
     d_xi1 = 1.0 if xi1 <= DELTA_TOL else 0.0
-    e_val = max(0.0, xi1 - float(xi[1] + xi[2] + xi[3]))
+    e_val = max(0.0, xi1 - rest)
     norm1 = float(np.vdot(x[0], x[0]).real)
+    # np.outer of each ket, in numpy: Python's complex product rounds differently
+    outer = x[:, :, None] * x.conj()[:, None, :]
     if norm1 > RANK_TOL:
         p_e = min(max(e_val * norm1 / (xi1 + d_xi1), 0.0), 1.0)
-        rho_e = np.outer(x[0], x[0].conj()) / norm1
+        rho_e = outer[0] / norm1
     else:
         p_e = 0.0
         rho_e = np.zeros((6, 6), dtype=complex)
     d_pe = 1.0 if abs(p_e - 1.0) <= DELTA_TOL else 0.0
-    sep = extra_separable.astype(complex).copy()
-    sep += (
-        (min(xi1, float(xi[1] + xi[2] + xi[3])) + d_xi1) / (xi1 + d_xi1)
-    ) * np.outer(x[0], x[0].conj())
+    sep = extra_separable + ((min(xi1, rest) + d_xi1) / (xi1 + d_xi1)) * outer[0]
     for a in range(1, 4):
-        sep += np.outer(x[a], x[a].conj())
-    rho_s = sep / (p_denominator_trace - p_e + d_pe)
-    return p_e, rho_e, rho_s
+        sep += outer[a]
+    return p_e, rho_e, sep / (1.0 - p_e + d_pe)
 
 
 def ls_explicit(spectrum, entanglement):
@@ -175,15 +179,15 @@ def ls_explicit(spectrum, entanglement):
 
 
 def _ls_explicit(lam, e):
-    core = _epu_core(lam[0], lam[4], lam[3], lam[5], e)
-    xi = core[3]
+    lam = lam.tolist()
+    core = _epu_xi(lam[0], lam[4], lam[3], lam[5], e)
     x, n1, n2 = _wootters_xkets(lam, core)
-    outside = np.zeros((6, 6))
+    outside = np.zeros((6, 6), dtype=complex)
     outside[1, 1] = lam[1]
     outside[4, 4] = lam[2]
-    p_e, rho_e, rho_s = _assemble(x, xi, outside)
+    p_e, rho_e, rho_s = _assemble(x, core[3], outside)
     return LSDecomposition(
-        p_e=p_e, rho_e=rho_e, rho_s=rho_s, xi=xi, x_kets=x, n1=n1, n2=n2
+        p_e=p_e, rho_e=rho_e, rho_s=rho_s, xi=np.array(core[3]), x_kets=x, n1=n1, n2=n2
     )
 
 
@@ -265,11 +269,9 @@ def _ls_numeric(rho):
     u, tau = _tau(rho, quartet)
     fact = _takagi_unchecked(tau)
     xi = fact.values
-    x = fact.unitary.T @ u
-    for a in range(4):
-        x[a] = _fix_ket_phase(x[a])
+    x = np.array([_fix_ket_phase(k) for k in (fact.unitary.T @ u).tolist()])
     comp = np.array(COMPLEMENT_PAIRS[QUARTETS.index(quartet)]) - 1
     outside = np.zeros((6, 6), dtype=complex)
     outside[np.ix_(comp, comp)] = rho[np.ix_(comp, comp)]
-    p_e, rho_e, rho_s = _assemble(x, xi, outside)
+    p_e, rho_e, rho_s = _assemble(x, xi.tolist(), outside)
     return LSDecomposition(p_e=p_e, rho_e=rho_e, rho_s=rho_s, xi=xi, x_kets=x)

@@ -4,11 +4,12 @@ Mixed-state values are convex-roof minima only where the closed forms are
 valid (minimal TGX / minimal SGX input); the form gates raise otherwise.
 """
 
+import math
+
 import numpy as np
 
 from ._checks import as_density_matrix, as_seed, as_spectrum, as_unit_ket
 from .errors import (
-    AngleOutOfRange,
     InvalidBudget,
     InvalidQuartet,
     NotMinimalSGX,
@@ -18,7 +19,10 @@ from .errors import (
 )
 from .numerics import BATCH_SIZE, haar_unitary
 from .states import QUARTETS, ZERO_TOL, e_mems, subspace_extract
-from .states import _classify, _physical_pair, DELTA_TOL
+from .states import _check_angles, _classify, _physical_pair, DELTA_TOL
+
+#: QUARTETS as 0-based level indices.
+_QUARTET_IDX = tuple(tuple(k - 1 for k in q) for q in QUARTETS)
 
 #: sigma_y (x) sigma_y, the two-qubit spin flip.
 SPIN_FLIP_4 = np.array(
@@ -76,12 +80,18 @@ def x_concurrence(rho):
 
 def _x_concurrence(rho):
     _require_x_form(rho)
-    return 2.0 * max(0.0, *_x_pair(rho, np.clip(rho.diagonal().real, 0.0, None), 0, 1, 2, 3))
+    return 2.0 * max(0.0, *_x_pair(rho, _clipped_diagonal(rho), 0, 1, 2, 3))
+
+
+def _clipped_diagonal(rho):
+    """The real diagonal as floats, negatives (and -0.0) clipped to 0.0."""
+    return [v if v > 0.0 else 0.0 for v in rho.diagonal().real.tolist()]
 
 
 def _x_pair(rho, diag, a, b, c, d):
     """X-form arguments |r_ad| - sqrt(r_bb r_cc), |r_bc| - sqrt(r_aa r_dd), 0-based."""
-    return abs(rho[a, d]) - np.sqrt(diag[b] * diag[c]), abs(rho[b, c]) - np.sqrt(diag[a] * diag[d])
+    return (abs(rho.item(a, d)) - math.sqrt(diag[b] * diag[c]),
+            abs(rho.item(b, c)) - math.sqrt(diag[a] * diag[d]))
 
 
 def quartet_x_concurrence(rho, quartet):
@@ -95,8 +105,7 @@ def quartet_x_concurrence(rho, quartet):
         raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
     if not _classify(rho).is_tgx:
         raise NotTGXForm("state is not in TGX form")
-    diag = np.clip(rho.diagonal().real, 0.0, None)
-    return 2.0 * max(0.0, *_x_pair(rho, diag, *(k - 1 for k in quartet)))
+    return 2.0 * max(0.0, *_x_pair(rho, _clipped_diagonal(rho), *(k - 1 for k in quartet)))
 
 
 def subspace_concurrence_vector(rho):
@@ -137,8 +146,8 @@ def min_tgx_i_concurrence(rho):
 def _min_tgx_i_concurrence(rho):
     if not _classify(rho).is_min_tgx:
         raise NotMinimalTGX("state is not in minimal TGX form")
-    d = np.clip(rho.diagonal().real, 0.0, None)
-    return 2.0 * max(0.0, *(v for q in QUARTETS for v in _x_pair(rho, d, *(k - 1 for k in q))))
+    d = _clipped_diagonal(rho)
+    return 2.0 * max(0.0, *(v for q in _QUARTET_IDX for v in _x_pair(rho, d, *q)))
 
 
 def min_sgx_i_concurrence(rho):
@@ -161,9 +170,7 @@ def mems_entanglement(spectrum):
 def e_alpha_beta(spectrum, alpha, beta):
     """I-concurrence of the two-angle minimal TGX family, closed form."""
     lam = as_spectrum(spectrum, 6)
-    for name, ang in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 <= ang <= np.pi / 2 + DELTA_TOL:
-            raise AngleOutOfRange(f"{name}={ang} outside [0, pi/2]")
+    _check_angles(alpha, beta)
     ca2, sa2 = np.cos(alpha) ** 2, np.sin(alpha) ** 2
     cb2, sb2 = np.cos(beta) ** 2, np.sin(beta) ** 2
     arg1 = (lam[0] - lam[4]) / 2 * np.sin(2 * alpha) - np.sqrt(
@@ -201,15 +208,8 @@ def gen_concurrence_max(spectrum):
 
 
 def _gen_concurrence_max(lam):
-    return max(
-        0.0,
-        float(
-            lam[0]
-            - lam[3]
-            - 2.0 * np.sqrt(lam[1] * lam[5])
-            - 2.0 * np.sqrt(lam[2] * lam[4])
-        ),
-    )
+    l1, l2, l3, l4, l5, l6 = lam.tolist()
+    return max(0.0, l1 - l4 - 2.0 * math.sqrt(l2 * l6) - 2.0 * math.sqrt(l3 * l5))
 
 
 def sampled_gen_preconcurrence(spectrum, samples, seed=0):

@@ -5,7 +5,9 @@ coincidence index).  All level and quartet indices in the public API are
 1-based to match that labeling.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -52,6 +54,23 @@ _MIN_SGX_TEMPLATES = tuple(
     for q, p in zip(QUARTETS, COMPLEMENT_PAIRS)
 )
 
+# A support mask has bit k set when the k-th strictly-upper entry (row-major)
+# exceeds ZERO_TOL; a state fits a template iff ``nz & ~mask == 0``.
+_UPPER = np.flatnonzero(np.triu(np.ones((6, 6), dtype=bool), 1))
+_UPPER_BITS = 1 << np.arange(_UPPER.size)
+_BIT = {divmod(int(f), 6): 1 << k for k, f in enumerate(_UPPER)}
+
+
+def _mask(positions):
+    return sum(_BIT[p] for p in positions)
+
+
+_TGX_MASK = _mask(_TGX_POSITIONS)
+_X6_MASK = _mask(_X6_POSITIONS)
+_SINGLE_MASKS = tuple(_BIT[p] for p in _TGX_POSITIONS)
+_MIN_TGX_MASKS = tuple(map(_mask, _MIN_TGX_TEMPLATES))
+_MIN_SGX_MASKS = tuple(map(_mask, _MIN_SGX_TEMPLATES))
+
 
 @dataclass(frozen=True)
 class StateClass:
@@ -97,13 +116,8 @@ def subspace_extract(rho, levels):
 
 
 def _offdiag_support(rho):
-    n = rho.shape[0]
-    return {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(rho[i, j]) > ZERO_TOL
-    }
+    """Support mask of a 6x6 matrix's strictly-upper entries."""
+    return int((np.abs(rho.ravel()[_UPPER]) > ZERO_TOL) @ _UPPER_BITS)
 
 
 def classify(rho):
@@ -118,18 +132,21 @@ def classify(rho):
 
 
 def _classify(rho):
-    nz = _offdiag_support(rho)
-    is_tgx = nz <= _TGX_POSITIONS
+    return _class_of(_offdiag_support(rho))
+
+
+@cache  # at most 2**15 support masks, each mapped to one frozen StateClass
+def _class_of(nz):
     # coherence confined to (at most) a single two-level ME support
-    single = any(nz <= {pos} for pos in _TGX_POSITIONS)
+    single = any(nz & ~m == 0 for m in _SINGLE_MASKS)
     return StateClass(
-        is_x=nz <= _X6_POSITIONS,
-        is_tgx=is_tgx,
-        is_min_tgx=any(nz <= t for t in _MIN_TGX_TEMPLATES),
-        is_min_sgx=any(nz <= t for t in _MIN_SGX_TEMPLATES),
+        is_x=nz & ~_X6_MASK == 0,
+        is_tgx=nz & ~_TGX_MASK == 0,
+        is_min_tgx=any(nz & ~m == 0 for m in _MIN_TGX_MASKS),
+        is_min_sgx=any(nz & ~m == 0 for m in _MIN_SGX_MASKS),
         is_epu_min_tgx=single,
         is_mems_form=single,
-        is_diagonal=not nz,
+        is_diagonal=nz == 0,
     )
 
 
@@ -140,7 +157,7 @@ def matched_sgx_templates(rho):
 
 def _matched_sgx(rho):
     nz = _offdiag_support(rho)
-    return [k for k, t in enumerate(_MIN_SGX_TEMPLATES) if nz <= t]
+    return [k for k, m in enumerate(_MIN_SGX_MASKS) if nz & ~m == 0]
 
 
 def enumerate_lpus():
@@ -182,7 +199,15 @@ def e_mems(spectrum):
 
 
 def _e_mems(lam):
-    return float(lam[0] - lam[4] - 2.0 * np.sqrt(lam[3] * lam[5]))
+    l1, _, _, l4, l5, l6 = lam.tolist()
+    return l1 - l5 - 2.0 * math.sqrt(l4 * l6)
+
+
+def _cap_2x2(lam):
+    """max{0, lam1 - lam3 - 2 sqrt(lam2 lam4)}: the largest concurrence of a
+    two-qubit spectrum (the product is clamped, so raw input cannot raise)."""
+    l1, l2, l3, l4 = (float(v) for v in lam)
+    return max(0.0, l1 - l3 - 2.0 * math.sqrt(max(l2 * l4, 0.0)))
 
 
 def physical_entanglement(spectrum, eta):
@@ -193,9 +218,25 @@ def physical_entanglement(spectrum, eta):
 
 
 def _check_physical(e, cap, what="E"):
-    if e < -DELTA_TOL or e > cap + DELTA_TOL:
+    # written so that NaN fails it: every comparison with NaN is false
+    if not -DELTA_TOL <= e <= cap + DELTA_TOL:
         raise UnphysicalEntanglement(f"{what}={e} outside [0, {cap}]")
     return min(max(float(e), 0.0), cap)
+
+
+def _check_angles(alpha, beta):
+    for name, ang in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= ang <= np.pi / 2 + DELTA_TOL:
+            raise AngleOutOfRange(f"{name}={ang} outside [0, pi/2]")
+
+
+def _state(diag, *coherences):
+    """6x6 complex state from its diagonal and real symmetric ((i, j), value) coherences."""
+    rho = np.zeros((6, 6), dtype=complex)
+    rho.flat[::7] = diag
+    for (i, j), c in coherences:
+        rho[i, j] = rho[j, i] = c
+    return rho
 
 
 def _physical_pair(spectrum, entanglement):
@@ -206,14 +247,8 @@ def _physical_pair(spectrum, entanglement):
 
 def build_mems(spectrum):
     """Maximally entangled mixed state (wrt its spectrum), canonical orientation."""
-    lam = as_spectrum(spectrum, 6)
-    rho = np.zeros((6, 6), dtype=complex)
-    np.fill_diagonal(
-        rho,
-        ((lam[0] + lam[4]) / 2, lam[1], lam[3], lam[5], lam[2], (lam[0] + lam[4]) / 2),
-    )
-    rho[0, 5] = rho[5, 0] = (lam[0] - lam[4]) / 2
-    return rho
+    l1, l2, l3, l4, l5, l6 = as_spectrum(spectrum, 6).tolist()
+    return _state(((l1 + l5) / 2, l2, l4, l6, l3, (l1 + l5) / 2), ((0, 5), (l1 - l5) / 2))
 
 
 def build_epu_min_tgx(spectrum, entanglement):
@@ -227,24 +262,23 @@ def build_epu_min_tgx(spectrum, entanglement):
     return _epu_min_tgx(*_physical_pair(spectrum, entanglement))
 
 
+def _epu_core(l1, l5, l4, l6, e):
+    """(gap, Q, Omega, Delta) of the construction, the one copy ls shares:
+    gap = lam1 - lam5, Q = gap^2 - (E + 2 sqrt(lam4 lam6))^2, Omega = max{0, Q},
+    Delta = gap, plus 1 when gap vanishes."""
+    gap = l1 - l5
+    q = gap**2 - (e + 2.0 * math.sqrt(l4 * l6)) ** 2
+    return gap, q, max(0.0, q), gap + (1.0 if gap <= DELTA_TOL else 0.0)
+
+
 def _epu_min_tgx(lam, e):
-    gap = lam[0] - lam[4]
-    q = gap**2 - (e + 2.0 * np.sqrt(lam[3] * lam[5])) ** 2
-    omega = max(0.0, q)
-    delta = gap + (1.0 if gap <= DELTA_TOL else 0.0)
-    rho = np.zeros((6, 6), dtype=complex)
-    np.fill_diagonal(
-        rho,
-        (
-            (lam[0] + lam[4] + np.sqrt(omega)) / 2,
-            lam[1],
-            lam[3],
-            lam[5],
-            lam[2],
-            (lam[0] + lam[4] - np.sqrt(omega)) / 2,
-        ),
+    l1, l2, l3, l4, l5, l6 = lam.tolist()
+    gap, q, omega, delta = _epu_core(l1, l5, l4, l6, e)
+    root = math.sqrt(omega)
+    rho = _state(
+        ((l1 + l5 + root) / 2, l2, l4, l6, l3, (l1 + l5 - root) / 2),
+        ((0, 5), math.sqrt(max(gap**2 - omega, 0.0)) / 2),
     )
-    rho[0, 5] = rho[5, 0] = np.sqrt(max(gap**2 - omega, 0.0)) / 2
     return rho, EpuParams(q=q, omega=omega, delta=delta)
 
 
@@ -255,9 +289,7 @@ def build_epu_x_2x2(spectrum, concurrence):
     (lam1, 0, 0, lam2, lam3, lam4), which runs the same arithmetic.
     """
     lam = as_spectrum(spectrum, 4)
-    c = _check_physical(
-        concurrence, max(0.0, lam[0] - lam[2] - 2 * np.sqrt(lam[1] * lam[3])), what="C"
-    )
+    c = _check_physical(concurrence, _cap_2x2(lam), what="C")
     rho, _ = _epu_min_tgx(np.array([lam[0], 0.0, 0.0, lam[1], lam[2], lam[3]]), c)
     return rho[np.ix_((0, 2, 3, 5), (0, 2, 3, 5))]
 
@@ -268,27 +300,16 @@ def build_alpha_beta(spectrum, alpha, beta):
     alpha rotates within the {1,6} pair, beta within {3,4}; at
     (alpha, beta) = (pi/4, 0) the result is exactly build_mems(spectrum).
     """
-    lam = as_spectrum(spectrum, 6)
-    for name, ang in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 <= ang <= np.pi / 2 + DELTA_TOL:
-            raise AngleOutOfRange(f"{name}={ang} outside [0, pi/2]")
+    l1, l2, l3, l4, l5, l6 = as_spectrum(spectrum, 6).tolist()
+    _check_angles(alpha, beta)
     ca2, sa2 = np.cos(alpha) ** 2, np.sin(alpha) ** 2
     cb2, sb2 = np.cos(beta) ** 2, np.sin(beta) ** 2
-    rho = np.zeros((6, 6), dtype=complex)
-    np.fill_diagonal(
-        rho,
-        (
-            lam[0] * ca2 + lam[4] * sa2,
-            lam[1],
-            lam[3] * cb2 + lam[5] * sb2,
-            lam[3] * sb2 + lam[5] * cb2,
-            lam[2],
-            lam[0] * sa2 + lam[4] * ca2,
-        ),
+    return _state(
+        (l1 * ca2 + l5 * sa2, l2, l4 * cb2 + l6 * sb2,
+         l4 * sb2 + l6 * cb2, l3, l1 * sa2 + l5 * ca2),
+        ((0, 5), (l1 - l5) / 2 * np.sin(2 * alpha)),
+        ((2, 3), (l4 - l6) / 2 * np.sin(2 * beta)),
     )
-    rho[0, 5] = rho[5, 0] = (lam[0] - lam[4]) / 2 * np.sin(2 * alpha)
-    rho[2, 3] = rho[3, 2] = (lam[3] - lam[5]) / 2 * np.sin(2 * beta)
-    return rho
 
 
 def epu_unitary(rho, target):

@@ -19,6 +19,7 @@ from qqent.errors import (
     InvalidState,
     NotHermitian,
     NotSymmetric,
+    UnphysicalEntanglement,
     ValidationError,
 )
 
@@ -154,6 +155,81 @@ def test_kernel_entry_points_reject_invalid_matrices(seed, kind):
     else:
         assert raised(qq.hermitian_eig, rho) is InvalidState
         assert raised(qq.takagi_symmetric, rho if kind == "shape" else rho + rho.T) is InvalidState
+
+
+#: Spectra at the edges of the 1e-12 spectrum check, with the outcome the
+#: check has always given: the clipped array (as float.hex, no -0.0 left) or
+#: the error message.  "sum" cases sit on either side of 1 +- 1e-12 as numpy
+#: sums them.
+_T = 1e-12
+SPECTRUM_EDGES = {
+    "minus_zero": ([0.5, 0.5, 0.0, 0.0, 0.0, -0.0], ["0x1.0p-1", "0x1.0p-1"] + ["0x0.0p+0"] * 4),
+    "minus_zeros_inside": (
+        [0.5, 0.25, 0.25, -0.0, -0.0, -0.0],
+        ["0x1.0p-1", "0x1.0p-2", "0x1.0p-2"] + ["0x0.0p+0"] * 3,
+    ),
+    "negative_at_tol": ([1.0 + _T, 0, 0, 0, 0, -_T], ["0x1.0000000001198p+0"] + ["0x0.0p+0"] * 5),
+    "negative_below_tol": (
+        [1.0 + _T, 0, 0, 0, 0, np.nextafter(-_T, -1.0)],
+        "spectrum has a negative eigenvalue",
+    ),
+    "step_at_tol": (
+        [1.0 - _T, 0, _T, 0, 0, 0],
+        ["0x1.fffffffffdcd1p-1", "0x0.0p+0", "0x1.19799812dea11p-40"] + ["0x0.0p+0"] * 3,
+    ),
+    "step_above_tol": (
+        [1.0 - np.nextafter(_T, 1.0), 0, np.nextafter(_T, 1.0), 0, 0, 0],
+        "spectrum is not in descending order",
+    ),
+    "sum_plus_tol": (
+        [0.7 + _T, 0.3, 0, 0, 0, 0],
+        ["0x1.6666666668995p-1", "0x1.3333333333333p-2"] + ["0x0.0p+0"] * 4,
+    ),
+    "sum_minus_tol": (
+        [0.7 - _T, 0.3, 0, 0, 0, 0],
+        "spectrum sums to np.float64(0.9999999999989999), not 1",
+    ),
+    "sum_one_plus_tol": (
+        [1.0 + _T, 0, 0, 0, 0, 0],
+        "spectrum sums to np.float64(1.000000000001), not 1",
+    ),
+    "sum_one_minus_tol": ([1.0 - _T, 0, 0, 0, 0, 0], ["0x1.fffffffffdcd1p-1"] + ["0x0.0p+0"] * 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_EDGES))
+def test_spectrum_edges(name):
+    values, expected = SPECTRUM_EDGES[name]
+    if isinstance(expected, str):
+        with pytest.raises(InvalidSpectrum) as info:
+            _checks.as_spectrum(np.array(values), 6)
+        assert str(info.value) == expected
+        return
+    got = _checks.as_spectrum(np.array(values), 6)
+    assert got.dtype == np.float64
+    assert [float(v).hex() for v in got] == [float.fromhex(h).hex() for h in expected]
+    assert not np.signbit(got).any()
+
+
+#: Public entry points taking a spectrum and an entanglement (or concurrence).
+ENTANGLEMENT_ENTRY_POINTS = {
+    "build_epu_min_tgx": (qq.build_epu_min_tgx, 6),
+    "ls_explicit": (qq.ls_explicit, 6),
+    "xi_explicit": (qq.xi_explicit, 6),
+    "wootters_xkets_explicit": (qq.wootters_xkets_explicit, 6),
+    "alpha_solve": (qq.alpha_solve, 6),
+    "build_epu_x_2x2": (qq.build_epu_x_2x2, 4),
+    "xi_explicit_2x2": (qq.xi_explicit_2x2, 4),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", sorted(ENTANGLEMENT_ENTRY_POINTS))
+def test_non_finite_entanglement_rejected(name, value):
+    fn, n = ENTANGLEMENT_ENTRY_POINTS[name]
+    lam = [0.7, 0.3, 0, 0, 0, 0] if n == 6 else [0.5, 0.3, 0.2, 0]
+    with pytest.raises(UnphysicalEntanglement):
+        fn(lam, value)
 
 
 # -- validate once ------------------------------------------------------------

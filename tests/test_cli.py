@@ -270,6 +270,22 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert "InvalidState" in err
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["epu-min-tgx", "--entanglement", "nan"], "UnphysicalEntanglement"),
+            (["epu-min-tgx", "--entanglement=-inf"], "UnphysicalEntanglement"),
+            (["epu-min-tgx", "--eta", "nan"], "EtaOutOfRange"),
+            (["epu-x-2x2", "--entanglement", "nan"], "UnphysicalEntanglement"),
+            (["epu-x-2x2", "--eta", "nan"], "UnphysicalEntanglement"),
+        ],
+    )
+    def test_non_finite_entanglement_exit_2(self, capsys, args, error):
+        spectrum = "0.7,0.3,0,0,0,0" if args[0] == "epu-min-tgx" else "0.5,0.3,0.2,0"
+        code, out, err = run(capsys, "construct", *args, "--spectrum", spectrum)
+        assert code == 2 and out == ""
+        assert error in err
+
     def test_parse_spectrum_error_type(self, capsys):
         for text, n in (("0.5,x", 2), ("0.5,0.5", 3)):
             with pytest.raises(InvalidSpectrum):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qqent import states
 from qqent.errors import (
     AngleOutOfRange,
     EtaOutOfRange,
@@ -12,6 +13,7 @@ from qqent.errors import (
 from qqent.numerics import haar_unitary, hermitian_eig
 from qqent.states import (
     ME_TUPLES,
+    StateClass,
     build_alpha_beta,
     build_epu_min_tgx,
     build_epu_x_2x2,
@@ -111,6 +113,49 @@ class TestClassify:
         flags = classify(rho)
         assert flags.is_tgx
         assert not flags.is_min_tgx and not flags.is_min_sgx
+
+
+class TestSupportMasks:
+    """The bitmask form gates against the set-based definitions."""
+
+    @staticmethod
+    def reference_support(rho):
+        return {
+            (i, j) for i in range(6) for j in range(i + 1, 6) if abs(rho[i, j]) > states.ZERO_TOL
+        }
+
+    @staticmethod
+    def reference_class(nz):
+        single = any(nz <= {pos} for pos in states._TGX_POSITIONS)
+        return StateClass(
+            is_x=nz <= states._X6_POSITIONS,
+            is_tgx=nz <= states._TGX_POSITIONS,
+            is_min_tgx=any(nz <= t for t in states._MIN_TGX_TEMPLATES),
+            is_min_sgx=any(nz <= t for t in states._MIN_SGX_TEMPLATES),
+            is_epu_min_tgx=single,
+            is_mems_form=single,
+            is_diagonal=not nz,
+        )
+
+    def test_every_support_pattern(self):
+        """All 2**15 strictly-upper patterns; entries at exactly ZERO_TOL count
+        as zero, entries one ulp above it as nonzero."""
+        tol = states.ZERO_TOL
+        upper = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        on = (np.nextafter(tol, 1.0), 0.3, -0.2j, np.nextafter(tol, 1.0) * 1j)
+        off = (tol, 0.0, -tol, tol * 1j)
+        base = np.diag(np.linspace(0.3, 0.05, 6)).astype(complex)
+        for pattern in range(2**15):
+            rho = base.copy()
+            for k, (i, j) in enumerate(upper):
+                v = (on if pattern >> k & 1 else off)[(pattern + k) % 4]
+                rho[i, j], rho[j, i] = v, np.conj(v)
+            nz = self.reference_support(rho)
+            assert len(nz) == bin(pattern).count("1")
+            assert states._classify(rho) == self.reference_class(nz), pattern
+            assert states._matched_sgx(rho) == [
+                k for k, t in enumerate(states._MIN_SGX_TEMPLATES) if nz <= t
+            ], pattern
 
 
 class TestLPUs:
