@@ -22,6 +22,7 @@ from ._checks import as_density_matrix, as_seed
 from .decompositions import _search_chunks
 from .errors import (
     FormError,
+    InvalidOutput,
     InvalidSeed,
     InvalidSpectrum,
     InvalidState,
@@ -117,12 +118,22 @@ def state_to_wire(rho, mode_dims):
     return {"mode_dims": list(mode_dims), "matrix": matrix_to_wire(rho)}
 
 
+def _json_object(doc):
+    if not isinstance(doc, dict):
+        raise InvalidState(f"malformed state file: a {type(doc).__name__}, not a JSON object")
+    return doc
+
+
 def state_from_wire(doc):
-    """Parse a state document; accepts a record wrapping one under 'state'."""
+    """Parse a state document; accepts a record wrapping one under 'state'.
+
+    A document (or wrapped state) that is not a JSON object raises InvalidState.
+    """
+    doc = _json_object(doc)
     if "state" in doc and "matrix" not in doc:
-        doc = doc["state"]
+        doc = _json_object(doc["state"])
     if isinstance(doc.get("outputs"), dict) and "state" in doc["outputs"]:
-        doc = doc["outputs"]["state"]
+        doc = _json_object(doc["outputs"]["state"])
     try:
         n1, n2 = (int(v) for v in doc["mode_dims"])
         entries = np.array(
@@ -141,7 +152,11 @@ def _write(text, output):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise InvalidOutput(f"cannot write output file: {exc}") from exc
+        with fh:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -152,7 +167,7 @@ def _load_state(path):
         else:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise InvalidState(f"cannot read state file: {exc}") from exc
     return state_from_wire(doc)
 
@@ -500,7 +515,8 @@ def cmd_verify(args):
     ok, worst, detail = _SUITES[args.suite](args.trials, seed)
     status = "PASS" if ok else "FAIL"
     residuals = " ".join(f"{k}={_fmt(v)}" for k, v in worst.items())
-    print(f"{status} suite={args.suite} trials={args.trials} seed={seed} {residuals}")
+    line = f"{status} suite={args.suite} trials={args.trials} seed={seed} {residuals}"
+    _write(line, args.output)
     if not ok:
         print(f"  offending input: {detail}", file=sys.stderr)
         return 1

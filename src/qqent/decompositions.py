@@ -12,7 +12,9 @@ import numpy as np
 from ._checks import as_density_matrix, as_seed, density_and_eigvals
 from .errors import AngleOutOfRange, DTooLarge, DTooSmall, InvalidBudget, NotUnitary
 from .measures import _pure_i_unnormalized
-from .numerics import BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _hermitian_eig_unchecked, haar_unitary
+from .numerics import (
+    BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _haar_columns, _haar_normals, _hermitian_eig_unchecked,
+)
 
 ZERO_WEIGHT_TOL = 1e-14
 _UNITARY_TOL = 1e-10
@@ -143,6 +145,9 @@ def _search_chunks(rho, d, budget, seed):
     rho, already validated, is eigendecomposed once; each chunk of at most
     BATCH_SIZE trials is scored as one stacked array.  ``params`` lists the
     per-trial parameter tuples, ``averages`` is the matching float array.
+    A D >= 3 chunk builds only the first r = rank columns of its Haar
+    mixers, bit-identical to those of haar_unitary(D, seed, count=n), since
+    the average reads no others.
     """
     root, vt = _spectral_factors(rho)
     r = root.size
@@ -175,7 +180,7 @@ def _search_chunks(rho, d, budget, seed):
     rng = np.random.default_rng(seed)
     for lo in range(0, budget, BATCH_SIZE):
         index = range(lo, min(lo + BATCH_SIZE, budget))
-        mixers = haar_unitary(d, rng, count=len(index))
+        mixers = _haar_columns(_haar_normals(rng, d, len(index)), r)
         yield [(k,) for k in index], _averages(mixers, root, vt)
 
 

@@ -88,6 +88,12 @@ class InvalidSeed(ValidationError):
     pass
 
 
+# -- command line -------------------------------------------------------
+
+class InvalidOutput(ValidationError):
+    """The --output file cannot be opened for writing."""
+
+
 # -- form gates ----------------------------------------------------------
 
 class NotXForm(FormError):

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._checks import as_density_matrix, as_spectrum
 from .errors import AmbiguousQuartet, InvalidQuartet, NotMinimalSGX
-from .measures import SPIN_FLIP_4
+from .measures import _QUARTET_IDX, SPIN_FLIP_4
 from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_unchecked
 from .states import (
     COMPLEMENT_PAIRS,
@@ -23,11 +23,28 @@ from .states import (
     ZERO_TOL,
     _cap_2x2,
     _check_physical,
-    _classify,
+    _class_of,
     _epu_core,
-    _matched_sgx,
+    _offdiag_support,
     _physical_pair,
+    _sgx_matches,
 )
+
+#: Per quartet, in QUARTETS order: the index grid of its 4x4 block, the flat
+#: indices of that block's twelve off-diagonal entries, and the index grid of
+#: the complement pair's 2x2 block.
+_GRID = tuple(np.ix_(i, i) for i in _QUARTET_IDX)
+_OFFDIAG = tuple(np.array([6 * a + b for a in i for b in i if a != b]) for i in _QUARTET_IDX)
+_COMPLEMENT_GRID = tuple(np.ix_(i, i) for i in (np.array(p) - 1 for p in COMPLEMENT_PAIRS))
+
+
+def _embedded_spin_flip(grid):
+    s = np.zeros((6, 6))
+    s[grid] = SPIN_FLIP_4
+    return s
+
+
+_SPIN_FLIPS = tuple(map(_embedded_spin_flip, _GRID))
 
 
 @dataclass(frozen=True)
@@ -54,10 +71,7 @@ def spin_flip_operator(quartet=(1, 3, 4, 6)):
     """The two-qubit spin flip embedded in a quartet, zero elsewhere."""
     if tuple(quartet) not in QUARTETS:
         raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
-    s = np.zeros((6, 6))
-    idx = np.array(quartet) - 1
-    s[np.ix_(idx, idx)] = SPIN_FLIP_4
-    return s
+    return _SPIN_FLIPS[QUARTETS.index(tuple(quartet))].copy()
 
 
 def _epu_xi(l1, l5, l4, l6, e):
@@ -191,48 +205,44 @@ def _ls_explicit(lam, e):
     )
 
 
-def _entanglement_quartet(rho):
-    """The quartet hosting the coherence of a minimal SGX state.
+def _entanglement_quartet(rho, matched):
+    """Index (into QUARTETS) of the quartet hosting a minimal SGX state's coherence.
 
-    Among matching templates, one whose quartet block is nondiagonal wins;
-    a fully diagonal-compatible state defaults to the canonical {1,3,4,6}.
+    ``matched`` lists the templates the state fits.  Among them, one whose
+    quartet block is nondiagonal wins; a fully diagonal-compatible state
+    defaults to the canonical {1,3,4,6}.
     """
-    matched = _matched_sgx(rho)
-    with_coherence = []
+    flat = rho.ravel()
     for k in matched:
-        idx = np.array(QUARTETS[k]) - 1
-        block = rho[np.ix_(idx, idx)]
-        if np.max(np.abs(block - np.diag(block.diagonal()))) > ZERO_TOL:
-            with_coherence.append(k)
-    if with_coherence:
-        return QUARTETS[with_coherence[0]]
-    return QUARTETS[1] if 1 in matched else QUARTETS[matched[0]]
+        if np.max(np.abs(flat[_OFFDIAG[k]])) > ZERO_TOL:
+            return k
+    return 1 if 1 in matched else matched[0]
 
 
-def _require_min_sgx(rho):
-    flags = _classify(rho)
+def _require_min_sgx(nz):
+    """Gate on the support mask ``nz``; returns the matched SGX templates."""
+    flags = _class_of(nz)
     if not flags.is_min_sgx:
         if flags.is_tgx:
             raise AmbiguousQuartet("coherence spans more than one quartet")
         raise NotMinimalSGX("state is not in minimal SGX form")
+    return _sgx_matches(nz)
 
 
-def _subnormalized_quartet_vectors(rho, quartet):
-    """Four sqrt(eigenvalue)-weighted eigenvectors of the quartet block,
+def _subnormalized_quartet_vectors(rho, k):
+    """Four sqrt(eigenvalue)-weighted eigenvectors of quartet k's block,
     0-embedded in the full space; zero rows pad ranks below 4."""
-    idx = np.array(quartet) - 1
-    block = rho[np.ix_(idx, idx)]
-    eig = _hermitian_eig_unchecked(block)
+    eig = _hermitian_eig_unchecked(rho[_GRID[k]])
     u = np.zeros((4, 6), dtype=complex)
-    for k in range(4):
-        if eig.values[k] > RANK_TOL:
-            u[k, idx] = np.sqrt(eig.values[k]) * eig.vectors[:, k]
+    for j in range(4):
+        if eig.values[j] > RANK_TOL:
+            u[j, _QUARTET_IDX[k]] = np.sqrt(eig.values[j]) * eig.vectors[:, j]
     return u
 
 
-def _tau(rho, quartet):
-    u = _subnormalized_quartet_vectors(rho, quartet)
-    tau = u.conj() @ spin_flip_operator(quartet) @ u.conj().T
+def _tau(rho, k):
+    u = _subnormalized_quartet_vectors(rho, k)
+    tau = u.conj() @ _SPIN_FLIPS[k] @ u.conj().T
     return u, (tau + tau.T) / 2.0
 
 
@@ -246,10 +256,10 @@ def tau_matrix(rho, quartet):
     quartet = tuple(quartet)
     if quartet not in QUARTETS:
         raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
-    _require_min_sgx(rho)
-    if QUARTETS.index(quartet) not in _matched_sgx(rho):
+    k = QUARTETS.index(quartet)
+    if k not in _require_min_sgx(_offdiag_support(rho)):
         raise NotMinimalSGX(f"coherence is not confined to quartet {quartet}")
-    return _tau(rho, quartet)[1]
+    return _tau(rho, k)[1]
 
 
 def ls_numeric(rho):
@@ -264,14 +274,12 @@ def ls_numeric(rho):
 
 
 def _ls_numeric(rho):
-    _require_min_sgx(rho)
-    quartet = _entanglement_quartet(rho)
-    u, tau = _tau(rho, quartet)
+    k = _entanglement_quartet(rho, _require_min_sgx(_offdiag_support(rho)))
+    u, tau = _tau(rho, k)
     fact = _takagi_unchecked(tau)
     xi = fact.values
-    x = np.array([_fix_ket_phase(k) for k in (fact.unitary.T @ u).tolist()])
-    comp = np.array(COMPLEMENT_PAIRS[QUARTETS.index(quartet)]) - 1
+    x = np.array([_fix_ket_phase(ket) for ket in (fact.unitary.T @ u).tolist()])
     outside = np.zeros((6, 6), dtype=complex)
-    outside[np.ix_(comp, comp)] = rho[np.ix_(comp, comp)]
+    outside[_COMPLEMENT_GRID[k]] = rho[_COMPLEMENT_GRID[k]]
     p_e, rho_e, rho_s = _assemble(x, xi.tolist(), outside)
     return LSDecomposition(p_e=p_e, rho_e=rho_e, rho_s=rho_s, xi=xi, x_kets=x)

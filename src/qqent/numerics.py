@@ -219,12 +219,29 @@ def haar_unitary(dim, seed, count=None):
     2 * dim**2 consecutive normals (real part, then imaginary part), so row i
     of a stack is the same for every ``count > i`` and
     ``haar_unitary(dim, s, count=n)[0]`` equals ``haar_unitary(dim, s)``.
+    Callers that read only the first k columns (the search's mixers, the
+    gen-preconcurrence screen) draw the same normals and QR-factor only
+    those columns, which gives the same columns bit for bit.
     """
     if not 2 <= dim <= HAAR_MAX_DIM:
         raise ValueError(f"dim must be between 2 and {HAAR_MAX_DIM}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    shape = (2, dim, dim) if count is None else (int(count), 2, dim, dim)
-    g = rng.standard_normal(shape)
-    q, r = np.linalg.qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0))
+    return _haar_columns(_haar_normals(rng, dim, count), dim)
+
+
+def _haar_normals(rng, dim, count=None):
+    """The normals haar_unitary consumes, shape ([count,] 2, dim, dim)."""
+    return rng.standard_normal((2, dim, dim) if count is None else (int(count), 2, dim, dim))
+
+
+def _haar_columns(g, k):
+    """First k columns of the Haar unitaries built from the normals ``g``.
+
+    ``g`` comes from _haar_normals, shape (..., 2, D, D).  Householder QR
+    makes column j of Q and R[j, j] from the first j + 1 input columns only,
+    so factoring only the first k columns yields exactly (bit for bit) the
+    first k columns of the full construction, at a fraction of the cost.
+    """
+    q, r = np.linalg.qr((g[..., 0, :, :k] + 1j * g[..., 1, :, :k]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

@@ -156,7 +156,10 @@ def matched_sgx_templates(rho):
 
 
 def _matched_sgx(rho):
-    nz = _offdiag_support(rho)
+    return _sgx_matches(_offdiag_support(rho))
+
+
+def _sgx_matches(nz):
     return [k for k, m in enumerate(_MIN_SGX_MASKS) if nz & ~m == 0]
 
 

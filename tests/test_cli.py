@@ -271,6 +271,36 @@ class TestInputErrors:
         assert "InvalidState" in err
 
     @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", "3.5", '"state"', "null", '{"state": [1]}', '{"state": null}',
+         '{"state": 7}', '{"outputs": {"state": "x"}}', '{"mode_dims": [2, 3], "matrix": 5}'],
+    )
+    def test_non_object_state_file_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for command in ("measure", "ls"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2 and out == ""
+            assert "InvalidState" in err
+
+    def test_undecodable_state_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "measure", str(path))
+        assert code == 2 and out == ""
+        assert "InvalidState" in err
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        state = write_fig2(tmp_path)
+        for target in (tmp_path / "missing" / "out.json", tmp_path):
+            for argv in (FIG2_ARGS, ["measure", str(state)], ["sample", str(state), "--D", "2"],
+                         ["verify", "epu", "--trials", "1"]):
+                code, out, err = run(capsys, *argv, "--output", str(target))
+                assert code == 2 and out == "", argv
+                assert "InvalidOutput" in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
         "args, error",
         [
             (["epu-min-tgx", "--entanglement", "nan"], "UnphysicalEntanglement"),
@@ -355,3 +385,10 @@ class TestVerify:
     def test_trivial_single_trial(self, capsys):
         code, out, _ = run(capsys, "verify", "formulas", "--trials", "1")
         assert code == 0
+
+    def test_output_file(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "verify", "epu", "--trials", "3")
+        path = tmp_path / "verify.txt"
+        code2, out2, _ = run(capsys, "verify", "epu", "--trials", "3", "--output", str(path))
+        assert code == code2 == 0
+        assert out2 == "" and path.read_text() == out

@@ -174,13 +174,16 @@ def reference_mixer(d, params, seed):
 def assert_rows_match_per_trial_reference(rho, d, rows, seed, mixers=None):
     """Every row's average replays through decompose to 1e-14.
 
-    ``mixers`` (one per row) are the unitaries the search itself scored; when
-    given they must be bit-identical to the replayed ones.
+    ``mixers`` (one per row) are the mixer columns the search itself scored:
+    when given, they must be the replayed unitary's first rank(rho) columns,
+    the only ones an average reads, bit for bit.
     """
+    if mixers is not None:
+        assert mixers.shape[1:] == (d, rank_of(rho))
     for _, params, avg in rows:
         mixer = reference_mixer(d, params, seed)
         if mixers is not None:
-            assert np.array_equal(mixers[params[0]], mixer), (d, params)
+            assert np.array_equal(mixers[params[0]], mixer[:, : mixers.shape[-1]]), (d, params)
         ref = average_entanglement(decompose(rho, mixer))
         assert abs(avg - ref) < 1e-14, (d, params, avg, ref)
 
@@ -236,14 +239,16 @@ class TestBatchedSearch:
             assert_rows_match_per_trial_reference(rho, d, rows, 3)
             return
         assert [row[1] for row in rows] == [(k,) for k in range(5000)]
-        # every scored unitary is row i of one stack drawn from seed 3 ...
-        assert np.array_equal(mixers, haar_unitary(d, 3, count=5000))
+        # every scored mixer is row i of one stack drawn from seed 3, cut to
+        # the rank-2 columns an average reads ...
+        full = haar_unitary(d, 3, count=5000)
+        assert np.array_equal(mixers, full[..., :2])
         # ... which is haar_unitary(d, 3, count=i + 1)[i]; checked on both
         # sides of the 4096-trial chunk boundary (the rest: test_stack_prefix)
         boundary = [rows[i] for i in (0, 1, 17, 4095, 4096, 4097, 4999)]
         assert_rows_match_per_trial_reference(rho, d, boundary, 3, mixers)
         for _, (i,), avg in rows:
-            ref = average_entanglement(decompose(rho, mixers[i]))
+            ref = average_entanglement(decompose(rho, full[i]))
             assert abs(avg - ref) < 1e-14, (i, avg, ref)
 
     def test_min_search_takes_first_minimum_and_replays(self):

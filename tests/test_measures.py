@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qqent import measures
 from qqent.errors import (
     InvalidBudget,
     InvalidQuartet,
@@ -26,7 +29,7 @@ from qqent.measures import (
     subspace_concurrence_vector,
     x_concurrence,
 )
-from qqent.numerics import haar_unitary
+from qqent.numerics import BATCH_SIZE, haar_unitary
 from qqent.states import (
     ME_TUPLES,
     build_alpha_beta,
@@ -280,6 +283,43 @@ class TestAlphaBetaFamily:
         assert e_alpha_beta(lam, alpha_solve(lam, 0.0), 0.0) == 0.0
 
 
+SCREEN_SPECTRA = ("random", "flat", "near_degenerate", "tiny", "inner_zero")
+
+
+def screen_spectrum(kind, rank, rng):
+    """A spectrum of the given rank (one more for "tiny" and "inner_zero"
+    below rank 6): Dirichlet, flat, split by 1e-14 steps, with a 1e-300 tail
+    entry, or with a zero followed by a 1e-13 entry (descending to 1e-12)."""
+    lam = np.zeros(6)
+    if kind == "flat":
+        lam[:rank] = 1.0 / rank
+    elif kind == "near_degenerate":
+        lam[:rank] = 1.0 / rank + 1e-14 * np.arange(rank)[::-1]
+    else:
+        lam[:rank] = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
+    if kind == "tiny" and rank < 6:
+        lam[rank] = 1e-300
+    if kind == "inner_zero" and rank < 5:
+        lam[rank + 1] = 1e-13
+    return lam
+
+
+def full_svd_preconcurrence(lam, samples, seed):
+    """The pre-screen algorithm: every draw scored by its full 6 x 6 SVD."""
+    root = np.sqrt(lam)
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    remaining = samples
+    while remaining > 0:
+        batch = min(remaining, BATCH_SIZE)
+        v = haar_unitary(6, rng, count=batch)
+        m = root[None, :, None] * v * root[None, None, :]
+        s = np.linalg.svd(m, compute_uv=False)
+        best = max(best, float((s[:, 0] - s[:, 1:].sum(axis=1)).max()))
+        remaining -= batch
+    return best
+
+
 class TestSampledGenPreconcurrence:
     def test_matches_independent_reimplementation(self):
         lam = np.array([0.4, 0.3, 0.2, 0.1, 0, 0])
@@ -314,6 +354,44 @@ class TestSampledGenPreconcurrence:
         v1 = sampled_gen_preconcurrence(lam, 100, seed=3)
         v2 = sampled_gen_preconcurrence(lam, 1000, seed=3)
         assert v2 >= v1 - 1e-15
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(SCREEN_SPECTRA),
+        rank=st.integers(1, 6),
+        samples=st.sampled_from((1, 4096, 4097, 9000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screen_equals_full_svd(self, kind, rank, samples, seed):
+        lam = screen_spectrum(kind, rank, np.random.default_rng(seed))
+        assert sampled_gen_preconcurrence(lam, samples, seed) == full_svd_preconcurrence(
+            lam, samples, seed
+        )
+
+    def test_screen_error_below_margin(self):
+        # the margin argument: a screened value lies within 1e-6 of the exact one
+        rng = np.random.default_rng(21)
+        for kind in SCREEN_SPECTRA:
+            for rank in range(1, 7):
+                root = np.sqrt(screen_spectrum(kind, rank, rng))
+                r = int(np.flatnonzero(root)[-1]) + 1
+                g = rng.standard_normal((512, 2, 6, 6))
+                screened = measures._screened_preconcurrence(g, root, r)
+                exact = measures._exact_preconcurrence(g, root)
+                assert np.max(np.abs(screened - exact)) < 1e-6
+        assert 2e-6 < measures.SCREEN_MARGIN
+
+    def test_flat_spectrum_skips_screen(self, monkeypatch):
+        calls = []
+        screen = measures._screened_preconcurrence
+        monkeypatch.setattr(
+            measures, "_screened_preconcurrence", lambda *a: calls.append(1) or screen(*a)
+        )
+        for lam, screened in (([1 / 6] * 6, False), ([0.2] * 5 + [0.0], True)):
+            calls.clear()
+            got = sampled_gen_preconcurrence(lam, 5000, seed=2)
+            assert got == full_svd_preconcurrence(np.array(lam), 5000, 2)
+            assert bool(calls) == screened
 
     def test_bound_is_attained_by_pairing_unitary(self):
         # the level pairing (1)(4)(2<->6)(3<->5) achieves the spectral maximum

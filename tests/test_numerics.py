@@ -3,6 +3,7 @@ import pytest
 
 from qqent.errors import InvalidState, NotHermitian, NotSymmetric
 from qqent.numerics import (
+    _haar_columns,
     haar_unitary,
     hermitian_eig,
     partial_transpose_negativity,
@@ -177,6 +178,15 @@ class TestHaar:
             rng = np.random.default_rng(11)
             chunks = [haar_unitary(dim, rng, count=n) for n in (4, 1, 4)]
             assert np.array_equal(np.concatenate(chunks), full)
+
+    def test_column_helper_matches_full_stack(self):
+        # QR of the first k columns gives the full construction's columns bit for bit
+        for d in range(2, 9):
+            for n in (1, 4097):
+                full = haar_unitary(d, 40 + d, count=n)
+                g = np.random.default_rng(40 + d).standard_normal((n, 2, d, d))
+                for k in range(1, d + 1):
+                    assert np.array_equal(_haar_columns(g, k), full[..., :k]), (d, n, k)
 
     def test_dim_bounds(self):
         with pytest.raises(ValueError):
