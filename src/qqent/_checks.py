@@ -10,6 +10,21 @@ DENSITY_TOL = 1e-10
 SPECTRUM_TOL = 1e-12
 KET_NORM_TOL = 1e-10
 
+# Thresholds on computed results rather than on inputs:
+#: LS weight p_E counted as 0 (or 1) by the CLI residuals and the ls suite
+LS_WEIGHT_TOL = 1e-12
+#: verify suites: residual limit, and the separable remainder's negativity limit
+VERIFY_TOL = 1e-9
+VERIFY_NEGATIVITY_TOL = 1e-8
+#: verify formulas: pure-state consistency and LPU invariance
+VERIFY_FORMULA_TOL = 1e-10
+#: ls --route explicit: largest entry gap to the canonical EPU layout
+CANONICAL_FORM_TOL = 1e-8
+#: mixer_2 accepts theta up to pi/2 plus this
+ANGLE_TOL = 1e-12
+#: epu_unitary: largest eigenvalue gap of two states taken to share a spectrum
+SPECTRUM_MATCH_TOL = 1e-9
+
 
 def as_square_matrix(m, dim=None):
     m = np.asarray(m, dtype=complex)

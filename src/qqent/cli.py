@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 input validation,
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -18,7 +20,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._checks import as_density_matrix, as_seed
+from ._checks import (
+    CANONICAL_FORM_TOL,
+    LS_WEIGHT_TOL,
+    VERIFY_FORMULA_TOL,
+    VERIFY_NEGATIVITY_TOL,
+    VERIFY_TOL,
+    as_density_matrix,
+    as_seed,
+)
 from .decompositions import _search_chunks
 from .errors import (
     FormError,
@@ -146,18 +156,23 @@ def state_from_wire(doc):
     return as_density_matrix(rho, dim=dim), (n1, n2)
 
 
-def _write(text, output):
+@contextlib.contextmanager
+def _open_output(output):
+    """stdout, or the --output file opened for writing (InvalidOutput if it cannot be)."""
     if output is None or output == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            fh = open(output, "w", encoding="utf-8")
-        except OSError as exc:
-            raise InvalidOutput(f"cannot write output file: {exc}") from exc
-        with fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        yield sys.stdout
+        return
+    try:
+        fh = open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidOutput(f"cannot write output file: {exc}") from exc
+    with fh:
+        yield fh
+
+
+def _write(text, output):
+    with _open_output(output) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _load_state(path):
@@ -300,7 +315,7 @@ def cmd_measure(args):
 
 def _ls_residuals(rho, dec):
     recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
-    if dec.p_e > 1e-12:
+    if dec.p_e > LS_WEIGHT_TOL:
         top = _hermitian_eig_unchecked(dec.rho_e).vectors[:, 0]
         optimality = abs(
             dec.p_e * pure_i_concurrence(top)
@@ -308,7 +323,7 @@ def _ls_residuals(rho, dec):
         )
     else:
         optimality = 0.0
-    neg = 0.0 if dec.p_e >= 1.0 - 1e-12 else _negativity_unchecked(dec.rho_s)
+    neg = 0.0 if dec.p_e >= 1.0 - LS_WEIGHT_TOL else _negativity_unchecked(dec.rho_s)
     return {
         "reconstruction": float(np.max(np.abs(recon - rho))),
         "optimality": float(optimality),
@@ -328,7 +343,7 @@ def cmd_ls(args):
         e = _min_tgx_i_concurrence(rho)
         e_phys = _check_physical(e, max(0.0, _e_mems(lam)))
         ref, _ = _epu_min_tgx(lam, e_phys)
-        if np.max(np.abs(rho - ref)) > 1e-8:
+        if np.max(np.abs(rho - ref)) > CANONICAL_FORM_TOL:
             raise NotMinimalSGX(
                 "explicit route requires the canonical orientation (coherence at levels 1,6)"
             )
@@ -364,36 +379,46 @@ def _formula_value(rho):
 
 
 def cmd_sample(args):
+    """Write the search rows chunk by chunk, so memory stays bounded for any budget."""
     rho, dims = _load_state(args.input)
     if dims != (2, 3):
         raise InvalidState("sample requires a 2x3 state")
     seed = _default_seed(args)
     grid = args.D == 2
     header = ["trial_index", *(["theta", "phi"] if grid else []), "avg_E"]
-    best = np.inf
-    rows = []
-    for params, averages in _search_chunks(rho, args.D, args.budget, seed):
-        best = min(best, float(averages.min()))
-        for p, avg in zip(params, averages.tolist()):
-            rows.append([len(rows), *(p if grid else ()), avg])
+    chunks = _search_chunks(rho, args.D, args.budget, seed)
+    chunks = itertools.chain([next(chunks)], chunks)  # input errors raise before any output
     formula = _formula_value(rho)
-    if args.format == "json":
-        outputs = {
-            "columns": header,
-            "rows": rows,
-            "min_avg_E": best,
-            "formula_E": formula,
-        }
-        inputs = {"input": args.input, "D": args.D, "budget": args.budget, "seed": seed}
-        _write(dumps_json(_record(args, inputs, outputs)), args.output)
-        return 0
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
-    lines.append(
-        "min_avg_E,%s,formula_E,%s" % (_fmt(best), "" if formula is None else _fmt(formula))
-    )
-    _write("\n".join(lines), args.output)
+    inputs = {"input": args.input, "D": args.D, "budget": args.budget, "seed": seed}
+
+    def frame(best):
+        """The JSON record split around its rows: (before the first, after the last)."""
+        marker = "\0rows"  # stands in for the rows; no command-line string holds a NUL
+        outputs = {"columns": header, "rows": [marker], "min_avg_E": best, "formula_E": formula}
+        return (dumps_json(_record(args, inputs, outputs)) + "\n").rsplit(json.dumps(marker), 1)
+
+    as_json = args.format == "json"
+    if as_json:  # rows sit at indent 6 of the record
+        head, sep, row = frame(np.inf)[0], ",\n      ", lambda cells: f"[{', '.join(cells)}]"
+    else:
+        head, sep, row = ",".join(header) + "\n", "\n", ",".join
+    best = np.inf
+    index = 0
+    with _open_output(args.output) as fh:
+        fh.write(head)
+        for params, averages in chunks:
+            best = min(best, float(averages.min()))
+            lines = [
+                row([str(index + k), *map(_fmt, p if grid else ()), _fmt(avg)])
+                for k, (p, avg) in enumerate(zip(params, averages.tolist()))
+            ]
+            fh.write((sep if index else "") + sep.join(lines))
+            index += len(lines)
+        if as_json:
+            fh.write(frame(best)[1])
+        else:
+            formula_text = "" if formula is None else _fmt(formula)
+            fh.write(f"\nmin_avg_E,{_fmt(best)},formula_E,{formula_text}\n")
     return 0
 
 
@@ -419,7 +444,7 @@ def _suite_epu(trials, seed):
         worst["entanglement"] = max(
             worst["entanglement"], abs(min_tgx_i_concurrence(rho) - e)
         )
-        if worst["spectrum"] > 1e-9 or worst["entanglement"] > 1e-9:
+        if worst["spectrum"] > VERIFY_TOL or worst["entanglement"] > VERIFY_TOL:
             return False, worst, f"trial {t}: spectrum={list(lam)} E={e}"
     return True, worst, ""
 
@@ -433,21 +458,21 @@ def _suite_ls(trials, seed):
         rho, _ = build_epu_min_tgx(lam, e)
         dec = ls_explicit(lam, e)
         recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
-        if dec.p_e > 1e-12:
+        if dec.p_e > LS_WEIGHT_TOL:
             top = hermitian_eig(dec.rho_e).vectors[:, 0]
             opt = abs(dec.p_e * pure_i_concurrence(top) - e)
         else:
             opt = abs(e)
-        neg = 0.0 if dec.p_e >= 1.0 - 1e-12 else _negativity_unchecked(dec.rho_s)
+        neg = 0.0 if dec.p_e >= 1.0 - LS_WEIGHT_TOL else _negativity_unchecked(dec.rho_s)
         worst["reconstruction"] = max(
             worst["reconstruction"], float(np.max(np.abs(recon - rho)))
         )
         worst["optimality"] = max(worst["optimality"], opt)
         worst["separable_negativity"] = max(worst["separable_negativity"], neg)
         if (
-            worst["reconstruction"] > 1e-9
-            or worst["optimality"] > 1e-9
-            or worst["separable_negativity"] > 1e-8
+            worst["reconstruction"] > VERIFY_TOL
+            or worst["optimality"] > VERIFY_TOL
+            or worst["separable_negativity"] > VERIFY_NEGATIVITY_TOL
         ):
             return False, worst, f"trial {t}: spectrum={list(lam)} E={e}"
     return True, worst, ""
@@ -479,9 +504,9 @@ def _suite_formulas(trials, seed):
             worst["lpu_invariance"], abs(min_tgx_i_concurrence(u @ rho @ u.T) - ref)
         )
         if (
-            worst["pure_consistency"] > 1e-10
-            or worst["x_equivalence"] > 1e-9
-            or worst["lpu_invariance"] > 1e-10
+            worst["pure_consistency"] > VERIFY_FORMULA_TOL
+            or worst["x_equivalence"] > VERIFY_TOL
+            or worst["lpu_invariance"] > VERIFY_FORMULA_TOL
         ):
             return False, worst, f"trial {t}"
     return True, worst, ""
@@ -495,7 +520,7 @@ def _suite_genconc(trials, seed):
         bound = gen_concurrence_max(lam)
         val = sampled_gen_preconcurrence(lam, 200, seed=int(rng.integers(2**31)))
         worst["bound_excess"] = max(worst["bound_excess"], val - bound)
-        if worst["bound_excess"] > 1e-9:
+        if worst["bound_excess"] > VERIFY_TOL:
             return False, worst, f"trial {t}: spectrum={list(lam)}"
     return True, worst, ""
 

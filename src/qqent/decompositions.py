@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_density_matrix, as_seed, density_and_eigvals
+from ._checks import ANGLE_TOL, as_density_matrix, as_seed, density_and_eigvals
 from .errors import AngleOutOfRange, DTooLarge, DTooSmall, InvalidBudget, NotUnitary
 from .measures import _pure_i_unnormalized
 from .numerics import (
@@ -113,7 +113,7 @@ def decompose(rho, mixer):
 
 def mixer_2(theta, phi):
     """The two-parameter special unitary [[c, s e^{i phi}], [-s e^{-i phi}, c]]."""
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
+    if not 0.0 <= theta <= np.pi / 2 + ANGLE_TOL:
         raise AngleOutOfRange(f"theta={theta} outside [0, pi/2]")
     if not 0.0 <= phi < 2 * np.pi:
         raise AngleOutOfRange(f"phi={phi} outside [0, 2*pi)")

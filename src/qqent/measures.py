@@ -212,25 +212,88 @@ def _gen_concurrence_max(lam):
     return max(0.0, l1 - l4 - 2.0 * math.sqrt(l2 * l6) - 2.0 * math.sqrt(l3 * l5))
 
 
-#: Screen margin of sampled_gen_preconcurrence.  The screen computes the
-#: singular values of the r x r block b = sqrt(L_r) V_r sqrt(L_r) as
-#: sqrt(eigvalsh(b^H b)).  ||b||_2 <= lam1 <= 1, so a backward-stable eigvalsh
-#: puts each eigenvalue within c * eps of sigma^2, and each square root
-#: within sqrt(c * eps) ~ 1e-7 of sigma (|sqrt(x) - sqrt(y)| <= sqrt(|x - y|)).
-#: The preconcurrence sums at most six values with coefficients +-1, so a
+#: Screen margin of sampled_gen_preconcurrence.  The screen estimates each
+#: draw's value from V's first r columns, built by Gram-Schmidt (see
+#: SCREEN_KAPPA), as sigma1 - sigma2 = sqrt(||b||_F^2 - 2 |det b|) of the
+#: r x r block b = sqrt(L_r) V_r sqrt(L_r) when r <= 2, and as
+#: sqrt(eigvalsh(b^H b)) otherwise.  ||b||_2 <= lam1 <= 1, so a backward-stable
+#: eigvalsh puts each eigenvalue within c * eps of sigma^2, and each square
+#: root within sqrt(c * eps) ~ 1e-7 of sigma (|sqrt(x) - sqrt(y)| <=
+#: sqrt(|x - y|)); the r = 2 closed form has one such square root.  The
+#: preconcurrence sums at most six values with coefficients +-1, so a
 #: screened value is within 1e-6 of the exact SVD value (itself within a few
 #: eps of the truth).  The draw with the largest exact value therefore
 #: screens within 2e-6 of the batch's screened maximum, and a cut 1e-5 below
 #: that maximum never drops it.
 SCREEN_MARGIN = 1e-5
 
+#: Conditioning cap of the screen's Gram-Schmidt.  Classical Gram-Schmidt
+#: with one reorthogonalization pass (CGS2) on the 6 x r normals A_r returns
+#: columns within c * kappa * eps of A_r's exact Q factor, c ~ 6 * 6^1.5 < 100
+#: (Giraud, Langou, Rozloznik, van den Eshof, Numer. Math. 101, 87 (2005);
+#: the QR perturbation bound turns their backward error into a kappa-relative
+#: one), and the Householder QR of the exact path is as close.  A change dV
+#: moves each singular value of sqrt(L) V sqrt(L) by at most lam1 ||dV||_2
+#: <= ||dV||, so the two routes' six values differ by at most
+#: 12 * c * kappa * eps in all.  kappa(A_r) <= ||A_r||_F^r / prod R_jj, since
+#: prod R_jj = prod sigma_k <= sigma_r ||A_r||_F^(r-1) and sigma_1 <= ||A_r||_F;
+#: below this cap the Gram-Schmidt adds at most 12 * 100 * 1e5 * 2.2e-16 ~
+#: 3e-8 to the 1e-6 error budget.  Draws above it (about 1 in 1000 at rank 6,
+#: none seen below rank 5) are scored exactly inside the screen.
+SCREEN_KAPPA = 1e5
+
+
+def _gram_schmidt(g, r):
+    """V's first r columns from the normals ``g``, by CGS2 over the whole batch.
+
+    Struct of arrays: the real and imaginary parts come back as separate
+    (r, 6, N) arrays, column first and draw last.  The input is not scaled
+    by 1/sqrt(2) and no phase is fixed: Gram-Schmidt's R has a positive
+    diagonal, like haar_unitary's, and neither changes the singular values
+    the screen reads.  Also returns, per draw, the conditioning certificate
+    ||A_r||_F^r / prod R_jj, an upper bound on kappa(A_r).
+    """
+    a = np.ascontiguousarray(g[..., :r].transpose(1, 3, 2, 0))  # part, column, row, draw
+    qr, qi = np.empty_like(a[0]), np.empty_like(a[1])
+    prod_r = np.ones(g.shape[0])
+    for j in range(r):
+        vr, vi = a[0, j].copy(), a[1, j].copy()
+        pr, pi = qr[:j], qi[:j]
+        for _ in range(2 if j else 0):
+            cr = np.einsum("kin,in->kn", pr, vr) + np.einsum("kin,in->kn", pi, vi)
+            ci = np.einsum("kin,in->kn", pr, vi) - np.einsum("kin,in->kn", pi, vr)
+            vr -= np.einsum("kin,kn->in", pr, cr) - np.einsum("kin,kn->in", pi, ci)
+            vi -= np.einsum("kin,kn->in", pr, ci) + np.einsum("kin,kn->in", pi, cr)
+        norm = np.sqrt(np.einsum("in,in->n", vr, vr) + np.einsum("in,in->n", vi, vi))
+        qr[j], qi[j] = vr / norm, vi / norm
+        prod_r *= norm
+    return qr, qi, np.sqrt(np.einsum("pjin,pjin->n", a, a)) ** r / prod_r
+
 
 def _screened_preconcurrence(g, root, r):
     """Estimated preconcurrence of each draw in the normals ``g``, from V's
-    first r columns; ``root`` is sqrt(L), zero past index r - 1."""
-    b = root[:r, None] * _haar_columns(g, r)[:, :r] * root[:r]
-    s = np.sqrt(np.clip(np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b), 0.0, None))
-    return 2.0 * s[:, -1] - s.sum(axis=1)
+    first r columns; ``root`` is sqrt(L), zero past index r - 1.  Draws whose
+    Gram-Schmidt certificate exceeds SCREEN_KAPPA are scored exactly."""
+    qr, qi, kappa = _gram_schmidt(g, r)
+    lam = (root * root).tolist()
+    if r == 1:
+        est = lam[0] * np.hypot(qr[0, 0], qi[0, 0])
+    elif r == 2:
+        # sigma1 - sigma2 of b_ij = sqrt(lam_i lam_j) V_ij; v[j, i] is V_ij
+        v = qr[:, :2] + 1j * qi[:, :2]
+        w = v.real ** 2 + v.imag ** 2
+        l1, l2 = lam[0], lam[1]
+        frob2 = l1 * l1 * w[0, 0] + l1 * l2 * (w[0, 1] + w[1, 0]) + l2 * l2 * w[1, 1]
+        det = l1 * l2 * np.abs(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
+        est = np.sqrt(np.clip(frob2 - 2.0 * det, 0.0, None))
+    else:
+        b = root[:r, None] * (qr[:, :r] + 1j * qi[:, :r]).transpose(2, 1, 0) * root[:r]
+        s = np.sqrt(np.clip(np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b), 0.0, None))
+        est = 2.0 * s[:, -1] - s.sum(axis=1)
+    flagged = np.flatnonzero(kappa > SCREEN_KAPPA)
+    if flagged.size:
+        est[flagged] = _exact_preconcurrence(g[flagged], root)
+    return est
 
 
 def _exact_preconcurrence(g, root):
@@ -248,14 +311,18 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     InvalidBudget, a negative or non-integer seed raises InvalidSeed.
 
     Each batch of up to 4096 draws is screened, then confirmed.  With r the
-    index past the last nonzero eigenvalue, only V's first r columns are
-    QR-factored (bit-identical to haar_unitary's), and each draw's value is
-    estimated from the eigenvalues of b^H b, b the r x r block of
-    sqrt(L) V sqrt(L).  Draws within SCREEN_MARGIN of the batch's best
-    estimate (about one in 4096) are rebuilt whole and scored by the exact
-    6 x 6 SVD; the largest of those is the answer, the same bit for bit as
-    scoring every draw by SVD.  A spectrum flat to within about 1e-6 (where
-    every draw would pass) skips the screen.
+    index past the last nonzero eigenvalue, V's first r columns are built by
+    Gram-Schmidt (CGS2) over the whole batch, without LAPACK, and each
+    draw's value is estimated from the r x r block b of sqrt(L) V sqrt(L):
+    lam1 |V11| for r = 1, sigma1 - sigma2 = sqrt(||b||_F^2 - 2 |det b|) for
+    r = 2, and the square roots of eigvalsh(b^H b) for r >= 3.  A draw whose
+    columns are too ill-conditioned for that (kappa above SCREEN_KAPPA, by
+    the Gram-Schmidt certificate) is scored exactly instead.  Draws within
+    SCREEN_MARGIN of the batch's best estimate (about one in 4096) are
+    rebuilt whole and scored by the exact 6 x 6 SVD; the largest of those
+    is the answer, the same bit for bit as scoring every draw by SVD.  A
+    rank-6 spectrum so flat that the screen would keep too many draws to
+    pay for itself skips the screen.
     """
     lam = as_spectrum(spectrum, 6)
     samples = int(samples)
@@ -263,11 +330,19 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
         raise InvalidBudget(f"samples={samples} must be at least 1")
     root = np.sqrt(lam)
     r = int(np.flatnonzero(lam)[-1]) + 1
-    # Weyl's inequality keeps every draw's value within 6 (sqrt(lam1) -
-    # sqrt(lam6)) sqrt(lam1) of one constant; when twice that is below the
-    # margin (a flat rank-6 spectrum) nearly every draw would pass the
-    # screen, so it is skipped; the answer is the same either way
-    screened = 12.0 * (root[0] - root[5]) * root[0] > SCREEN_MARGIN
+    # Expanding s = sqrt(lam) about its mean m, every draw's value lies, to
+    # first order, in a window of width 2 m (2 s1 - max_k (s_k + s_{7-k})):
+    # the values are -4 m^2 + 2 m^2 h with h the largest eigenvalue of
+    # V^H E V + E, E = diag(s / m - 1), and Weyl's and Horn's inequalities
+    # bound h.  (s1 - s6)^2 / m covers the second-order terms (it bounded
+    # the observed spread of every near-flat family tried).  The screen
+    # costs about 0.6 of the exact path at rank 6, so it pays only if it
+    # keeps under ~40% of the draws; below a window of 50 margins some
+    # families keep more (up to 46% at 30), above it at most 30% were kept.
+    # Either way the answer is the same.
+    s, m = root.tolist(), float(root.mean())
+    window = 2.0 * m * (2.0 * s[0] - max(s[k] + s[5 - k] for k in range(3)))
+    screened = window + (s[0] - s[5]) ** 2 / m > 50.0 * SCREEN_MARGIN
     rng = np.random.default_rng(as_seed(seed))
     best = -np.inf
     for lo in range(0, samples, BATCH_SIZE):

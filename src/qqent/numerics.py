@@ -219,9 +219,12 @@ def haar_unitary(dim, seed, count=None):
     2 * dim**2 consecutive normals (real part, then imaginary part), so row i
     of a stack is the same for every ``count > i`` and
     ``haar_unitary(dim, s, count=n)[0]`` equals ``haar_unitary(dim, s)``.
-    Callers that read only the first k columns (the search's mixers, the
-    gen-preconcurrence screen) draw the same normals and QR-factor only
-    those columns, which gives the same columns bit for bit.
+    The decomposition search, which reads only the first k columns, draws
+    the same normals and QR-factors only those columns, which gives the same
+    columns bit for bit.  The gen-preconcurrence screen orthonormalizes its
+    first r columns of the same normals by Gram-Schmidt instead (equal to
+    round-off, enough for an estimate) and rebuilds the few draws it scores
+    exactly through the same QR.
     """
     if not 2 <= dim <= HAAR_MAX_DIM:
         raise ValueError(f"dim must be between 2 and {HAAR_MAX_DIM}")

@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._checks import as_density_matrix, as_spectrum
+from ._checks import SPECTRUM_MATCH_TOL, as_density_matrix, as_spectrum
 from .errors import (
     AngleOutOfRange,
     EtaOutOfRange,
@@ -326,6 +326,6 @@ def epu_unitary(rho, target):
     target = as_density_matrix(target, dim=rho.shape[0])
     er = _hermitian_eig_unchecked(rho)
     et = _hermitian_eig_unchecked(target)
-    if np.max(np.abs(er.values - et.values)) > 1e-9:
+    if np.max(np.abs(er.values - et.values)) > SPECTRUM_MATCH_TOL:
         raise SpectrumMismatch("states do not share a spectrum to 1e-9")
     return et.vectors @ er.vectors.conj().T

@@ -1,8 +1,11 @@
+import contextlib
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from qqent import cli
 from qqent.cli import _parse_spectrum, main, state_from_wire
 from qqent.decompositions import average_entanglement, decompose
 from qqent.errors import InvalidSpectrum
@@ -260,6 +263,52 @@ class TestSample:
             mixer = haar_unitary(3, 4, count=i + 1)[i]
             assert int(index) == i
             assert abs(float(avg) - average_entanglement(decompose(rho, mixer))) < 1e-14
+
+    # sha256 of stdout as written by the whole-record writer this streaming
+    # writer replaced, with the state file given as the relative path fig2.json
+    @pytest.mark.parametrize("argv, size, digest", [
+        (("--D", "2", "--budget", "900"), 55325,
+         "8e1b1f7c34838ce67b460d30a16fe50f10add3539013380cb7fcf15e6c10764b"),
+        (("--D", "2", "--budget", "900", "--format", "json"), 66498,
+         "284de69d734b09203b746dd7a232a3e971e63bdeea3221eac9afe86b2bc7b1fd"),
+        (("--D", "3", "--budget", "5000", "--seed", "11"), 123457,
+         "e5077ba162bbcc4a74a9c622fd0e94a6ef67e531f2553b9214f8340d75735a7f"),
+        (("--D", "3", "--budget", "5000", "--seed", "11", "--format", "json"), 173839,
+         "f185725740430d81e08e8ed9519d6471d6f86f803ee27a3cdc511f001796f6c3"),
+    ])
+    def test_streamed_bytes_unchanged(self, tmp_path, capsys, monkeypatch, argv, size, digest):
+        monkeypatch.chdir(tmp_path)
+        write_fig2(tmp_path)
+        code, out, _ = run(capsys, "sample", "fig2.json", *argv)
+        assert code == 0
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_written_chunk_by_chunk(self, tmp_path, capsys, monkeypatch, fmt):
+        # each chunk's rows are written before the next chunk is scored
+        path = write_fig2(tmp_path)
+        writes, seen = [], []
+        chunks = cli._search_chunks
+
+        def recorded_chunks(*args):
+            for chunk in chunks(*args):
+                seen.append(len(writes))
+                yield chunk
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(cli, "_search_chunks", recorded_chunks)
+        monkeypatch.setattr(cli, "_open_output", lambda output: contextlib.nullcontext(Recorder()))
+        code, _, _ = run(capsys, "sample", str(path), "--D", "3", "--budget", "9000",
+                         "--format", fmt)
+        assert code == 0
+        # the first chunk is scored before anything is written, so input errors
+        # leave stdout empty; each later one after the previous chunk's rows
+        assert seen == [0, 2, 3]
+        assert len(writes) == 5  # head, three chunks of rows, tail
 
 
 class TestInputErrors:

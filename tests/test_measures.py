@@ -393,6 +393,106 @@ class TestSampledGenPreconcurrence:
             assert got == full_svd_preconcurrence(np.array(lam), 5000, 2)
             assert bool(calls) == screened
 
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_ill_conditioned_draws_scored_exactly(self, rank, monkeypatch):
+        # crafted normals: in draws 0-15 one of the first `rank` columns copies
+        # another plus 1e-9 noise; in draws 16-31 those columns are a rank-(rank-1)
+        # product plus 1e-9 noise; the rest are plain Gaussian
+        rng = np.random.default_rng(40 + rank)
+        root = np.sqrt(screen_spectrum("random", rank, rng))
+        g = rng.standard_normal((BATCH_SIZE, 2, 6, 6))
+        for n in range(32):
+            a = g[n, 0, :, :rank] + 1j * g[n, 1, :, :rank]
+            if n < 16 and rank > 1:
+                i, j = rng.choice(rank, 2, replace=False)
+                a[:, j] = a[:, i]
+            elif rank > 1:
+                b = rng.standard_normal((6, rank - 1)) + 1j * rng.standard_normal((6, rank - 1))
+                a = b @ (rng.standard_normal((rank - 1, rank)) + 0j)
+            else:
+                a = a * 1e-9  # a single column is never ill-conditioned
+            a = a + 1e-9 * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
+            g[n, 0, :, :rank], g[n, 1, :, :rank] = a.real, a.imag
+        qr, qi, kappa = measures._gram_schmidt(g, rank)
+        flagged = kappa > measures.SCREEN_KAPPA
+        assert flagged[:32].all() if rank > 1 else not flagged.any()
+        # below the cap the columns are orthonormal to a few eps; with one pass
+        # (CGS1) the plain rank-6 draws lose about 3e-14
+        q = (qr + 1j * qi).transpose(2, 1, 0)[~flagged]
+        gram = q.conj().swapaxes(1, 2) @ q
+        assert np.max(np.abs(gram - np.eye(rank))) < 5e-15
+        rows = []
+        exact = measures._exact_preconcurrence
+        monkeypatch.setattr(
+            measures, "_exact_preconcurrence", lambda g, root: rows.append(len(g)) or exact(g, root)
+        )
+        screened = measures._screened_preconcurrence(g, root, rank)
+        assert sum(rows) == flagged.sum()
+        assert np.max(np.abs(screened - exact(g, root))) < 1e-6
+
+    def test_screen_calls_no_lapack_qr(self, monkeypatch):
+        # outside the exact scoring of flagged draws the screen calls no QR,
+        # and for r <= 2 no np.linalg routine at all
+        calls, inside = [], []
+
+        def recording(name, func):
+            def wrapper(*args, **kwargs):
+                if not inside:
+                    calls.append(name)
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in np.linalg.__all__:
+            func = getattr(np.linalg, name)
+            if callable(func) and not isinstance(func, type):
+                monkeypatch.setattr(np.linalg, name, recording(name, func))
+        exact = measures._exact_preconcurrence
+
+        def scored_exactly(g, root):
+            inside.append(1)
+            try:
+                return exact(g, root)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(measures, "_exact_preconcurrence", scored_exactly)
+        rng = np.random.default_rng(8)
+        for rank in range(1, 7):
+            root = np.sqrt(screen_spectrum("random", rank, rng))
+            calls.clear()
+            measures._screened_preconcurrence(rng.standard_normal((4096, 2, 6, 6)), root, rank)
+            assert "qr" not in calls
+            assert calls == ([] if rank <= 2 else ["eigvalsh"])
+
+    def test_near_flat_spectra_cost_no_more_than_full_svd(self, monkeypatch):
+        # rows through the exact path, plus screened draws at the screen's
+        # cost relative to it (about 0.6 at rank 6), never exceed the samples
+        # that scoring every draw exactly would take
+        rows, screened = [], []
+        exact, screen = measures._exact_preconcurrence, measures._screened_preconcurrence
+        monkeypatch.setattr(
+            measures, "_exact_preconcurrence", lambda g, root: rows.append(len(g)) or exact(g, root)
+        )
+        monkeypatch.setattr(
+            measures, "_screened_preconcurrence",
+            lambda g, root, r: screened.append(len(g)) or screen(g, root, r),
+        )
+        # near-flat spectra 1 + 6 gap x, normalized, so lam1 - lam6 is about gap
+        shapes = ([1, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 0], [5, 4, 3, 2, 1, 0])
+        for gap in (1e-7, 1e-5, 1e-4, 3e-4, 1e-3):
+            for x in shapes:
+                lam = 1.0 + 6.0 * gap * np.array(x) / max(x)
+                rows.clear()
+                screened.clear()
+                sampled_gen_preconcurrence(lam / lam.sum(), BATCH_SIZE, seed=4)
+                if screened:
+                    assert 0.6 * sum(screened) + sum(rows) <= BATCH_SIZE, (gap, x)
+                else:
+                    assert sum(rows) == BATCH_SIZE, (gap, x)
+                # the screen still runs where it pays: the even spread at gap 1e-3
+                if gap == 1e-3 and x[1] == 4:
+                    assert screened and sum(rows) < 0.01 * BATCH_SIZE
+
     def test_bound_is_attained_by_pairing_unitary(self):
         # the level pairing (1)(4)(2<->6)(3<->5) achieves the spectral maximum
         lam = np.array([0.4, 0.3, 0.2, 0.1, 0, 0])
