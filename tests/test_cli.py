@@ -275,7 +275,7 @@ class TestSample:
          "e5077ba162bbcc4a74a9c622fd0e94a6ef67e531f2553b9214f8340d75735a7f"),
         (("--D", "3", "--budget", "5000", "--seed", "11", "--format", "json"), 173839,
          "f185725740430d81e08e8ed9519d6471d6f86f803ee27a3cdc511f001796f6c3"),
-    ])
+    ], ids=["d2-csv", "d2-json", "d3-csv", "d3-json"])
     def test_streamed_bytes_unchanged(self, tmp_path, capsys, monkeypatch, argv, size, digest):
         monkeypatch.chdir(tmp_path)
         write_fig2(tmp_path)
