@@ -29,7 +29,7 @@ from ._checks import (
     as_density_matrix,
     as_seed,
 )
-from .decompositions import _search_chunks
+from .decompositions import _search_budget, _search_chunks
 from .errors import (
     FormError,
     InvalidOutput,
@@ -389,7 +389,8 @@ def cmd_sample(args):
     chunks = _search_chunks(rho, args.D, args.budget, seed)
     chunks = itertools.chain([next(chunks)], chunks)  # input errors raise before any output
     formula = _formula_value(rho)
-    inputs = {"input": args.input, "D": args.D, "budget": args.budget, "seed": seed}
+    budget = _search_budget(args.D, args.budget)
+    inputs = {"input": args.input, "D": args.D, "budget": budget, "seed": seed}
 
     def frame(best):
         """The JSON record split around its rows: (before the first, after the last)."""

@@ -13,7 +13,8 @@ from ._checks import ANGLE_TOL, as_density_matrix, as_seed, density_and_eigvals
 from .errors import AngleOutOfRange, DTooLarge, DTooSmall, InvalidBudget, NotUnitary
 from .measures import _pure_i_unnormalized
 from .numerics import (
-    BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _haar_columns, _haar_normals, _hermitian_eig_unchecked,
+    BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, SCREEN_KAPPA, SCREEN_MARGIN, _gram_schmidt,
+    _haar_columns, _haar_normals, _hermitian_eig_unchecked,
 )
 
 ZERO_WEIGHT_TOL = 1e-14
@@ -139,7 +140,32 @@ def average_entanglement(dec):
     return float(total)
 
 
-def _search_chunks(rho, d, budget, seed):
+def _search_budget(d, budget):
+    """The number of trials a search runs: ``budget``, or the default for D
+    (900 grid points at D = 2, 1000 Haar trials otherwise) when it is None."""
+    if budget is None:
+        return DEFAULT_GRID_BUDGET if d == 2 else DEFAULT_SAMPLE_BUDGET
+    budget = int(budget)
+    if budget < 1:
+        raise InvalidBudget(f"budget={budget} must be at least 1")
+    return budget
+
+
+def _screened_averages(g, root, vt):
+    """Estimated average of each trial in the normals ``g``, with the
+    Gram-Schmidt certificate of its mixer columns (see SCREEN_MARGIN).
+
+    Struct of arrays with the trial axis last, one member at a time: one
+    small product forms member j's kets in every trial, and no stacked
+    matmul or chunk-sized temporary is needed.
+    """
+    qr, qi, kappa = _gram_schmidt(g, root.size)
+    wt = (root[:, None] * vt).T  # column k is sqrt(lam_k) v_k
+    bars = (wt @ (qr[:, j] + 1j * qi[:, j]) for j in range(qr.shape[1]))
+    return sum(_pure_i_unnormalized(b.T) for b in bars), kappa
+
+
+def _search_chunks(rho, d, budget, seed, screen=False):
     """Yield (params, averages) for successive chunks of the search protocol.
 
     rho, already validated, is eigendecomposed once; each chunk of at most
@@ -147,7 +173,10 @@ def _search_chunks(rho, d, budget, seed):
     per-trial parameter tuples, ``averages`` is the matching float array.
     A D >= 3 chunk builds only the first r = rank columns of its Haar
     mixers, bit-identical to those of haar_unitary(D, seed, count=n), since
-    the average reads no others.
+    the average reads no others.  With ``screen`` a D >= 3 chunk yields only
+    the trials that can hold its minimum: every trial is estimated from
+    Gram-Schmidt columns, and those within SCREEN_MARGIN of the best
+    estimate, or above SCREEN_KAPPA, are rebuilt by QR and scored exactly.
     """
     root, vt = _spectral_factors(rho)
     r = root.size
@@ -157,11 +186,7 @@ def _search_chunks(rho, d, budget, seed):
         raise DTooLarge(f"D={d} above rank^2 = {r * r}")
     if d > HAAR_MAX_DIM:
         raise DTooLarge(f"D={d} above the Haar sampler's limit of {HAAR_MAX_DIM}")
-    if budget is None:
-        budget = DEFAULT_GRID_BUDGET if d == 2 else DEFAULT_SAMPLE_BUDGET
-    budget = int(budget)
-    if budget < 1:
-        raise InvalidBudget(f"budget={budget} must be at least 1")
+    budget = _search_budget(d, budget)
     seed = as_seed(seed)
     if d == 1:
         yield [()], _averages(np.ones((1, 1, 1), dtype=complex), root, vt)
@@ -179,9 +204,15 @@ def _search_chunks(rho, d, budget, seed):
         return
     rng = np.random.default_rng(seed)
     for lo in range(0, budget, BATCH_SIZE):
-        index = range(lo, min(lo + BATCH_SIZE, budget))
-        mixers = _haar_columns(_haar_normals(rng, d, len(index)), r)
-        yield [(k,) for k in index], _averages(mixers, root, vt)
+        g = _haar_normals(rng, d, min(BATCH_SIZE, budget - lo))
+        index = range(lo, lo + len(g))
+        if screen:
+            est, kappa = _screened_averages(g, root, vt)
+            flagged = kappa > SCREEN_KAPPA
+            cut = np.min(est, where=~flagged, initial=np.inf) + SCREEN_MARGIN
+            keep = np.flatnonzero(flagged | (est <= cut))
+            g, index = g[keep], (lo + keep).tolist()
+        yield [(k,) for k in index], _averages(_haar_columns(g, r), root, vt)
 
 
 def iter_decomposition_samples(rho, d, budget=None, seed=0):
@@ -210,11 +241,16 @@ def min_average_search(rho, d, budget=None, seed=0):
 
     A stochastic upper-bound estimator for D >= 3 (not an optimizer); the
     result can never fall below the convex-roof value beyond round-off.
-    Ties go to the earliest trial.
+    Ties go to the earliest trial.  The trials are those of
+    iter_decomposition_samples, and so is the result, bit for bit; at
+    D >= 3 each chunk is screened first (see _search_chunks and
+    numerics.SCREEN_MARGIN), so only a handful of its trials per chunk are
+    QR-factored and scored exactly.
     """
     best = np.inf
     best_params = ()
-    for params, averages in _search_chunks(as_density_matrix(rho, dim=6), d, budget, seed):
+    chunks = _search_chunks(as_density_matrix(rho, dim=6), d, budget, seed, True)
+    for params, averages in chunks:
         k = int(np.argmin(averages))
         if averages[k] < best:
             best, best_params = float(averages[k]), params[k]

@@ -17,7 +17,9 @@ from .errors import (
     NotTGXForm,
     NotXForm,
 )
-from .numerics import BATCH_SIZE, _haar_columns, _haar_normals
+from .numerics import (
+    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _gram_schmidt, _haar_columns, _haar_normals,
+)
 from .states import QUARTETS, ZERO_TOL, e_mems, subspace_extract
 from .states import _check_angles, _classify, _physical_pair, DELTA_TOL
 
@@ -210,64 +212,6 @@ def gen_concurrence_max(spectrum):
 def _gen_concurrence_max(lam):
     l1, l2, l3, l4, l5, l6 = lam.tolist()
     return max(0.0, l1 - l4 - 2.0 * math.sqrt(l2 * l6) - 2.0 * math.sqrt(l3 * l5))
-
-
-#: Screen margin of sampled_gen_preconcurrence.  The screen estimates each
-#: draw's value from V's first r columns, built by Gram-Schmidt (see
-#: SCREEN_KAPPA), as sigma1 - sigma2 = sqrt(||b||_F^2 - 2 |det b|) of the
-#: r x r block b = sqrt(L_r) V_r sqrt(L_r) when r <= 2, and as
-#: sqrt(eigvalsh(b^H b)) otherwise.  ||b||_2 <= lam1 <= 1, so a backward-stable
-#: eigvalsh puts each eigenvalue within c * eps of sigma^2, and each square
-#: root within sqrt(c * eps) ~ 1e-7 of sigma (|sqrt(x) - sqrt(y)| <=
-#: sqrt(|x - y|)); the r = 2 closed form has one such square root.  The
-#: preconcurrence sums at most six values with coefficients +-1, so a
-#: screened value is within 1e-6 of the exact SVD value (itself within a few
-#: eps of the truth).  The draw with the largest exact value therefore
-#: screens within 2e-6 of the batch's screened maximum, and a cut 1e-5 below
-#: that maximum never drops it.
-SCREEN_MARGIN = 1e-5
-
-#: Conditioning cap of the screen's Gram-Schmidt.  Classical Gram-Schmidt
-#: with one reorthogonalization pass (CGS2) on the 6 x r normals A_r returns
-#: columns within c * kappa * eps of A_r's exact Q factor, c ~ 6 * 6^1.5 < 100
-#: (Giraud, Langou, Rozloznik, van den Eshof, Numer. Math. 101, 87 (2005);
-#: the QR perturbation bound turns their backward error into a kappa-relative
-#: one), and the Householder QR of the exact path is as close.  A change dV
-#: moves each singular value of sqrt(L) V sqrt(L) by at most lam1 ||dV||_2
-#: <= ||dV||, so the two routes' six values differ by at most
-#: 12 * c * kappa * eps in all.  kappa(A_r) <= ||A_r||_F^r / prod R_jj, since
-#: prod R_jj = prod sigma_k <= sigma_r ||A_r||_F^(r-1) and sigma_1 <= ||A_r||_F;
-#: below this cap the Gram-Schmidt adds at most 12 * 100 * 1e5 * 2.2e-16 ~
-#: 3e-8 to the 1e-6 error budget.  Draws above it (about 1 in 1000 at rank 6,
-#: none seen below rank 5) are scored exactly inside the screen.
-SCREEN_KAPPA = 1e5
-
-
-def _gram_schmidt(g, r):
-    """V's first r columns from the normals ``g``, by CGS2 over the whole batch.
-
-    Struct of arrays: the real and imaginary parts come back as separate
-    (r, 6, N) arrays, column first and draw last.  The input is not scaled
-    by 1/sqrt(2) and no phase is fixed: Gram-Schmidt's R has a positive
-    diagonal, like haar_unitary's, and neither changes the singular values
-    the screen reads.  Also returns, per draw, the conditioning certificate
-    ||A_r||_F^r / prod R_jj, an upper bound on kappa(A_r).
-    """
-    a = np.ascontiguousarray(g[..., :r].transpose(1, 3, 2, 0))  # part, column, row, draw
-    qr, qi = np.empty_like(a[0]), np.empty_like(a[1])
-    prod_r = np.ones(g.shape[0])
-    for j in range(r):
-        vr, vi = a[0, j].copy(), a[1, j].copy()
-        pr, pi = qr[:j], qi[:j]
-        for _ in range(2 if j else 0):
-            cr = np.einsum("kin,in->kn", pr, vr) + np.einsum("kin,in->kn", pi, vi)
-            ci = np.einsum("kin,in->kn", pr, vi) - np.einsum("kin,in->kn", pi, vr)
-            vr -= np.einsum("kin,kn->in", pr, cr) - np.einsum("kin,kn->in", pi, ci)
-            vi -= np.einsum("kin,kn->in", pr, ci) + np.einsum("kin,kn->in", pi, cr)
-        norm = np.sqrt(np.einsum("in,in->n", vr, vr) + np.einsum("in,in->n", vi, vi))
-        qr[j], qi[j] = vr / norm, vi / norm
-        prod_r *= norm
-    return qr, qi, np.sqrt(np.einsum("pjin,pjin->n", a, a)) ** r / prod_r
 
 
 def _screened_preconcurrence(g, root, r):

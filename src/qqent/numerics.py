@@ -18,6 +18,9 @@ DEGENERACY_TOL = 1e-10
 REAL_SYMMETRIC_TOL = 1e-12
 _SUPPORT_TOL = 1e-8
 _SV_GROUP_TOL = 1e-8
+#: eigenvalues of Re(z) this close form one block that _sym_unitary_sqrt
+#: splits by Im(z)
+_REAL_PART_GROUP_TOL = 1e-8
 HAAR_MAX_DIM = 8
 #: eigenvalues above this count toward a state's rank
 RANK_TOL = 1e-12
@@ -145,7 +148,7 @@ def _sym_unitary_sqrt(z):
     z = (z + z.T) / 2.0
     x, y = z.real, z.imag
     wx, o = np.linalg.eigh(x)
-    for lo, hi in _consecutive_clusters(wx, tol=1e-8):
+    for lo, hi in _consecutive_clusters(wx, tol=_REAL_PART_GROUP_TOL):
         if hi - lo > 1:
             sub = o[:, lo:hi]
             _, p = np.linalg.eigh(sub.T @ y @ sub)
@@ -219,12 +222,13 @@ def haar_unitary(dim, seed, count=None):
     2 * dim**2 consecutive normals (real part, then imaginary part), so row i
     of a stack is the same for every ``count > i`` and
     ``haar_unitary(dim, s, count=n)[0]`` equals ``haar_unitary(dim, s)``.
-    The decomposition search, which reads only the first k columns, draws
-    the same normals and QR-factors only those columns, which gives the same
-    columns bit for bit.  The gen-preconcurrence screen orthonormalizes its
-    first r columns of the same normals by Gram-Schmidt instead (equal to
-    round-off, enough for an estimate) and rebuilds the few draws it scores
-    exactly through the same QR.
+    The searches read only the first k columns and draw the same normals.
+    The decomposition rows QR-factor only those columns, which gives the
+    same columns bit for bit.  The minimum-average search and the
+    gen-preconcurrence screen orthonormalize their first columns of the same
+    normals by Gram-Schmidt instead (equal to round-off, enough for an
+    estimate) and rebuild the few draws they score exactly through the same
+    QR.
     """
     if not 2 <= dim <= HAAR_MAX_DIM:
         raise ValueError(f"dim must be between 2 and {HAAR_MAX_DIM}")
@@ -248,3 +252,77 @@ def _haar_columns(g, k):
     q, r = np.linalg.qr((g[..., 0, :, :k] + 1j * g[..., 1, :, :k]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+#: Candidate margin of the Gram-Schmidt screens.  A screen estimates each
+#: draw's value from the first r columns of its Haar unitary, built by
+#: _gram_schmidt, and rescores exactly (through _haar_columns) every draw
+#: within this margin of the best estimate.  If every estimate lies within
+#: half the margin of its exact value, the exact best draw, and every draw
+#: that ties it, is among those kept, so the answer and its tie rule are the
+#: same bit for bit as scoring every draw exactly.  Both screens stay far
+#: inside that:
+#:
+#: - measures.sampled_gen_preconcurrence estimates sigma1 - sigma2 =
+#:   sqrt(||b||_F^2 - 2 |det b|) of the r x r block b = sqrt(L_r) V_r sqrt(L_r)
+#:   when r <= 2, and sqrt(eigvalsh(b^H b)) otherwise.  ||b||_2 <= lam1 <= 1,
+#:   so a backward-stable eigvalsh puts each eigenvalue within c * eps of
+#:   sigma^2, and each square root within sqrt(c * eps) ~ 1e-7 of sigma
+#:   (|sqrt(x) - sqrt(y)| <= sqrt(|x - y|)); the r = 2 closed form has one
+#:   such square root.  The preconcurrence sums at most six values with
+#:   coefficients +-1, so an estimate is within 1e-6 of the exact SVD value.
+#: - decompositions.min_average_search estimates the average sum_j E(bar_j),
+#:   bar_j = sum_k U_jk sqrt(lam_k) v_k.  E is degree-2 homogeneous:
+#:   E(x) = 2 ||m(x, x)|| with m the bilinear 2 x 2 minors of x as a 2 x 3
+#:   array, ||m(x, y)|| <= sqrt(2) ||x|| ||y||, so
+#:   |E(x) - E(y)| <= 2 sqrt(2) ||x - y|| (||x|| + ||y||).  Since
+#:   sum_j ||bar_j||^2 = tr rho = 1 and ||d bar||_F <= ||dU_r||_F, Cauchy-Schwarz
+#:   gives |d avg| <= 4 sqrt(2) ||dU_r||_F <= 4 sqrt(2) sqrt(r) c kappa eps
+#:   ~ 4e-8 at kappa = 1e5 (c < 120, see SCREEN_KAPPA).  The estimate also
+#:   counts members with p_j <= 1e-14, which the exact average drops; as
+#:   E(x) <= ||x||^2 that adds at most D * 1e-14.
+SCREEN_MARGIN = 1e-5
+
+#: Conditioning cap of the screens' Gram-Schmidt.  Classical Gram-Schmidt
+#: with one reorthogonalization pass (CGS2) on the D x r normals A_r returns
+#: columns within c * kappa * eps of A_r's exact Q factor, c ~ D * r^1.5
+#: <= 8 * 6^1.5 < 120 (Giraud, Langou, Rozloznik, van den Eshof, Numer. Math.
+#: 101, 87 (2005); the QR perturbation bound turns their backward error into
+#: a kappa-relative one), and the Householder QR of the exact path is as
+#: close.  kappa(A_r) <= ||A_r||_F^r / prod R_jj, since prod R_jj =
+#: prod sigma_k <= sigma_r ||A_r||_F^(r-1) and sigma_1 <= ||A_r||_F.  In the
+#: preconcurrence screen a change dV moves each singular value of
+#: sqrt(L) V sqrt(L) by at most lam1 ||dV||_2 <= ||dV||, so below this cap
+#: the Gram-Schmidt adds at most 12 * 120 * 1e5 * 2.2e-16 ~ 3e-8 to its 1e-6
+#: error budget.  Draws above the cap (about 1 in 1000 at rank 6, none seen
+#: below rank 5) are always scored exactly.
+SCREEN_KAPPA = 1e5
+
+
+def _gram_schmidt(g, r):
+    """The first r columns of the Haar unitaries from the normals ``g``, by
+    CGS2 over the whole batch.
+
+    ``g`` comes from _haar_normals, shape (N, 2, D, D).  Struct of arrays:
+    the real and imaginary parts come back as separate (r, D, N) arrays,
+    column first and draw last.  The input is not scaled by 1/sqrt(2) and
+    no phase is fixed: Gram-Schmidt's R has a positive diagonal, like
+    haar_unitary's, so the columns equal _haar_columns(g, r) to round-off.
+    Also returns, per draw, the conditioning certificate
+    ||A_r||_F^r / prod R_jj, an upper bound on kappa(A_r).
+    """
+    a = np.ascontiguousarray(g[..., :r].transpose(1, 3, 2, 0))  # part, column, row, draw
+    qr, qi = np.empty_like(a[0]), np.empty_like(a[1])
+    prod_r = np.ones(g.shape[0])
+    for j in range(r):
+        vr, vi = a[0, j].copy(), a[1, j].copy()
+        pr, pi = qr[:j], qi[:j]
+        for _ in range(2 if j else 0):
+            cr = np.einsum("kin,in->kn", pr, vr) + np.einsum("kin,in->kn", pi, vi)
+            ci = np.einsum("kin,in->kn", pr, vi) - np.einsum("kin,in->kn", pi, vr)
+            vr -= np.einsum("kin,kn->in", pr, cr) - np.einsum("kin,kn->in", pi, ci)
+            vi -= np.einsum("kin,kn->in", pr, ci) + np.einsum("kin,kn->in", pi, cr)
+        norm = np.sqrt(np.einsum("in,in->n", vr, vr) + np.einsum("in,in->n", vi, vi))
+        qr[j], qi[j] = vr / norm, vi / norm
+        prod_r *= norm
+    return qr, qi, np.sqrt(np.einsum("pjin,pjin->n", a, a)) ** r / prod_r

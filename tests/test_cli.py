@@ -284,6 +284,15 @@ class TestSample:
         data = out.encode()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
+    @pytest.mark.parametrize("d, budget", [("2", 900), ("3", 1000)])
+    def test_default_budget_recorded(self, tmp_path, capsys, d, budget):
+        path = write_fig2(tmp_path)
+        code, out, _ = run(capsys, "sample", str(path), "--D", d, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["inputs"]["budget"] == budget
+        assert len(doc["outputs"]["rows"]) == budget
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_written_chunk_by_chunk(self, tmp_path, capsys, monkeypatch, fmt):
         # each chunk's rows are written before the next chunk is scored

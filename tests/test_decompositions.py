@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import qqent.decompositions as decompositions
+from qqent._checks import as_density_matrix
 from qqent.decompositions import (
+    MixerParams,
     average_entanglement,
     decompose,
     iter_decomposition_samples,
@@ -20,7 +22,7 @@ from qqent.errors import (
     NotUnitary,
 )
 from qqent.measures import min_sgx_i_concurrence, min_tgx_i_concurrence, pure_i_concurrence
-from qqent.numerics import haar_unitary, hermitian_eig
+from qqent.numerics import SCREEN_KAPPA, SCREEN_MARGIN, haar_unitary, hermitian_eig
 from qqent.states import build_alpha_beta, build_epu_min_tgx, physical_entanglement
 
 from conftest import random_density, random_ket, random_spectrum, rotated_min_sgx
@@ -310,3 +312,130 @@ class TestBatchedSearch:
         rho[0, 0] = bad
         with pytest.raises(InvalidState):
             decompose(rho, np.eye(6))
+
+
+def first_minimum(rows, d, seed):
+    """The smallest row average and the MixerParams of the earliest row holding it."""
+    avgs = [avg for _, _, avg in rows]
+    k = avgs.index(min(avgs))
+    params = rows[k][1]
+    if d == 1:
+        return avgs[k], MixerParams(d=1)
+    if d == 2:
+        return avgs[k], MixerParams(d=2, theta=params[0], phi=params[1])
+    return avgs[k], MixerParams(d=d, seed=seed, trial=params[0])
+
+
+#: across the 4096-trial chunk boundary, and the one-trial edge
+SCREEN_BUDGETS = (1, 1000, 4096, 5000)
+
+#: the screen's worst-case average error at kappa = SCREEN_KAPPA (see SCREEN_MARGIN)
+SCREEN_ERROR = 4e-8
+
+
+def crafted_normals(monkeypatch, rank, trials=16):
+    """Make the search's normals ill-conditioned in its first ``trials`` trials:
+    one of the first ``rank`` columns copies another plus 1e-9 noise."""
+    normals = decompositions._haar_normals
+
+    def crafted(rng, dim, count=None):
+        g = normals(rng, dim, count)
+        for n in range(min(trials, len(g))):
+            i, j = n % rank, (n + 1) % rank
+            noise = np.random.default_rng(n).standard_normal((2, dim))
+            g[n, :, :, j] = g[n, :, :, i] + 1e-9 * noise
+        return g
+
+    monkeypatch.setattr(decompositions, "_haar_normals", crafted)
+
+
+class TestScreenedSearch:
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_equals_first_minimum_of_rows(self, rank):
+        # every D the rank allows, three states and seeds each: the screened
+        # minimum is the exact rows' first minimum, bit for bit
+        rng = np.random.default_rng(200 + rank)
+        for d in range(rank, min(rank * rank, 8) + 1):
+            for _ in range(3):
+                rho = random_density(rng, 6, rank=rank)
+                seed = int(rng.integers(1000))
+                rows = list(iter_decomposition_samples(rho, d, max(SCREEN_BUDGETS), seed))
+                for budget in SCREEN_BUDGETS:
+                    # a D >= 3 search's first rows do not depend on its budget
+                    ref = rows[:budget] if d != 2 else list(
+                        iter_decomposition_samples(rho, d, budget, seed)
+                    )
+                    got = min_average_search(rho, d, budget, seed)
+                    assert got == first_minimum(ref, d, seed), (d, budget, seed)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_ties_go_to_the_earliest_trial(self, d):
+        # on a product support every member is a product ket, so all averages tie
+        rho = np.diag([0.6, 0.4, 0, 0, 0, 0]).astype(complex)
+        rows = list(iter_decomposition_samples(rho, d, 1000, 2))
+        assert min_average_search(rho, d, 1000, 2) == first_minimum(rows, d, 2)
+
+    @pytest.mark.parametrize("rank, d", [(2, 3), (3, 4), (6, 6)])
+    def test_near_ties_resolved_exactly(self, rank, d, monkeypatch):
+        # trials 0-63 copy the best draw's normals, each scaled by its own
+        # factor: the same mixer, so their exact averages differ by round-off
+        # only, in an order the screen's own round-off does not follow
+        rho = random_density(np.random.default_rng(31 + rank), 6, rank=rank)
+        best = min_average_search(rho, d, 1000, 6)[1].trial
+        normals = decompositions._haar_normals
+
+        def copies(rng, dim, count=None):
+            g = normals(rng, dim, count)
+            g[:64] = g[best] * np.linspace(1.0, 3.0, 64)[:, None, None, None]
+            return g
+
+        monkeypatch.setattr(decompositions, "_haar_normals", copies)
+        rows = list(iter_decomposition_samples(rho, d, 1000, 6))
+        assert len({avg for _, _, avg in rows[:64]}) > 1
+        assert min_average_search(rho, d, 1000, 6) == first_minimum(rows, d, 6)
+
+    def test_screen_error_far_below_margin(self):
+        rng = np.random.default_rng(23)
+        for rank in range(2, 7):
+            rho = as_density_matrix(random_density(rng, 6, rank=rank))
+            root, vt = decompositions._spectral_factors(rho)
+            for d in range(max(3, rank), min(rank * rank, 8) + 1):
+                g = rng.standard_normal((512, 2, d, d))
+                est, kappa = decompositions._screened_averages(g, root, vt)
+                exact = decompositions._averages(decompositions._haar_columns(g, rank), root, vt)
+                kept = kappa <= SCREEN_KAPPA
+                assert np.max(np.abs(est - exact)[kept]) < SCREEN_ERROR, (rank, d)
+        assert 2 * SCREEN_ERROR < SCREEN_MARGIN
+
+    @pytest.mark.parametrize("rank", range(2, 7))
+    def test_ill_conditioned_trials_rescored_exactly(self, rank, monkeypatch):
+        rng = np.random.default_rng(60 + rank)
+        rho = random_density(rng, 6, rank=rank)
+        d = min(rank * rank, 8)
+        crafted_normals(monkeypatch, rank)
+        g = decompositions._haar_normals(np.random.default_rng(5), d, 1000)
+        root, vt = decompositions._spectral_factors(as_density_matrix(rho))
+        _, kappa = decompositions._screened_averages(g, root, vt)
+        assert (kappa[:16] > SCREEN_KAPPA).all()
+        # every flagged trial is among the ones the min search scores exactly
+        chunks = decompositions._search_chunks(as_density_matrix(rho), d, 1000, 5, True)
+        scored = [p[0] for params, _ in chunks for p in params]
+        assert set(range(16)) <= set(scored)
+        rows = list(iter_decomposition_samples(rho, d, 1000, 5))
+        assert min_average_search(rho, d, 1000, 5) == first_minimum(rows, d, 5)
+
+    def test_min_search_factors_only_candidates(self, monkeypatch):
+        factored = []
+        columns = decompositions._haar_columns
+        monkeypatch.setattr(
+            decompositions, "_haar_columns", lambda g, k: factored.append(len(g)) or columns(g, k)
+        )
+        rng = np.random.default_rng(13)
+        for rank, d in ((2, 3), (2, 4), (3, 4), (3, 8), (6, 6)):
+            rho = random_density(rng, 6, rank=rank)
+            factored.clear()
+            list(iter_decomposition_samples(rho, d, 5000, 4))
+            assert factored == [4096, 904]
+            factored.clear()
+            min_average_search(rho, d, 5000, 4)
+            assert len(factored) == 2 and max(factored) <= 8, (rank, d, factored)
