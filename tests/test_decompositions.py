@@ -333,22 +333,6 @@ SCREEN_BUDGETS = (1, 1000, 4096, 5000)
 SCREEN_ERROR = 4e-8
 
 
-def crafted_normals(monkeypatch, rank, trials=16):
-    """Make the search's normals ill-conditioned in its first ``trials`` trials:
-    one of the first ``rank`` columns copies another plus 1e-9 noise."""
-    normals = decompositions._haar_normals
-
-    def crafted(rng, dim, count=None):
-        g = normals(rng, dim, count)
-        for n in range(min(trials, len(g))):
-            i, j = n % rank, (n + 1) % rank
-            noise = np.random.default_rng(n).standard_normal((2, dim))
-            g[n, :, :, j] = g[n, :, :, i] + 1e-9 * noise
-        return g
-
-    monkeypatch.setattr(decompositions, "_haar_normals", crafted)
-
-
 class TestScreenedSearch:
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_equals_first_minimum_of_rows(self, rank):
@@ -373,6 +357,7 @@ class TestScreenedSearch:
         # on a product support every member is a product ket, so all averages tie
         rho = np.diag([0.6, 0.4, 0, 0, 0, 0]).astype(complex)
         rows = list(iter_decomposition_samples(rho, d, 1000, 2))
+        assert {avg for _, _, avg in rows} == {0.0}
         assert min_average_search(rho, d, 1000, 2) == first_minimum(rows, d, 2)
 
     @pytest.mark.parametrize("rank, d", [(2, 3), (3, 4), (6, 6)])
@@ -409,11 +394,21 @@ class TestScreenedSearch:
 
     @pytest.mark.parametrize("rank", range(2, 7))
     def test_ill_conditioned_trials_rescored_exactly(self, rank, monkeypatch):
-        rng = np.random.default_rng(60 + rank)
-        rho = random_density(rng, 6, rank=rank)
+        # crafted normals: in trials 0-15 one of the first `rank` columns
+        # copies another plus 1e-9 noise
+        rho = random_density(np.random.default_rng(60 + rank), 6, rank=rank)
         d = min(rank * rank, 8)
-        crafted_normals(monkeypatch, rank)
-        g = decompositions._haar_normals(np.random.default_rng(5), d, 1000)
+        normals = decompositions._haar_normals
+
+        def crafted(rng, dim, count=None):
+            g = normals(rng, dim, count)
+            for n in range(16):
+                noise = np.random.default_rng(n).standard_normal((2, dim))
+                g[n, :, :, (n + 1) % rank] = g[n, :, :, n % rank] + 1e-9 * noise
+            return g
+
+        monkeypatch.setattr(decompositions, "_haar_normals", crafted)
+        g = crafted(np.random.default_rng(5), d, 1000)
         root, vt = decompositions._spectral_factors(as_density_matrix(rho))
         _, kappa = decompositions._screened_averages(g, root, vt)
         assert (kappa[:16] > SCREEN_KAPPA).all()
