@@ -11,7 +11,7 @@ SPECTRUM_TOL = 1e-12
 KET_NORM_TOL = 1e-10
 
 # Thresholds on computed results rather than on inputs:
-#: LS weight p_E counted as 0 (or 1) by the CLI residuals and the ls suite
+#: LS weight p_E counted as 0 (or 1) by the CLI's LS residuals (qqent ls, verify ls)
 LS_WEIGHT_TOL = 1e-12
 #: verify suites: residual limit, and the separable remainder's negativity limit
 VERIFY_TOL = 1e-9
@@ -28,8 +28,8 @@ SPECTRUM_MATCH_TOL = 1e-9
 
 def as_square_matrix(m, dim=None):
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidState(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InvalidState(f"expected a non-empty square matrix, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise InvalidState(f"expected dimension {dim}, got {m.shape[0]}")
     if not np.isfinite(m).all():

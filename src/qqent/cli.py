@@ -153,6 +153,8 @@ def state_from_wire(doc):
         rho = entries.reshape(dim, dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidState(f"malformed state file: {exc}") from exc
+    if n1 < 1 or n2 < 1:
+        raise InvalidState(f"malformed state file: mode_dims {[n1, n2]} must be positive")
     return as_density_matrix(rho, dim=dim), (n1, n2)
 
 
@@ -313,16 +315,15 @@ def cmd_measure(args):
     return 0
 
 
-def _ls_residuals(rho, dec):
+def _ls_residuals(rho, dec, target):
+    """Residuals of the LS split ``dec`` of ``rho``: reconstruction, |p_E E(rho_E) - target|
+    and the negativity of the separable remainder."""
     recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
     if dec.p_e > LS_WEIGHT_TOL:
         top = _hermitian_eig_unchecked(dec.rho_e).vectors[:, 0]
-        optimality = abs(
-            dec.p_e * pure_i_concurrence(top)
-            - max(0.0, dec.xi[0] - dec.xi[1] - dec.xi[2] - dec.xi[3])
-        )
+        optimality = abs(dec.p_e * pure_i_concurrence(top) - target)
     else:
-        optimality = 0.0
+        optimality = abs(target)
     neg = 0.0 if dec.p_e >= 1.0 - LS_WEIGHT_TOL else _negativity_unchecked(dec.rho_s)
     return {
         "reconstruction": float(np.max(np.abs(recon - rho))),
@@ -352,13 +353,14 @@ def cmd_ls(args):
     else:
         dec = _ls_numeric(rho)
         inputs = {"route": "numeric"}
+    xi1, xi2, xi3, xi4 = dec.xi
     outputs = {
         "p_e": dec.p_e,
         "xi": list(dec.xi),
         "x_kets": [ket_to_wire(k) for k in dec.x_kets],
         "rho_e": state_to_wire(dec.rho_e, dims),
         "rho_s": state_to_wire(dec.rho_s, dims),
-        "residuals": _ls_residuals(rho, dec),
+        "residuals": _ls_residuals(rho, dec, max(0.0, xi1 - xi2 - xi3 - xi4)),
     }
     if dec.n1 is not None:
         outputs["n1"] = dec.n1
@@ -425,120 +427,96 @@ def cmd_sample(args):
 
 # -- verification suites ---------------------------------------------------
 
-def _random_spectrum(rng, rank=None):
-    rank = int(rng.integers(1, 7)) if rank is None else rank
+def _random_spectrum(rng):
+    rank = int(rng.integers(1, 7))
     lam = np.zeros(6)
     lam[:rank] = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
     return lam
 
 
-def _suite_epu(trials, seed):
-    rng = np.random.default_rng(seed)
-    worst = {"spectrum": 0.0, "entanglement": 0.0}
-    for t in range(trials):
-        lam = _random_spectrum(rng)
-        e = physical_entanglement(lam, rng.uniform())
-        rho, _ = build_epu_min_tgx(lam, e)
-        worst["spectrum"] = max(
-            worst["spectrum"], float(np.max(np.abs(hermitian_eig(rho).values - lam)))
-        )
-        worst["entanglement"] = max(
-            worst["entanglement"], abs(min_tgx_i_concurrence(rho) - e)
-        )
-        if worst["spectrum"] > VERIFY_TOL or worst["entanglement"] > VERIFY_TOL:
-            return False, worst, f"trial {t}: spectrum={list(lam)} E={e}"
-    return True, worst, ""
+def _random_epu(rng):
+    """A random spectrum, a physical E for it, and the EPU-minimal TGX state of both."""
+    lam = _random_spectrum(rng)
+    e = physical_entanglement(lam, rng.uniform())
+    return lam, e, build_epu_min_tgx(lam, e)[0]
 
 
-def _suite_ls(trials, seed):
-    rng = np.random.default_rng(seed)
-    worst = {"reconstruction": 0.0, "optimality": 0.0, "separable_negativity": 0.0}
-    for t in range(trials):
-        lam = _random_spectrum(rng)
-        e = physical_entanglement(lam, rng.uniform())
-        rho, _ = build_epu_min_tgx(lam, e)
-        dec = ls_explicit(lam, e)
-        recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
-        if dec.p_e > LS_WEIGHT_TOL:
-            top = hermitian_eig(dec.rho_e).vectors[:, 0]
-            opt = abs(dec.p_e * pure_i_concurrence(top) - e)
-        else:
-            opt = abs(e)
-        neg = 0.0 if dec.p_e >= 1.0 - LS_WEIGHT_TOL else _negativity_unchecked(dec.rho_s)
-        worst["reconstruction"] = max(
-            worst["reconstruction"], float(np.max(np.abs(recon - rho)))
-        )
-        worst["optimality"] = max(worst["optimality"], opt)
-        worst["separable_negativity"] = max(worst["separable_negativity"], neg)
-        if (
-            worst["reconstruction"] > VERIFY_TOL
-            or worst["optimality"] > VERIFY_TOL
-            or worst["separable_negativity"] > VERIFY_NEGATIVITY_TOL
-        ):
-            return False, worst, f"trial {t}: spectrum={list(lam)} E={e}"
-    return True, worst, ""
+# Each suite yields, per trial, its residuals and the trial's offending-input detail.
+
+def _trials_epu(rng):
+    while True:
+        lam, e, rho = _random_epu(rng)
+        residuals = {
+            "spectrum": float(np.max(np.abs(hermitian_eig(rho).values - lam))),
+            "entanglement": abs(min_tgx_i_concurrence(rho) - e),
+        }
+        yield residuals, f"spectrum={lam.tolist()} E={e}"
 
 
-def _suite_formulas(trials, seed):
-    rng = np.random.default_rng(seed)
+def _trials_ls(rng):
+    while True:
+        lam, e, rho = _random_epu(rng)
+        yield _ls_residuals(rho, ls_explicit(lam, e), e), f"spectrum={lam.tolist()} E={e}"
+
+
+def _trials_formulas(rng):
     lpus = enumerate_lpus()
-    worst = {"pure_consistency": 0.0, "x_equivalence": 0.0, "lpu_invariance": 0.0}
-    for t in range(trials):
+    while True:
         psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         psi /= np.linalg.norm(psi)
         red = psi.reshape(2, 3) @ psi.reshape(2, 3).conj().T
         oracle = np.sqrt(max(2.0 * (1.0 - float(np.trace(red @ red).real)), 0.0))
-        worst["pure_consistency"] = max(
-            worst["pure_consistency"], abs(pure_i_concurrence(psi) - oracle)
-        )
         lam4 = np.sort(rng.dirichlet(np.ones(4)))[::-1]
-        c = rng.uniform() * _cap_2x2(lam4)
-        rho4 = build_epu_x_2x2(lam4, c)
-        worst["x_equivalence"] = max(
-            worst["x_equivalence"], abs(concurrence_2x2(rho4) - x_concurrence(rho4))
-        )
+        rho4 = build_epu_x_2x2(lam4, rng.uniform() * _cap_2x2(lam4))
         lam = _random_spectrum(rng)
         rho = build_alpha_beta(lam, rng.uniform(0, np.pi / 2), rng.uniform(0, np.pi / 2))
         ref = min_tgx_i_concurrence(rho)
         u = lpus[int(rng.integers(len(lpus)))]
-        worst["lpu_invariance"] = max(
-            worst["lpu_invariance"], abs(min_tgx_i_concurrence(u @ rho @ u.T) - ref)
-        )
-        if (
-            worst["pure_consistency"] > VERIFY_FORMULA_TOL
-            or worst["x_equivalence"] > VERIFY_TOL
-            or worst["lpu_invariance"] > VERIFY_FORMULA_TOL
-        ):
-            return False, worst, f"trial {t}"
-    return True, worst, ""
+        residuals = {
+            "pure_consistency": abs(pure_i_concurrence(psi) - oracle),
+            "x_equivalence": abs(concurrence_2x2(rho4) - x_concurrence(rho4)),
+            "lpu_invariance": abs(min_tgx_i_concurrence(u @ rho @ u.T) - ref),
+        }
+        yield residuals, ""
 
 
-def _suite_genconc(trials, seed):
-    rng = np.random.default_rng(seed)
-    worst = {"bound_excess": -np.inf}
-    for t in range(trials):
+def _trials_genconc(rng):
+    while True:
         lam = _random_spectrum(rng)
-        bound = gen_concurrence_max(lam)
         val = sampled_gen_preconcurrence(lam, 200, seed=int(rng.integers(2**31)))
-        worst["bound_excess"] = max(worst["bound_excess"], val - bound)
-        if worst["bound_excess"] > VERIFY_TOL:
-            return False, worst, f"trial {t}: spectrum={list(lam)}"
-    return True, worst, ""
+        yield {"bound_excess": val - gen_concurrence_max(lam)}, f"spectrum={lam.tolist()}"
 
 
+#: suite name -> (trial generator, limit of each residual, in output order)
 _SUITES = {
-    "epu": _suite_epu,
-    "ls": _suite_ls,
-    "formulas": _suite_formulas,
-    "genconc": _suite_genconc,
+    "epu": (_trials_epu, {"spectrum": VERIFY_TOL, "entanglement": VERIFY_TOL}),
+    "ls": (_trials_ls, {"reconstruction": VERIFY_TOL, "optimality": VERIFY_TOL,
+                        "separable_negativity": VERIFY_NEGATIVITY_TOL}),
+    "formulas": (_trials_formulas, {"pure_consistency": VERIFY_FORMULA_TOL,
+                                    "x_equivalence": VERIFY_TOL,
+                                    "lpu_invariance": VERIFY_FORMULA_TOL}),
+    "genconc": (_trials_genconc, {"bound_excess": VERIFY_TOL}),
 }
+
+
+def _run_suite(suite, trials, seed):
+    """(passed, worst value of each residual, offending input); stops at the first
+    trial that takes a residual past its limit."""
+    trial_residuals, limits = _SUITES[suite]
+    worst = {}
+    for t, (residuals, detail) in zip(range(trials), trial_residuals(np.random.default_rng(seed))):
+        for name, value in residuals.items():
+            worst[name] = max(worst.get(name, value), value)
+        if any(residuals[name] > limit for name, limit in limits.items()):
+            return False, worst, f"trial {t}: {detail}" if detail else f"trial {t}"
+    return True, worst, ""
 
 
 def cmd_verify(args):
     if args.trials < 1:
         raise InvalidState("trials must be >= 1")
     seed = _default_seed(args)
-    ok, worst, detail = _SUITES[args.suite](args.trials, seed)
+    ok, worst, detail = _run_suite(args.suite, args.trials, seed)
     status = "PASS" if ok else "FAIL"
     residuals = " ".join(f"{k}={_fmt(v)}" for k, v in worst.items())
     line = f"{status} suite={args.suite} trials={args.trials} seed={seed} {residuals}"

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._checks import as_density_matrix, as_spectrum
 from .errors import AmbiguousQuartet, InvalidQuartet, NotMinimalSGX
-from .measures import _QUARTET_IDX, SPIN_FLIP_4
+from .measures import _GRID, _QUARTET_IDX, SPIN_FLIP_4
 from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_unchecked
 from .states import (
     COMPLEMENT_PAIRS,
@@ -30,10 +30,9 @@ from .states import (
     _sgx_matches,
 )
 
-#: Per quartet, in QUARTETS order: the index grid of its 4x4 block, the flat
-#: indices of that block's twelve off-diagonal entries, and the index grid of
-#: the complement pair's 2x2 block.
-_GRID = tuple(np.ix_(i, i) for i in _QUARTET_IDX)
+#: Per quartet, in QUARTETS order (measures._GRID holds its 4x4 block's index
+#: grid): the flat indices of that block's twelve off-diagonal entries, and the
+#: index grid of the complement pair's 2x2 block.
 _OFFDIAG = tuple(np.array([6 * a + b for a in i for b in i if a != b]) for i in _QUARTET_IDX)
 _COMPLEMENT_GRID = tuple(np.ix_(i, i) for i in (np.array(p) - 1 for p in COMPLEMENT_PAIRS))
 

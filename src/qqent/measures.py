@@ -20,11 +20,12 @@ from .errors import (
 from .numerics import (
     BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _gram_schmidt, _haar_columns, _haar_normals,
 )
-from .states import QUARTETS, ZERO_TOL, e_mems, subspace_extract
+from .states import QUARTETS, ZERO_TOL, e_mems
 from .states import _check_angles, _classify, _physical_pair, DELTA_TOL
 
-#: QUARTETS as 0-based level indices.
+#: QUARTETS as 0-based level indices, and the index grid of each quartet's 4x4 block.
 _QUARTET_IDX = tuple(tuple(k - 1 for k in q) for q in QUARTETS)
+_GRID = tuple(np.ix_(i, i) for i in _QUARTET_IDX)
 
 #: sigma_y (x) sigma_y, the two-qubit spin flip.
 SPIN_FLIP_4 = np.array(
@@ -116,7 +117,7 @@ def subspace_concurrence_vector(rho):
 
 
 def _subspace_concurrence_vector(rho):
-    return np.array([_concurrence_block(subspace_extract(rho, q)) for q in QUARTETS])
+    return np.array([_concurrence_block(rho[g]) for g in _GRID])
 
 
 def _pure_i_unnormalized(a):

@@ -199,7 +199,7 @@ def _negativity_unchecked(rho, dims=(2, 3)):
     n1, n2 = dims
     pt = rho.reshape(n1, n2, n1, n2).transpose(2, 1, 0, 3).reshape(n1 * n2, n1 * n2)
     eigs = np.linalg.eigvalsh(pt)
-    return float(-eigs[eigs < 0.0].sum())
+    return float(0.0 - eigs[eigs < 0.0].sum())  # +0.0, not -0.0, when none is negative
 
 
 def partial_transpose_negativity(rho):

@@ -27,7 +27,7 @@ from conftest import random_density, random_spectrum, rotated_min_sgx
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
-MATRIX_KINDS = ("nan", "inf", "non_hermitian", "trace", "negative", "shape")
+MATRIX_KINDS = ("nan", "inf", "non_hermitian", "trace", "negative", "shape", "empty")
 SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape")
 
 #: Public entry points taking a 2x3 density matrix; every bad kind is InvalidState.
@@ -87,6 +87,8 @@ def raised(fn, arg):
 
 def corrupt_matrix(rng, dim, kind):
     """A dim x dim density matrix broken in one way only."""
+    if kind == "empty":
+        return np.zeros((0, 0))
     if kind == "negative":
         lam = random_spectrum(rng, dim, rank=dim)
         lam[-1], lam[0] = -1e-9, lam[0] + 1e-9 + lam[-1]
@@ -143,7 +145,7 @@ def test_spectrum_entry_points_reject_invalid_spectra(seed, kind):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(("nan", "inf", "non_hermitian", "shape")),
+    kind=st.sampled_from(("nan", "inf", "non_hermitian", "shape", "empty")),
 )
 def test_kernel_entry_points_reject_invalid_matrices(seed, kind):
     """hermitian_eig and takagi_symmetric check shape, finiteness and symmetry

@@ -331,7 +331,11 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "text",
         ["[1, 2]", "3.5", '"state"', "null", '{"state": [1]}', '{"state": null}',
-         '{"state": 7}', '{"outputs": {"state": "x"}}', '{"mode_dims": [2, 3], "matrix": 5}'],
+         '{"state": 7}', '{"outputs": {"state": "x"}}', '{"mode_dims": [2, 3], "matrix": 5}',
+         '{"mode_dims": [0, 0], "matrix": []}',
+         pytest.param(json.dumps({"mode_dims": [-2, -3], "matrix": [[1 / 6 if i % 7 == 0 else 0, 0]
+                                                                   for i in range(36)]}),
+                      id="negative-mode-dims")],
     )
     def test_non_object_state_file_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
@@ -450,3 +454,40 @@ class TestVerify:
         code2, out2, _ = run(capsys, "verify", "epu", "--trials", "3", "--output", str(path))
         assert code == code2 == 0
         assert out2 == "" and path.read_text() == out
+
+    # sha256 of stdout as written by the four per-suite loops the suite table replaced
+    @pytest.mark.parametrize("suite, trials, seed, digest", [
+        ("epu", 200, 0, "81e516156ae84862bdc5b644f3a7f732d8c4e31fca0e87eeb877fac6e11295e0"),
+        ("epu", 200, 7, "92085ebe1ee1181fea9f19312bf1230ecc819549a0c03ef8f85731b96e174d7c"),
+        ("ls", 200, 0, "9a63a5234365810e28e26ed668295d9b2e8c0705e4d6b39e8273468d61a21fd1"),
+        ("ls", 200, 7, "cb31f98deedf49dd36307a39fcf5b1243508907ce5950c6979fce67a2edab3d4"),
+        ("formulas", 200, 0, "c33480ab92ee5a8412df7bcf83646a07f404f67a76c2c2eeae2da1b24b6266aa"),
+        ("formulas", 200, 7, "e81b6c2dafaf3e1fa8e5352e78c58745a897cf86ad30cf83b45611bd75e3d83a"),
+        ("genconc", 5, 0, "ec3ba53b6d184adfe325b981d584c458ebff1af169772b5725889942a645f4a6"),
+        ("genconc", 5, 7, "3fc2a10bf16c6fb9b0064114aea1511f14deb7812961832ebd7bbb0a56718eb7"),
+    ])
+    def test_bytes_unchanged(self, capsys, suite, trials, seed, digest):
+        code, out, _ = run(capsys, "verify", suite, "--trials", str(trials), "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("suite", ["epu", "ls", "formulas", "genconc"])
+    def test_fail_stops_at_first_trial_over_limit(self, capsys, monkeypatch, suite):
+        trial_residuals, limits = cli._SUITES[suite]
+        drawn = []
+
+        def counted(rng):
+            for trial in trial_residuals(rng):
+                drawn.append(trial)
+                yield trial
+
+        # genconc's bound excess is negative, so only a negative limit fails it
+        limit = -1.0 if suite == "genconc" else 1e-17
+        monkeypatch.setitem(cli._SUITES, suite, (counted, dict.fromkeys(limits, limit)))
+        code, out, err = run(capsys, "verify", suite, "--trials", "20")
+        assert code == 1
+        assert out.startswith(f"FAIL suite={suite} trials=20 seed=0 ")
+        assert [field.split("=")[0] for field in out.split()[4:]] == list(limits)
+        assert err.startswith("  offending input: trial 0")
+        assert len(drawn) == 1
+        assert "np.float64" not in err

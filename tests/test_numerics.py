@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,9 @@ class TestTakagi:
 
 class TestNegativity:
     def test_maximally_mixed(self):
-        assert partial_transpose_negativity(np.eye(6) / 6) < 1e-14
+        # separable, no negative eigenvalue of the partial transpose: +0.0, never -0.0
+        neg = partial_transpose_negativity(np.eye(6) / 6)
+        assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
 
     def test_bell_analog_half(self):
         psi = np.zeros(6)
