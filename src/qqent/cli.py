@@ -134,28 +134,37 @@ def _json_object(doc):
     return doc
 
 
+#: the mode_dims a state document may declare: a qubit-qutrit and two qubits
+MODE_DIMS = ((2, 3), (2, 2))
+
+
 def state_from_wire(doc):
     """Parse a state document; accepts a record wrapping one under 'state'.
 
-    A document (or wrapped state) that is not a JSON object raises InvalidState.
+    A document (or wrapped state) that is not a JSON object, or whose
+    mode_dims are not the JSON integers [2, 3] or [2, 2], raises InvalidState.
     """
     doc = _json_object(doc)
     if "state" in doc and "matrix" not in doc:
         doc = _json_object(doc["state"])
     if isinstance(doc.get("outputs"), dict) and "state" in doc["outputs"]:
         doc = _json_object(doc["outputs"]["state"])
+    dims = doc.get("mode_dims")
+    # type(v) is int refuses JSON floats, true and false, and strings
+    if not (isinstance(dims, (list, tuple)) and [type(v) for v in dims] == [int, int]
+            and tuple(dims) in MODE_DIMS):
+        raise InvalidState(
+            f"unsupported mode_dims {json.dumps(dims, default=repr)}: must be [2, 3] or [2, 2]"
+        )
+    n1, n2 = dims
     try:
-        n1, n2 = (int(v) for v in doc["mode_dims"])
         entries = np.array(
             [complex(re, im) for re, im in doc["matrix"]], dtype=complex
         )
-        dim = n1 * n2
-        rho = entries.reshape(dim, dim)
+        rho = entries.reshape(n1 * n2, n1 * n2)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidState(f"malformed state file: {exc}") from exc
-    if n1 < 1 or n2 < 1:
-        raise InvalidState(f"malformed state file: mode_dims {[n1, n2]} must be positive")
-    return as_density_matrix(rho, dim=dim), (n1, n2)
+    return as_density_matrix(rho, dim=n1 * n2), (n1, n2)
 
 
 @contextlib.contextmanager

@@ -18,7 +18,8 @@ from .errors import (
     NotXForm,
 )
 from .numerics import (
-    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _gram_schmidt, _haar_columns, _haar_normals,
+    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _cholesky_pivots, _gram_schmidt, _haar_columns,
+    _haar_normals,
 )
 from .states import QUARTETS, ZERO_TOL, e_mems
 from .states import _check_angles, _classify, _physical_pair, DELTA_TOL
@@ -218,7 +219,9 @@ def _gen_concurrence_max(lam):
 def _screened_preconcurrence(g, root, r):
     """Estimated preconcurrence of each draw in the normals ``g``, from V's
     first r columns; ``root`` is sqrt(L), zero past index r - 1.  Draws whose
-    Gram-Schmidt certificate exceeds SCREEN_KAPPA are scored exactly."""
+    Gram-Schmidt certificate exceeds SCREEN_KAPPA are scored exactly.  At
+    r >= 3, draws certified to lie more than SCREEN_MARGIN below the best
+    estimate get -inf instead of an estimate (see SCREEN_MARGIN)."""
     qr, qi, kappa = _gram_schmidt(g, r)
     lam = (root * root).tolist()
     if r == 1:
@@ -232,13 +235,61 @@ def _screened_preconcurrence(g, root, r):
         det = l1 * l2 * np.abs(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
         est = np.sqrt(np.clip(frob2 - 2.0 * det, 0.0, None))
     else:
-        b = root[:r, None] * (qr[:, :r] + 1j * qi[:, :r]).transpose(2, 1, 0) * root[:r]
-        s = np.sqrt(np.clip(np.linalg.eigvalsh(b.conj().swapaxes(-1, -2) @ b), 0.0, None))
-        est = 2.0 * s[:, -1] - s.sum(axis=1)
+        hr, hi = _block_gram(qr, qi, root, r)
+        live = kappa <= SCREEN_KAPPA
+        if np.count_nonzero(live) > _PROBES:
+            live &= ~_pruned(hr, hi, live)
+        rows = np.flatnonzero(live)
+        est = np.full(len(kappa), -np.inf)
+        est[rows] = _gram_estimates(hr[..., rows], hi[..., rows])
     flagged = np.flatnonzero(kappa > SCREEN_KAPPA)
     if flagged.size:
         est[flagged] = _exact_preconcurrence(g[flagged], root)
     return est
+
+
+#: draws whose eigvalsh estimate sets the pruning threshold, per batch
+_PROBES = 16
+
+
+def _block_gram(qr, qi, root, r):
+    """H = b^H b of the r x r blocks b = sqrt(L_r) V_r sqrt(L_r), from
+    _gram_schmidt's columns: real and imaginary parts as (r, r, N) arrays,
+    draw axis last, H_jk = s_j s_k sum_i lam_i conj(V_ij) V_ik."""
+    lam = (root[:r] * root[:r])[:, None]
+    vr, vi = qr[:, :r], qi[:, :r]
+    wr, wi = vr * lam, vi * lam
+    scale = (root[:r, None] * root[:r])[..., None]
+    hr = (np.einsum("jin,kin->jkn", wr, vr) + np.einsum("jin,kin->jkn", wi, vi)) * scale
+    hi = (np.einsum("jin,kin->jkn", wr, vi) - np.einsum("jin,kin->jkn", wi, vr)) * scale
+    return hr, hi
+
+
+def _gram_estimates(hr, hi):
+    """2 sigma1 - sum sigma_k of each b, from eigvalsh of its H (see _block_gram)."""
+    h = (hr + 1j * hi).transpose(2, 0, 1)
+    s = np.sqrt(np.clip(np.linalg.eigvalsh(h), 0.0, None))
+    return 2.0 * s[:, -1] - s.sum(axis=1)
+
+
+def _pruned(hr, hi, live):
+    """Draws whose value is certified below t = L0 - 2 SCREEN_MARGIN, L0 the
+    best estimate of the _PROBES ``live`` draws with the largest
+    2 sqrt(max H_kk) - d.
+
+    d = sum sqrt(pivots of H) <= ||b||_*, and a passing recursion on
+    x I - H, x = ((t + d) / 2)^2, certifies sigma1 < (t + d) / 2, so
+    2 sigma1 - ||b||_* < t; see SCREEN_MARGIN for the rounding."""
+    piv, ok = _cholesky_pivots(hr.copy(), hi.copy())
+    d = np.sqrt(piv).sum(axis=0)
+    diag = np.arange(hr.shape[0])
+    lead = np.where(live, 2.0 * np.sqrt(hr[diag, diag].max(axis=0)) - d, -np.inf)
+    probes = np.argpartition(lead, -_PROBES)[-_PROBES:]
+    t = _gram_estimates(hr[..., probes], hi[..., probes]).max() - 2.0 * SCREEN_MARGIN
+    ok &= t + d > 0.0
+    ar, ai = -hr, -hi
+    ar[diag, diag] += np.where(ok, 0.5 * (t + d), 0.0) ** 2
+    return ok & _cholesky_pivots(ar, ai)[1]
 
 
 def _exact_preconcurrence(g, root):
@@ -262,7 +313,14 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     lam1 |V11| for r = 1, sigma1 - sigma2 = sqrt(||b||_F^2 - 2 |det b|) for
     r = 2, and the square roots of eigvalsh(b^H b) for r >= 3.  A draw whose
     columns are too ill-conditioned for that (kappa above SCREEN_KAPPA, by
-    the Gram-Schmidt certificate) is scored exactly instead.  Draws within
+    the Gram-Schmidt certificate) is scored exactly instead.  At r >= 3,
+    eigvalsh runs only on draws that two Cholesky recursions over
+    H = b^H b cannot rule out: the pivots give d <= ||b||_*, and a
+    positive definite x I - H proves the value below a threshold 2
+    SCREEN_MARGIN under the best of 16 probe estimates.  On random spectra
+    that rules out nearly all of a batch; flagged draws and draws with a
+    pivot at or below the floor are never ruled out (see SCREEN_MARGIN).
+    Draws within
     SCREEN_MARGIN of the batch's best estimate (about one in 4096) are
     rebuilt whole and scored by the exact 6 x 6 SVD; the largest of those
     is the answer, the same bit for bit as scoring every draw by SVD.  A

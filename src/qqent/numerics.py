@@ -281,6 +281,23 @@ def _haar_columns(g, k):
 #:   ~ 4e-8 at kappa = 1e5 (c < 120, see SCREEN_KAPPA).  The estimate also
 #:   counts members with p_j <= 1e-14, which the exact average drops; as
 #:   E(x) <= ||x||^2 that adds at most D * 1e-14.
+#:
+#: At r >= 3 the preconcurrence screen runs eigvalsh only on draws it cannot
+#: rule out.  With H = b^H b and its Cholesky pivots p_k (_cholesky_pivots),
+#: d = sum sqrt(p_k) is the trace of the factor C = W b (W unitary), so
+#: d <= ||b||_* and the value 2 sigma1 - ||b||_* is at most 2 sigma1 - d.
+#: Let L0 be an eigvalsh estimate of some unflagged draw of the batch and
+#: t = L0 - 2 SCREEN_MARGIN.  A draw whose pivots all pass and for which
+#: x I - H, x = ((t + d) / 2)^2, also passes is certified: sigma1 < (t + d) / 2,
+#: so its value is below t.  A recursion that runs to completion is exact for
+#: some H + E with ||E|| <= gamma_(r+1) r tr(H + E) (Demmel, SIAM J. Matrix
+#: Anal. Appl. 10, 1989), below ~1e-13 for both passes (tr H <= 1,
+#: tr(x I) <= 6 x, x < 3).  Eigenvalues move by at most ||E||, square roots
+#: by sqrt(||E||) ~ 3e-7, so the two passes miss their bounds by at most
+#: (r + 2) sqrt(||E||) ~ 3e-6 together: a pruned draw's estimate is below
+#: L0 - 2 SCREEN_MARGIN + 5e-6, more than SCREEN_MARGIN under the batch's
+#: best, and the rule above would not have kept it.  Flagged draws and draws
+#: with a pivot at or below the floor are never pruned.
 SCREEN_MARGIN = 1e-5
 
 #: Conditioning cap of the screens' Gram-Schmidt.  Classical Gram-Schmidt
@@ -326,3 +343,30 @@ def _gram_schmidt(g, r):
         qr[j], qi[j] = vr / norm, vi / norm
         prod_r *= norm
     return qr, qi, np.sqrt(np.einsum("pjin,pjin->n", a, a)) ** r / prod_r
+
+
+#: a pivot of _cholesky_pivots at or below this fails the recursion
+_PIVOT_FLOOR = 1e-12
+
+
+def _cholesky_pivots(hr, hi):
+    """Pivots of the unpivoted Cholesky recursion of the Hermitian matrices
+    hr + i hi, struct of arrays (r, r, N) with the draw axis last.
+
+    Returns the (r, N) pivots and, per draw, whether every pivot exceeds
+    _PIVOT_FLOOR, which certifies the matrix positive definite.  A failed
+    pivot is replaced by 1, so the rest of that draw's recursion stays
+    finite; its pivots mean nothing.  Overwrites both inputs.
+    """
+    r = hr.shape[0]
+    piv = np.empty(hr.shape[1:])
+    ok = np.ones(hr.shape[-1], dtype=bool)
+    for k in range(r):
+        ok &= hr[k, k] > _PIVOT_FLOOR
+        piv[k] = np.where(ok, hr[k, k], 1.0)
+        root = np.sqrt(piv[k])
+        lr, li = hr[k + 1:, k] / root, hi[k + 1:, k] / root
+        # trailing block minus l l^H
+        hr[k + 1:, k + 1:] -= lr[:, None] * lr + li[:, None] * li
+        hi[k + 1:, k + 1:] -= li[:, None] * lr - lr[:, None] * li
+    return piv, ok

@@ -345,6 +345,31 @@ class TestInputErrors:
             assert code == 2 and out == ""
             assert "InvalidState" in err
 
+    @pytest.mark.parametrize(
+        "dims, dim",
+        [([2.5, 3], 6), ([2.0, 3], 6), ([2, 3.0], 6), ([True, 3], 6), (["2", 3], 6),
+         ([2, "3"], 6), ([[2], 3], 6), ([2, 3, 1], 6), (None, 6), ("23", 6), ({"2": 3}, 6),
+         ([1, 4], 4), ([4, 1], 4), ([3, 2], 6), ([1, 6], 6), ([6, 1], 6), ([3, 3], 9),
+         ([2], 2), ([], 1)],
+    )
+    def test_unsupported_mode_dims_exit_2(self, tmp_path, capsys, dims, dim):
+        # only the JSON integers [2, 3] and [2, 2] are accepted, whatever the matrix
+        path = tmp_path / "dims.json"
+        matrix = [[1 / dim if i % (dim + 1) == 0 else 0.0, 0.0] for i in range(dim * dim)]
+        path.write_text(json.dumps({"mode_dims": dims, "matrix": matrix}))
+        for argv in (["measure", str(path)], ["ls", str(path)], ["sample", str(path), "--D", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert "InvalidState" in err and "[2, 3] or [2, 2]" in err, err
+
+    def test_two_qubit_state_still_measured(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        matrix = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+        path.write_text(json.dumps({"mode_dims": [2, 2], "matrix": matrix}))
+        code, out, _ = run(capsys, "measure", str(path))
+        assert code == 0
+        assert json.loads(out)["outputs"]["concurrence"] == 0.0
+
     def test_undecodable_state_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{}")

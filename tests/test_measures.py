@@ -304,6 +304,38 @@ def screen_spectrum(kind, rank, rng):
     return lam
 
 
+def unpruned_screen(g, root, r):
+    """The screen's estimate of every draw, none pruned; flagged draws exact."""
+    if r <= 2:
+        return measures._screened_preconcurrence(g, root, r)
+    qr, qi, kappa = measures._gram_schmidt(g, r)
+    est = measures._gram_estimates(*measures._block_gram(qr, qi, root, r))
+    flagged = kappa > measures.SCREEN_KAPPA
+    if flagged.any():
+        est[flagged] = measures._exact_preconcurrence(g[flagged], root)
+    return est
+
+
+def ill_conditioned_normals(rng, rank):
+    """A batch of normals in which draws 0-15 have one of the first `rank`
+    columns copy another plus 1e-9 noise, draws 16-31 have those columns a
+    rank-(rank-1) product plus 1e-9 noise, and the rest are plain Gaussian."""
+    g = rng.standard_normal((BATCH_SIZE, 2, 6, 6))
+    for n in range(32):
+        a = g[n, 0, :, :rank] + 1j * g[n, 1, :, :rank]
+        if n < 16 and rank > 1:
+            i, j = rng.choice(rank, 2, replace=False)
+            a[:, j] = a[:, i]
+        elif rank > 1:
+            b = rng.standard_normal((6, rank - 1)) + 1j * rng.standard_normal((6, rank - 1))
+            a = b @ (rng.standard_normal((rank - 1, rank)) + 0j)
+        else:
+            a = a * 1e-9  # a single column is never ill-conditioned
+        a = a + 1e-9 * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
+        g[n, 0, :, :rank], g[n, 1, :, :rank] = a.real, a.imag
+    return g
+
+
 def full_svd_preconcurrence(lam, samples, seed):
     """The pre-screen algorithm: every draw scored by its full 6 x 6 SVD."""
     root = np.sqrt(lam)
@@ -369,16 +401,21 @@ class TestSampledGenPreconcurrence:
         )
 
     def test_screen_error_below_margin(self):
-        # the margin argument: a screened value lies within 1e-6 of the exact one
+        # the margin argument: every draw's estimate lies within 1e-6 of its
+        # exact value, and the screen returns that estimate or, pruned, -inf
         rng = np.random.default_rng(21)
         for kind in SCREEN_SPECTRA:
             for rank in range(1, 7):
                 root = np.sqrt(screen_spectrum(kind, rank, rng))
                 r = int(np.flatnonzero(root)[-1]) + 1
                 g = rng.standard_normal((512, 2, 6, 6))
-                screened = measures._screened_preconcurrence(g, root, r)
+                estimates = unpruned_screen(g, root, r)
                 exact = measures._exact_preconcurrence(g, root)
-                assert np.max(np.abs(screened - exact)) < 1e-6
+                assert np.max(np.abs(estimates - exact)) < 1e-6
+                screened = measures._screened_preconcurrence(g, root, r)
+                kept = screened > -np.inf
+                assert (screened[kept] == estimates[kept]).all()
+                assert kept.all() or r >= 3
         assert 2e-6 < measures.SCREEN_MARGIN
 
     def test_flat_spectrum_skips_screen(self, monkeypatch):
@@ -395,24 +432,9 @@ class TestSampledGenPreconcurrence:
 
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_ill_conditioned_draws_scored_exactly(self, rank, monkeypatch):
-        # crafted normals: in draws 0-15 one of the first `rank` columns copies
-        # another plus 1e-9 noise; in draws 16-31 those columns are a rank-(rank-1)
-        # product plus 1e-9 noise; the rest are plain Gaussian
         rng = np.random.default_rng(40 + rank)
         root = np.sqrt(screen_spectrum("random", rank, rng))
-        g = rng.standard_normal((BATCH_SIZE, 2, 6, 6))
-        for n in range(32):
-            a = g[n, 0, :, :rank] + 1j * g[n, 1, :, :rank]
-            if n < 16 and rank > 1:
-                i, j = rng.choice(rank, 2, replace=False)
-                a[:, j] = a[:, i]
-            elif rank > 1:
-                b = rng.standard_normal((6, rank - 1)) + 1j * rng.standard_normal((6, rank - 1))
-                a = b @ (rng.standard_normal((rank - 1, rank)) + 0j)
-            else:
-                a = a * 1e-9  # a single column is never ill-conditioned
-            a = a + 1e-9 * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
-            g[n, 0, :, :rank], g[n, 1, :, :rank] = a.real, a.imag
+        g = ill_conditioned_normals(rng, rank)
         qr, qi, kappa = measures._gram_schmidt(g, rank)
         flagged = kappa > measures.SCREEN_KAPPA
         assert flagged[:32].all() if rank > 1 else not flagged.any()
@@ -428,11 +450,16 @@ class TestSampledGenPreconcurrence:
         )
         screened = measures._screened_preconcurrence(g, root, rank)
         assert sum(rows) == flagged.sum()
-        assert np.max(np.abs(screened - exact(g, root))) < 1e-6
+        assert (screened[flagged] == exact(g[flagged], root)).all()
+        # every other draw's estimate is within 1e-6, and pruned ones far below the best
+        estimates = unpruned_screen(g, root, rank)
+        assert np.max(np.abs(estimates - exact(g, root))) < 1e-6
+        pruned = screened == -np.inf
+        assert (estimates[pruned] < screened.max() - measures.SCREEN_MARGIN).all()
 
     def test_screen_calls_no_lapack_qr(self, monkeypatch):
         # outside the exact scoring of flagged draws the screen calls no QR,
-        # and for r <= 2 no np.linalg routine at all
+        # for r <= 2 no np.linalg routine at all, and for r >= 3 only eigvalsh
         calls, inside = [], []
 
         def recording(name, func):
@@ -462,7 +489,37 @@ class TestSampledGenPreconcurrence:
             calls.clear()
             measures._screened_preconcurrence(rng.standard_normal((4096, 2, 6, 6)), root, rank)
             assert "qr" not in calls
-            assert calls == ([] if rank <= 2 else ["eigvalsh"])
+            assert (calls == []) if rank <= 2 else (set(calls) == {"eigvalsh"})
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(SCREEN_SPECTRA + ("ill_conditioned",)),
+        rank=st.integers(3, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruning_keeps_every_candidate(self, kind, rank, seed):
+        # the draws the all-draws estimate keeps are exactly those the pruned
+        # screen keeps, so each is still scored exactly; on random spectra
+        # eigvalsh sees under a quarter of the batch
+        rng = np.random.default_rng(seed)
+        root = np.sqrt(screen_spectrum("random" if kind == "ill_conditioned" else kind, rank, rng))
+        if kind == "ill_conditioned":
+            g = ill_conditioned_normals(rng, rank)
+        else:
+            g = rng.standard_normal((BATCH_SIZE, 2, 6, 6))
+        r = int(np.flatnonzero(root)[-1]) + 1
+        rows, eigvalsh = [], np.linalg.eigvalsh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+            screened = measures._screened_preconcurrence(g, root, r)
+        estimates = unpruned_screen(g, root, r)
+        margin = measures.SCREEN_MARGIN
+        assert screened.max() == estimates.max()
+        assert ((screened > screened.max() - margin) == (estimates > estimates.max() - margin)).all()
+        kept = screened > -np.inf
+        assert (screened[kept] == estimates[kept]).all()
+        if kind == "random":
+            assert sum(rows) < BATCH_SIZE / 4, sum(rows)
 
     def test_near_flat_spectra_cost_no_more_than_full_svd(self, monkeypatch):
         # rows through the exact path, plus screened draws at the screen's
