@@ -280,14 +280,17 @@ def _pruned(hr, hi, live):
     d = sum sqrt(pivots of H) <= ||b||_*, and a passing recursion on
     x I - H, x = ((t + d) / 2)^2, certifies sigma1 < (t + d) / 2, so
     2 sigma1 - ||b||_* < t; see SCREEN_MARGIN for the rounding."""
-    piv, ok = _cholesky_pivots(hr.copy(), hi.copy())
+    ar, ai = hr.copy(), hi.copy()
+    piv, ok = _cholesky_pivots(ar, ai)
     d = np.sqrt(piv).sum(axis=0)
     diag = np.arange(hr.shape[0])
     lead = np.where(live, 2.0 * np.sqrt(hr[diag, diag].max(axis=0)) - d, -np.inf)
     probes = np.argpartition(lead, -_PROBES)[-_PROBES:]
     t = _gram_estimates(hr[..., probes], hi[..., probes]).max() - 2.0 * SCREEN_MARGIN
     ok &= t + d > 0.0
-    ar, ai = -hr, -hi
+    # the second pass reuses the first's buffers: fewer fresh batch-sized arrays
+    np.negative(hr, out=ar)
+    np.negative(hi, out=ai)
     ar[diag, diag] += np.where(ok, 0.5 * (t + d), 0.0) ** 2
     return ok & _cholesky_pivots(ar, ai)[1]
 

@@ -336,6 +336,15 @@ def ill_conditioned_normals(rng, rank):
     return g
 
 
+def near_tie_normals(rng, count=256):
+    """Normals whose unitaries are all within about 1e-4 of the identity:
+    the values lie within about 1e-7 of 2 lam1 - sum lam, and since b is
+    nearly diagonal the pruning certificate is tight (d ~ ||b||_*)."""
+    g = 1e-4 * rng.standard_normal((count, 2, 6, 6))
+    g[:, 0] += np.eye(6)
+    return g
+
+
 def full_svd_preconcurrence(lam, samples, seed):
     """The pre-screen algorithm: every draw scored by its full 6 x 6 SVD."""
     root = np.sqrt(lam)
@@ -493,18 +502,21 @@ class TestSampledGenPreconcurrence:
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
-        kind=st.sampled_from(SCREEN_SPECTRA + ("ill_conditioned",)),
+        kind=st.sampled_from(SCREEN_SPECTRA + ("ill_conditioned", "near_tie")),
         rank=st.integers(3, 6),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_pruning_keeps_every_candidate(self, kind, rank, seed):
         # the draws the all-draws estimate keeps are exactly those the pruned
         # screen keeps, so each is still scored exactly; on random spectra
-        # eigvalsh sees under a quarter of the batch
+        # eigvalsh sees under a quarter of the batch.  Near ties, where the
+        # certificate is tight, need the pruning threshold's margin.
         rng = np.random.default_rng(seed)
-        root = np.sqrt(screen_spectrum("random" if kind == "ill_conditioned" else kind, rank, rng))
+        root = np.sqrt(screen_spectrum(kind if kind in SCREEN_SPECTRA else "random", rank, rng))
         if kind == "ill_conditioned":
             g = ill_conditioned_normals(rng, rank)
+        elif kind == "near_tie":
+            g = near_tie_normals(rng)
         else:
             g = rng.standard_normal((BATCH_SIZE, 2, 6, 6))
         r = int(np.flatnonzero(root)[-1]) + 1
