@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 input validation,
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
@@ -32,6 +33,7 @@ from ._checks import (
 from .decompositions import _search_budget, _search_chunks
 from .errors import (
     FormError,
+    InvalidBudget,
     InvalidOutput,
     InvalidSeed,
     InvalidSpectrum,
@@ -83,18 +85,12 @@ def dumps_json(obj, indent=0):
     """Minimal JSON emitter with floats printed to 17 significant digits."""
     pad = " " * indent
     inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or isinstance(obj, (bool, str)):  # bool ahead of the int test
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -120,10 +116,6 @@ def matrix_to_wire(m):
     return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
 
 
-def ket_to_wire(k):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(k, dtype=complex)]
-
-
 def state_to_wire(rho, mode_dims):
     return {"mode_dims": list(mode_dims), "matrix": matrix_to_wire(rho)}
 
@@ -141,8 +133,9 @@ MODE_DIMS = ((2, 3), (2, 2))
 def state_from_wire(doc):
     """Parse a state document; accepts a record wrapping one under 'state'.
 
-    A document (or wrapped state) that is not a JSON object, or whose
-    mode_dims are not the JSON integers [2, 3] or [2, 2], raises InvalidState.
+    A document (or wrapped state) that is not a JSON object, whose
+    mode_dims are not the JSON integers [2, 3] or [2, 2], or whose matrix
+    holds a JSON true or false, raises InvalidState.
     """
     doc = _json_object(doc)
     if "state" in doc and "matrix" not in doc:
@@ -161,6 +154,8 @@ def state_from_wire(doc):
         entries = np.array(
             [complex(re, im) for re, im in doc["matrix"]], dtype=complex
         )
+        if any(type(v) is bool for pair in doc["matrix"] for v in pair):
+            raise TypeError("matrix entries must be numbers, not true or false")
         rho = entries.reshape(n1 * n2, n1 * n2)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidState(f"malformed state file: {exc}") from exc
@@ -289,15 +284,7 @@ def cmd_measure(args):
         "negativity": _negativity_unchecked(rho, dims),
     }
     if dims == (2, 3):
-        outputs["classification"] = {
-            "is_x": flags.is_x,
-            "is_tgx": flags.is_tgx,
-            "is_min_tgx": flags.is_min_tgx,
-            "is_min_sgx": flags.is_min_sgx,
-            "is_epu_min_tgx": flags.is_epu_min_tgx,
-            "is_mems_form": flags.is_mems_form,
-            "is_diagonal": flags.is_diagonal,
-        }
+        outputs["classification"] = dataclasses.asdict(flags)
         outputs["e_mems"] = _e_mems(lam)
         outputs["mems_entanglement"] = max(0.0, outputs["e_mems"])
         outputs["gen_concurrence_max"] = _gen_concurrence_max(lam)
@@ -366,7 +353,7 @@ def cmd_ls(args):
     outputs = {
         "p_e": dec.p_e,
         "xi": list(dec.xi),
-        "x_kets": [ket_to_wire(k) for k in dec.x_kets],
+        "x_kets": [matrix_to_wire(k) for k in dec.x_kets],
         "rho_e": state_to_wire(dec.rho_e, dims),
         "rho_s": state_to_wire(dec.rho_s, dims),
         "residuals": _ls_residuals(rho, dec, max(0.0, xi1 - xi2 - xi3 - xi4)),
@@ -523,7 +510,7 @@ def _run_suite(suite, trials, seed):
 
 def cmd_verify(args):
     if args.trials < 1:
-        raise InvalidState("trials must be >= 1")
+        raise InvalidBudget("trials must be >= 1")
     seed = _default_seed(args)
     ok, worst, detail = _run_suite(args.suite, args.trials, seed)
     status = "PASS" if ok else "FAIL"

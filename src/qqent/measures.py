@@ -21,8 +21,8 @@ from .numerics import (
     BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _cholesky_pivots, _gram_schmidt, _haar_columns,
     _haar_normals,
 )
-from .states import QUARTETS, ZERO_TOL, e_mems
-from .states import _check_angles, _classify, _physical_pair, DELTA_TOL
+from .states import QUARTETS, ZERO_TOL, build_alpha_beta, e_mems
+from .states import _classify, _physical_pair, DELTA_TOL
 
 #: QUARTETS as 0-based level indices, and the index grid of each quartet's 4x4 block.
 _QUARTET_IDX = tuple(tuple(k - 1 for k in q) for q in QUARTETS)
@@ -67,12 +67,7 @@ def concurrence_2x2(rho):
 
 
 def _require_x_form(rho):
-    bad = [
-        (i, j)
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if (i, j) not in ((0, 3), (1, 2)) and abs(rho[i, j]) > ZERO_TOL
-    ]
+    bad = [divmod(f, 4) for f in (1, 2, 7, 11) if abs(rho.item(f)) > ZERO_TOL]
     if bad:
         raise NotXForm(f"nonzero entries off the X pattern at {bad}")
 
@@ -172,18 +167,13 @@ def mems_entanglement(spectrum):
 
 
 def e_alpha_beta(spectrum, alpha, beta):
-    """I-concurrence of the two-angle minimal TGX family, closed form."""
-    lam = as_spectrum(spectrum, 6)
-    _check_angles(alpha, beta)
-    ca2, sa2 = np.cos(alpha) ** 2, np.sin(alpha) ** 2
-    cb2, sb2 = np.cos(beta) ** 2, np.sin(beta) ** 2
-    arg1 = (lam[0] - lam[4]) / 2 * np.sin(2 * alpha) - np.sqrt(
-        (lam[3] * cb2 + lam[5] * sb2) * (lam[3] * sb2 + lam[5] * cb2)
-    )
-    arg2 = (lam[3] - lam[5]) / 2 * np.sin(2 * beta) - np.sqrt(
-        (lam[0] * ca2 + lam[4] * sa2) * (lam[0] * sa2 + lam[4] * ca2)
-    )
-    return 2.0 * max(0.0, arg1, arg2)
+    """I-concurrence of the two-angle minimal TGX family: the minimal-TGX
+    closed form of build_alpha_beta's state, whose coherences
+    (lam1 - lam5)/2 sin 2alpha and (lam4 - lam6)/2 sin 2beta are the X-pair
+    entries of quartet {1,3,4,6}.  In the 1e-12 band above pi/2 that the
+    angle check admits, sin 2theta < 0 and the value is the built state's,
+    which takes each coherence by its modulus."""
+    return _min_tgx_i_concurrence(build_alpha_beta(spectrum, alpha, beta))
 
 
 def alpha_solve(spectrum, entanglement):

@@ -187,9 +187,6 @@ def takagi_symmetric(t):
 
 def _takagi_unchecked(t):
     """takagi_symmetric for a finite complex square matrix already known symmetric."""
-    n = t.shape[0]
-    if not np.any(np.abs(t) > 0.0):
-        return TakagiFactorization(unitary=np.eye(n, dtype=complex), values=np.zeros(n))
     if np.max(np.abs(t.imag)) <= REAL_SYMMETRIC_TOL:
         return _takagi_real(t.real)
     return _takagi_svd(t)

@@ -152,11 +152,7 @@ def _class_of(nz):
 
 def matched_sgx_templates(rho):
     """Indices (into quartets()) of the minimal SGX templates a state fits."""
-    return _matched_sgx(as_density_matrix(rho, dim=6))
-
-
-def _matched_sgx(rho):
-    return _sgx_matches(_offdiag_support(rho))
+    return _sgx_matches(_offdiag_support(as_density_matrix(rho, dim=6)))
 
 
 def _sgx_matches(nz):
@@ -165,15 +161,8 @@ def _sgx_matches(nz):
 
 def enumerate_lpus():
     """All 2! * 3! = 12 local-permutation unitaries as 6x6 0/1 matrices."""
-    out = []
-    for p1 in permutations(range(2)):
-        for p2 in permutations(range(3)):
-            m = np.zeros((6, 6))
-            for a in range(2):
-                for b in range(3):
-                    m[3 * p1[a] + p2[b], 3 * a + b] = 1.0
-            out.append(m)
-    return out
+    return [np.kron(np.eye(2)[:, p1], np.eye(3)[:, p2])
+            for p1 in permutations(range(2)) for p2 in permutations(range(3))]
 
 
 def me_tgx_states():
@@ -225,12 +214,6 @@ def _check_physical(e, cap, what="E"):
     if not -DELTA_TOL <= e <= cap + DELTA_TOL:
         raise UnphysicalEntanglement(f"{what}={e} outside [0, {cap}]")
     return min(max(float(e), 0.0), cap)
-
-
-def _check_angles(alpha, beta):
-    for name, ang in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 <= ang <= np.pi / 2 + DELTA_TOL:
-            raise AngleOutOfRange(f"{name}={ang} outside [0, pi/2]")
 
 
 def _state(diag, *coherences):
@@ -304,7 +287,9 @@ def build_alpha_beta(spectrum, alpha, beta):
     (alpha, beta) = (pi/4, 0) the result is exactly build_mems(spectrum).
     """
     l1, l2, l3, l4, l5, l6 = as_spectrum(spectrum, 6).tolist()
-    _check_angles(alpha, beta)
+    for name, ang in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= ang <= np.pi / 2 + DELTA_TOL:
+            raise AngleOutOfRange(f"{name}={ang} outside [0, pi/2]")
     ca2, sa2 = np.cos(alpha) ** 2, np.sin(alpha) ** 2
     cb2, sb2 = np.cos(beta) ** 2, np.sin(beta) ** 2
     return _state(

@@ -229,6 +229,12 @@ class TestSample:
             assert code == 2 and out == ""
             assert "InvalidBudget" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_verify_trials_exit_2(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "epu", "--trials", trials)
+        assert code == 2 and out == ""
+        assert "InvalidBudget" in err
+
     def test_non_integer_qq_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         path = write_fig2(tmp_path)
         monkeypatch.setenv("QQ_SEED", "abc")
@@ -335,7 +341,12 @@ class TestInputErrors:
          '{"mode_dims": [0, 0], "matrix": []}',
          pytest.param(json.dumps({"mode_dims": [-2, -3], "matrix": [[1 / 6 if i % 7 == 0 else 0, 0]
                                                                    for i in range(36)]}),
-                      id="negative-mode-dims")],
+                      id="negative-mode-dims"),
+         *(pytest.param(json.dumps({"mode_dims": [2, 3], "matrix": [
+             [1 / 6, 0] if i % 7 == 0 else pair for i in range(36)]}), id=f"bool-entry-{k}")
+           for k, pair in enumerate(([False, 0], [0, False]))),
+         pytest.param(json.dumps({"mode_dims": [2, 3], "matrix": [[True, 0]] + [[0, 0]] * 35}),
+                      id="bool-entry-true")],
     )
     def test_non_object_state_file_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"

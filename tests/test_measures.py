@@ -90,6 +90,12 @@ class TestXConcurrence:
         with pytest.raises(NotXForm):
             x_concurrence(rho)
 
+    def test_names_off_x_positions(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = rho[1, 0] = rho[2, 3] = rho[3, 2] = 0.05
+        with pytest.raises(NotXForm, match=r"at \[\(0, 1\), \(2, 3\)\]$"):
+            x_concurrence(rho)
+
 
 class TestQuartetXConcurrence:
     def test_bell_analog(self):
@@ -257,12 +263,16 @@ class TestAlphaBetaFamily:
 
     def test_matches_constructed_state(self):
         rng = np.random.default_rng(11)
-        for _ in range(50):
+        edge = (np.pi / 2, np.pi / 2 + 1e-12)
+        angles = [tuple(rng.uniform(0, np.pi / 2, size=2)) for _ in range(50)]
+        angles += [(e, rng.uniform(0, np.pi / 2)) for e in edge]
+        angles += [(rng.uniform(0, np.pi / 2), e) for e in edge] + [edge, edge[::-1]]
+        for a, b in angles:
             lam = random_spectrum(rng)
-            a, b = rng.uniform(0, np.pi / 2, size=2)
-            assert abs(
-                e_alpha_beta(lam, a, b) - min_tgx_i_concurrence(build_alpha_beta(lam, a, b))
-            ) < 1e-10
+            assert e_alpha_beta(lam, a, b) == min_tgx_i_concurrence(build_alpha_beta(lam, a, b))
+        # past pi/2 sin 2alpha < 0, and the coherence enters by its modulus
+        lam, a = (0.7, 0.3, 0, 0, 0, 0), np.pi / 2 + 1e-12
+        assert e_alpha_beta(lam, a, 0.0) == min_tgx_i_concurrence(build_alpha_beta(lam, a, 0.0)) > 0
 
     def test_alpha_solve_examples(self):
         assert abs(alpha_solve((1, 0, 0, 0, 0, 0), 1.0) - np.pi / 4) < 1e-12

@@ -153,7 +153,7 @@ class TestSupportMasks:
             nz = self.reference_support(rho)
             assert len(nz) == bin(pattern).count("1")
             assert states._classify(rho) == self.reference_class(nz), pattern
-            assert states._matched_sgx(rho) == [
+            assert states._sgx_matches(states._offdiag_support(rho)) == [
                 k for k, t in enumerate(states._MIN_SGX_TEMPLATES) if nz <= t
             ], pattern
 
