@@ -26,8 +26,15 @@ ANGLE_TOL = 1e-12
 SPECTRUM_MATCH_TOL = 1e-9
 
 
+def _as_array(values, dtype, error):
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError as exc:  # a Python int at or beyond 2**1024
+        raise error(f"entry outside the float range: {exc}") from exc
+
+
 def as_square_matrix(m, dim=None):
-    m = np.asarray(m, dtype=complex)
+    m = _as_array(m, complex, InvalidState)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise InvalidState(f"expected a non-empty square matrix, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
@@ -58,7 +65,7 @@ def density_and_eigvals(rho, dim=None):
 
 def as_spectrum(values, n):
     """Validate a descending, nonnegative spectrum summing to 1 (to 1e-12)."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = _as_array(values, float, InvalidSpectrum).reshape(-1)
     if arr.shape != (n,):
         raise InvalidSpectrum(f"expected {n} eigenvalues, got {arr.shape[0]}")
     vals = arr.tolist()
@@ -76,7 +83,7 @@ def as_spectrum(values, n):
 
 
 def as_unit_ket(psi, dim):
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = _as_array(psi, complex, InvalidState).reshape(-1)
     if psi.shape != (dim,):
         raise InvalidState(f"expected a {dim}-component ket, got {psi.shape[0]}")
     if not np.isfinite(psi).all():

@@ -135,7 +135,7 @@ def state_from_wire(doc):
 
     A document (or wrapped state) that is not a JSON object, whose
     mode_dims are not the JSON integers [2, 3] or [2, 2], or whose matrix
-    holds a JSON true or false, raises InvalidState.
+    holds true, false or an int beyond the float range, raises InvalidState.
     """
     doc = _json_object(doc)
     if "state" in doc and "matrix" not in doc:
@@ -157,7 +157,7 @@ def state_from_wire(doc):
         if any(type(v) is bool for pair in doc["matrix"] for v in pair):
             raise TypeError("matrix entries must be numbers, not true or false")
         rho = entries.reshape(n1 * n2, n1 * n2)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidState(f"malformed state file: {exc}") from exc
     return as_density_matrix(rho, dim=n1 * n2), (n1, n2)
 

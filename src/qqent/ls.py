@@ -24,16 +24,14 @@ from .states import (
     _cap_2x2,
     _check_physical,
     _class_of,
+    _coherent_quartet,
     _epu_core,
     _offdiag_support,
     _physical_pair,
     _sgx_matches,
 )
 
-#: Per quartet, in QUARTETS order (measures._GRID holds its 4x4 block's index
-#: grid): the flat indices of that block's twelve off-diagonal entries, and the
-#: index grid of the complement pair's 2x2 block.
-_OFFDIAG = tuple(np.array([6 * a + b for a in i for b in i if a != b]) for i in _QUARTET_IDX)
+#: Per quartet, in QUARTETS order: the index grid of the complement pair's 2x2 block.
 _COMPLEMENT_GRID = tuple(np.ix_(i, i) for i in (np.array(p) - 1 for p in COMPLEMENT_PAIRS))
 
 
@@ -204,28 +202,14 @@ def _ls_explicit(lam, e):
     )
 
 
-def _entanglement_quartet(rho, matched):
-    """Index (into QUARTETS) of the quartet hosting a minimal SGX state's coherence.
-
-    ``matched`` lists the templates the state fits.  Among them, one whose
-    quartet block is nondiagonal wins; a fully diagonal-compatible state
-    defaults to the canonical {1,3,4,6}.
-    """
-    flat = rho.ravel()
-    for k in matched:
-        if np.max(np.abs(flat[_OFFDIAG[k]])) > ZERO_TOL:
-            return k
-    return 1 if 1 in matched else matched[0]
-
-
 def _require_min_sgx(nz):
-    """Gate on the support mask ``nz``; returns the matched SGX templates."""
+    """Gate on the support mask ``nz``, returned unchanged."""
     flags = _class_of(nz)
     if not flags.is_min_sgx:
         if flags.is_tgx:
             raise AmbiguousQuartet("coherence spans more than one quartet")
         raise NotMinimalSGX("state is not in minimal SGX form")
-    return _sgx_matches(nz)
+    return nz
 
 
 def _subnormalized_quartet_vectors(rho, k):
@@ -256,7 +240,7 @@ def tau_matrix(rho, quartet):
     if quartet not in QUARTETS:
         raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
     k = QUARTETS.index(quartet)
-    if k not in _require_min_sgx(_offdiag_support(rho)):
+    if k not in _sgx_matches(_require_min_sgx(_offdiag_support(rho))):
         raise NotMinimalSGX(f"coherence is not confined to quartet {quartet}")
     return _tau(rho, k)[1]
 
@@ -273,7 +257,7 @@ def ls_numeric(rho):
 
 
 def _ls_numeric(rho):
-    k = _entanglement_quartet(rho, _require_min_sgx(_offdiag_support(rho)))
+    k = _coherent_quartet(_require_min_sgx(_offdiag_support(rho)))
     u, tau = _tau(rho, k)
     fact = _takagi_unchecked(tau)
     xi = fact.values

@@ -21,8 +21,8 @@ from .numerics import (
     BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _cholesky_pivots, _gram_schmidt, _haar_columns,
     _haar_normals,
 )
-from .states import QUARTETS, ZERO_TOL, build_alpha_beta, e_mems
-from .states import _classify, _physical_pair, DELTA_TOL
+from .states import DELTA_TOL, QUARTETS, ZERO_TOL, _class_of, _classify, _coherent_quartet
+from .states import _offdiag_support, _physical_pair, build_alpha_beta, e_mems
 
 #: QUARTETS as 0-based level indices, and the index grid of each quartet's 4x4 block.
 _QUARTET_IDX = tuple(tuple(k - 1 for k in q) for q in QUARTETS)
@@ -109,10 +109,7 @@ def quartet_x_concurrence(rho, quartet):
 
 def subspace_concurrence_vector(rho):
     """Concurrences of the three (unnormalized) quartet subspaces."""
-    return _subspace_concurrence_vector(as_density_matrix(rho, dim=6))
-
-
-def _subspace_concurrence_vector(rho):
+    rho = as_density_matrix(rho, dim=6)
     return np.array([_concurrence_block(rho[g]) for g in _GRID])
 
 
@@ -150,15 +147,18 @@ def _min_tgx_i_concurrence(rho):
 
 
 def min_sgx_i_concurrence(rho):
-    """I-concurrence of a minimal SGX state: infinity norm of the
-    subspace concurrence vector, with full (not X-shortcut) concurrences."""
+    """I-concurrence of a minimal SGX state: the full (not X-shortcut)
+    concurrence of its coherent quartet (``states._coherent_quartet``).  The
+    other two quartet blocks hold only qubit-local coherences |1,a><2,a|, so
+    they are block-diagonal in the qutrit, hence separable, with concurrence 0."""
     return _min_sgx_i_concurrence(as_density_matrix(rho, dim=6))
 
 
 def _min_sgx_i_concurrence(rho):
-    if not _classify(rho).is_min_sgx:
+    nz = _offdiag_support(rho)
+    if not _class_of(nz).is_min_sgx:
         raise NotMinimalSGX("state is not in minimal SGX form")
-    return float(_subspace_concurrence_vector(rho).max())
+    return _concurrence_block(rho[_GRID[_coherent_quartet(nz)]])
 
 
 def mems_entanglement(spectrum):

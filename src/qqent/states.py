@@ -70,6 +70,7 @@ _X6_MASK = _mask(_X6_POSITIONS)
 _SINGLE_MASKS = tuple(_BIT[p] for p in _TGX_POSITIONS)
 _MIN_TGX_MASKS = tuple(map(_mask, _MIN_TGX_TEMPLATES))
 _MIN_SGX_MASKS = tuple(map(_mask, _MIN_SGX_TEMPLATES))
+_QUARTET_MASKS = tuple(_mask(_dense_quartet_positions(q)) for q in QUARTETS)
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,14 @@ def matched_sgx_templates(rho):
 
 def _sgx_matches(nz):
     return [k for k, m in enumerate(_MIN_SGX_MASKS) if nz & ~m == 0]
+
+
+def _coherent_quartet(nz):
+    """Index (into QUARTETS) of the quartet holding a minimal SGX mask's coherence:
+    the first matched template whose quartet has a set bit, else {1,3,4,6}
+    if it matches, else the first match.  ``nz`` must match a template."""
+    matched = _sgx_matches(nz)
+    return next((k for k in matched if nz & _QUARTET_MASKS[k]), 1 if 1 in matched else matched[0])
 
 
 def enumerate_lpus():

@@ -27,8 +27,8 @@ from conftest import random_density, random_spectrum, rotated_min_sgx
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
-MATRIX_KINDS = ("nan", "inf", "non_hermitian", "trace", "negative", "shape", "empty")
-SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape")
+MATRIX_KINDS = ("nan", "inf", "non_hermitian", "trace", "negative", "shape", "empty", "overflow")
+SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape", "overflow")
 
 #: Public entry points taking a 2x3 density matrix; every bad kind is InvalidState.
 DENSITY_6 = {
@@ -99,6 +99,9 @@ def corrupt_matrix(rng, dim, kind):
     i, j = (int(k) for k in rng.integers(dim, size=2))
     if kind in ("nan", "inf"):
         rho[i, j] = float(kind)
+    elif kind == "overflow":  # a Python int beyond the float range
+        rho = rho.astype(object)
+        rho[i, j] = 2**1024
     elif kind == "non_hermitian":
         rho[i, (i + 1) % dim] += 1e-6
     elif kind == "trace":
@@ -113,6 +116,9 @@ def corrupt_spectrum(rng, n, kind):
     lam = random_spectrum(rng, n)
     if kind in ("nan", "inf"):
         lam[int(rng.integers(n))] = float(kind)
+    elif kind == "overflow":
+        lam = lam.astype(object)
+        lam[int(rng.integers(n))] = 2**1024
     elif kind == "unsorted":
         lam = lam[::-1]
     elif kind == "negative":

@@ -346,7 +346,10 @@ class TestInputErrors:
              [1 / 6, 0] if i % 7 == 0 else pair for i in range(36)]}), id=f"bool-entry-{k}")
            for k, pair in enumerate(([False, 0], [0, False]))),
          pytest.param(json.dumps({"mode_dims": [2, 3], "matrix": [[True, 0]] + [[0, 0]] * 35}),
-                      id="bool-entry-true")],
+                      id="bool-entry-true"),
+         *(pytest.param(json.dumps({"mode_dims": [2, 3], "matrix": [
+             [1 / 6, 0] if i % 7 == 0 else pair for i in range(36)]}), id=f"huge-int-{k}")
+           for k, pair in enumerate(([10**400, 0], [0, 10**400])))],
     )
     def test_non_object_state_file_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"

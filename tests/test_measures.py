@@ -29,8 +29,9 @@ from qqent.measures import (
     subspace_concurrence_vector,
     x_concurrence,
 )
-from qqent.numerics import BATCH_SIZE, haar_unitary
+from qqent.numerics import BATCH_SIZE, haar_unitary, partial_transpose_negativity
 from qqent.states import (
+    COMPLEMENT_PAIRS,
     ME_TUPLES,
     build_alpha_beta,
     build_epu_min_tgx,
@@ -238,6 +239,35 @@ class TestMinSgx:
     def test_gate(self):
         with pytest.raises(NotMinimalSGX):
             min_sgx_i_concurrence(random_density(np.random.default_rng(10), 6))
+
+    @staticmethod
+    def block_state(rng, k, rank):
+        """w * (rank-``rank`` state on quartet k) + (1 - w) * (state on its
+        complement pair): a minimal SGX state of template k."""
+        q, pair = (np.array(levels) - 1 for levels in (quartets()[k], COMPLEMENT_PAIRS[k]))
+        rho = np.zeros((6, 6), dtype=complex)
+        w = rng.uniform()
+        rho[np.ix_(q, q)] = w * random_density(rng, 4, rank)
+        rho[np.ix_(pair, pair)] = (1 - w) * random_density(rng, 2)
+        return rho
+
+    def test_evaluates_the_coherent_quartet(self):
+        """Exactly the coherent quartet's entry of the subspace vector: the
+        separable blocks' round-off never becomes the value."""
+        rng = np.random.default_rng(8)
+        for n in range(300):
+            rho = self.block_state(rng, n % 3, rank=3)
+            assert min_sgx_i_concurrence(rho) == subspace_concurrence_vector(rho)[n % 3], n
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_negativity_lower_bound(self, seed):
+        """E >= 2 N (Chen, Albeverio & Fei, PRL 95, 040504 (2005)) on
+        LPU-rotated minimal SGX states; the wrong quartet would give 0."""
+        rng = np.random.default_rng(seed)
+        u = enumerate_lpus()[int(rng.integers(12))]
+        rho = u @ self.block_state(rng, int(rng.integers(3)), rank=None) @ u.T
+        assert min_sgx_i_concurrence(rho) >= 2 * partial_transpose_negativity(rho) - 1e-13
 
 
 class TestSpectralMeasures:

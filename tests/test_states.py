@@ -153,9 +153,15 @@ class TestSupportMasks:
             nz = self.reference_support(rho)
             assert len(nz) == bin(pattern).count("1")
             assert states._classify(rho) == self.reference_class(nz), pattern
-            assert states._sgx_matches(states._offdiag_support(rho)) == [
-                k for k, t in enumerate(states._MIN_SGX_TEMPLATES) if nz <= t
-            ], pattern
+            mask = states._offdiag_support(rho)
+            matched = [k for k, t in enumerate(states._MIN_SGX_TEMPLATES) if nz <= t]
+            assert states._sgx_matches(mask) == matched, pattern
+            if matched:
+                # the first matched template whose quartet holds a support position
+                coherent = [k for k in matched
+                            if nz & states._dense_quartet_positions(states.QUARTETS[k])]
+                expected = (coherent or [1 if 1 in matched else matched[0]])[0]
+                assert states._coherent_quartet(mask) == expected, pattern
 
 
 class TestLPUs:
