@@ -46,6 +46,7 @@ from .errors import (
 )
 from .ls import _ls_explicit, _ls_numeric, ls_explicit
 from .measures import (
+    _concurrence_block,
     _gen_concurrence_max,
     _min_sgx_i_concurrence,
     _min_tgx_i_concurrence,
@@ -301,7 +302,7 @@ def cmd_measure(args):
         if purity >= 1.0 - PURITY_TOL:
             outputs["pure_i_concurrence"] = pure_i_concurrence(eig.vectors[:, 0])
     else:
-        outputs["concurrence"] = concurrence_2x2(rho)
+        outputs["concurrence"] = _concurrence_block(rho)
         try:
             outputs["x_concurrence"] = _x_concurrence(rho)
         except NotXForm:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._checks import as_density_matrix, as_spectrum
 from .errors import AmbiguousQuartet, InvalidQuartet, NotMinimalSGX
-from .measures import _GRID, _QUARTET_IDX, SPIN_FLIP_4
+from .measures import _GRID, _QUARTET_IDX, SPIN_FLIP_4, _block_tau
 from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_unchecked
 from .states import (
     COMPLEMENT_PAIRS,
@@ -33,15 +33,6 @@ from .states import (
 
 #: Per quartet, in QUARTETS order: the index grid of the complement pair's 2x2 block.
 _COMPLEMENT_GRID = tuple(np.ix_(i, i) for i in (np.array(p) - 1 for p in COMPLEMENT_PAIRS))
-
-
-def _embedded_spin_flip(grid):
-    s = np.zeros((6, 6))
-    s[grid] = SPIN_FLIP_4
-    return s
-
-
-_SPIN_FLIPS = tuple(map(_embedded_spin_flip, _GRID))
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,9 @@ def spin_flip_operator(quartet=(1, 3, 4, 6)):
     """The two-qubit spin flip embedded in a quartet, zero elsewhere."""
     if tuple(quartet) not in QUARTETS:
         raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
-    return _SPIN_FLIPS[QUARTETS.index(tuple(quartet))].copy()
+    s = np.zeros((6, 6))
+    s[_GRID[QUARTETS.index(tuple(quartet))]] = SPIN_FLIP_4
+    return s
 
 
 def _epu_xi(l1, l5, l4, l6, e):
@@ -212,21 +205,13 @@ def _require_min_sgx(nz):
     return nz
 
 
-def _subnormalized_quartet_vectors(rho, k):
-    """Four sqrt(eigenvalue)-weighted eigenvectors of quartet k's block,
-    0-embedded in the full space; zero rows pad ranks below 4."""
+def _tau(rho, k):
+    """_block_tau of quartet k's block in the canonical eigenbasis (the kets
+    are output), with u 0-embedded in the full space."""
     eig = _hermitian_eig_unchecked(rho[_GRID[k]])
     u = np.zeros((4, 6), dtype=complex)
-    for j in range(4):
-        if eig.values[j] > RANK_TOL:
-            u[j, _QUARTET_IDX[k]] = np.sqrt(eig.values[j]) * eig.vectors[:, j]
-    return u
-
-
-def _tau(rho, k):
-    u = _subnormalized_quartet_vectors(rho, k)
-    tau = u.conj() @ _SPIN_FLIPS[k] @ u.conj().T
-    return u, (tau + tau.T) / 2.0
+    u[:, _QUARTET_IDX[k]], tau = _block_tau(eig.values, eig.vectors)
+    return u, tau
 
 
 def tau_matrix(rho, quartet):

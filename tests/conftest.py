@@ -1,8 +1,14 @@
 """Shared random-input helpers for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
+from qqent.measures import SPIN_FLIP_4
 from qqent.numerics import haar_unitary
+
+# every property test is seeded: the same examples on every run
+settings.register_profile("seeded", derandomize=True, deadline=None)
+settings.load_profile("seeded")
 
 QUARTET_IDX = {
     (1, 2, 4, 5): np.array([0, 1, 3, 4]),
@@ -54,6 +60,15 @@ def rotated_min_sgx(base, unitary_seed):
     minimal SGX form."""
     big = quartet_embedded_unitary(haar_unitary(4, unitary_seed))
     return big @ base @ big.conj().T
+
+
+def concurrence_singular_values(block):
+    """Independent concurrence-singular-value oracle of a 4x4 block: raw eigh,
+    eigenvalues clipped at 0 (not cut at a rank tolerance), plain SVD of the
+    unsymmetrized spin-flip overlap tau_kl = <u_k|F|u_l*>; descending."""
+    w, v = np.linalg.eigh(block)
+    x = v * np.sqrt(np.clip(w, 0.0, None))
+    return np.linalg.svd(x.conj().T @ SPIN_FLIP_4 @ x.conj(), compute_uv=False)
 
 
 def brute_force_negativity(rho):

@@ -25,7 +25,7 @@ from qqent.errors import (
 
 from conftest import random_density, random_spectrum, rotated_min_sgx
 
-SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+SETTINGS = settings(max_examples=40)
 
 MATRIX_KINDS = ("nan", "inf", "non_hermitian", "trace", "negative", "shape", "empty", "overflow")
 SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape", "overflow")

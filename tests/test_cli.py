@@ -501,7 +501,7 @@ class TestVerify:
         ("ls", 200, 0, "9a63a5234365810e28e26ed668295d9b2e8c0705e4d6b39e8273468d61a21fd1"),
         ("ls", 200, 7, "cb31f98deedf49dd36307a39fcf5b1243508907ce5950c6979fce67a2edab3d4"),
         ("formulas", 200, 0, "c33480ab92ee5a8412df7bcf83646a07f404f67a76c2c2eeae2da1b24b6266aa"),
-        ("formulas", 200, 7, "e81b6c2dafaf3e1fa8e5352e78c58745a897cf86ad30cf83b45611bd75e3d83a"),
+        ("formulas", 200, 7, "98b423a37b458e1d90075157a1dd7aaaa73ba30f41ee2e0371a72df30c799ba5"),
         ("genconc", 5, 0, "ec3ba53b6d184adfe325b981d584c458ebff1af169772b5725889942a645f4a6"),
         ("genconc", 5, 7, "3fc2a10bf16c6fb9b0064114aea1511f14deb7812961832ebd7bbb0a56718eb7"),
     ])

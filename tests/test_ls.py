@@ -12,7 +12,6 @@ from qqent.ls import (
     xi_explicit_2x2,
 )
 from qqent.measures import (
-    _concurrence_singular_values,
     concurrence_2x2,
     min_sgx_i_concurrence,
     min_tgx_i_concurrence,
@@ -29,7 +28,12 @@ from qqent.states import (
     subspace_extract,
 )
 
-from conftest import random_density, random_spectrum, rotated_min_sgx
+from conftest import (
+    concurrence_singular_values,
+    random_density,
+    random_spectrum,
+    rotated_min_sgx,
+)
 
 
 def random_physical_pair(rng, rank=None):
@@ -155,7 +159,7 @@ class TestXiExplicit:
             lam, e = random_physical_pair(rng)
             rho, _ = build_epu_min_tgx(lam, e)
             block = subspace_extract(rho, (1, 3, 4, 6))
-            oracle = _concurrence_singular_values(block)
+            oracle = concurrence_singular_values(block)
             xi = xi_explicit(lam, e)
             assert np.max(np.abs(np.sort(oracle) - np.sort(xi))) < 1e-9
 
@@ -307,7 +311,7 @@ class TestTransplant2x2:
             c = rng.uniform() * cap
             xi = xi_explicit_2x2(lam, c)
             rho = build_epu_x_2x2(lam, c)
-            oracle = _concurrence_singular_values(rho)
+            oracle = concurrence_singular_values(rho)
             assert np.max(np.abs(np.sort(xi) - np.sort(oracle))) < 1e-9
             assert abs(max(0.0, xi[0] - xi[1] - xi[2] - xi[3]) - concurrence_2x2(rho)) < 1e-9
 
