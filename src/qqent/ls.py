@@ -207,10 +207,10 @@ def _require_min_sgx(nz):
 
 def _tau(rho, k):
     """_block_tau of quartet k's block in the canonical eigenbasis (the kets
-    are output), with u 0-embedded in the full space."""
+    are output), cut at RANK_TOL, with u 0-embedded in the full space."""
     eig = _hermitian_eig_unchecked(rho[_GRID[k]])
     u = np.zeros((4, 6), dtype=complex)
-    u[:, _QUARTET_IDX[k]], tau = _block_tau(eig.values, eig.vectors)
+    u[:, _QUARTET_IDX[k]], tau = _block_tau(eig.values, eig.vectors, RANK_TOL)
     return u, tau
 
 

@@ -18,8 +18,8 @@ from .errors import (
     NotXForm,
 )
 from .numerics import (
-    BATCH_SIZE, RANK_TOL, SCREEN_KAPPA, SCREEN_MARGIN, _cholesky_pivots, _gram_schmidt,
-    _haar_columns, _haar_normals,
+    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _cholesky_pivots, _gram_schmidt, _haar_columns,
+    _haar_normals,
 )
 from .states import DELTA_TOL, QUARTETS, ZERO_TOL, _class_of, _classify, _coherent_quartet
 from .states import _offdiag_support, _physical_pair, build_alpha_beta, e_mems
@@ -33,15 +33,18 @@ SPIN_FLIP_4 = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float
 )
 
+#: eigh round-off of a 4x4 block per unit of its top eigenvalue (<= 3.2 eps seen)
+_EIG_ROUNDOFF = 8 * np.finfo(float).eps
 
-def _block_tau(w, v):
+
+def _block_tau(w, v, cut):
     """Rows u_k = sqrt(w_k) v[:, k] of the eigenpairs (w, v) of a 4x4 block,
-    zero where w_k <= RANK_TOL, and the symmetrized spin-flip overlap
+    zero where w_k <= cut, and the symmetrized spin-flip overlap
     tau_kl = <u_k|F|u_l*>.  tau's singular (Takagi) values are the block's
     concurrence singular values; building them from u never squares the data,
     so near-zero values come out at machine precision."""
     u = np.zeros((4, 4), dtype=complex)
-    keep = w > RANK_TOL
+    keep = w > cut
     u[keep] = (v[:, keep] * np.sqrt(w[keep])).T
     tau = u.conj() @ SPIN_FLIP_4 @ u.conj().T
     return u, (tau + tau.T) / 2.0
@@ -49,20 +52,17 @@ def _block_tau(w, v):
 
 def _concurrence_block(block):
     """Concurrence max{0, xi1 - xi2 - xi3 - xi4} of a possibly subnormalized
-    4x4 block, from _block_tau of its raw eigh (the singular values do not
-    depend on the eigenbasis); eigenvalues at or below RANK_TOL are cut.
-
-    Degree-1 homogeneity makes renormalization unnecessary, and a
-    zero-trace block gives 0.
-    """
-    xi = np.linalg.svd(_block_tau(*np.linalg.eigh(block))[1], compute_uv=False)
+    4x4 block (degree-1 homogeneous; a zero block gives 0), from _block_tau of
+    its raw eigh, whose basis the values do not depend on.  Only eigh round-off
+    is cut: a real eigenvalue w, however small, adds about sqrt(w)."""
+    w, v = np.linalg.eigh(block)
+    xi = np.linalg.svd(_block_tau(w, v, _EIG_ROUNDOFF * max(w[-1], 0.0))[1], compute_uv=False)
     return float(max(0.0, xi[0] - xi[1] - xi[2] - xi[3]))
 
 
 def concurrence_2x2(rho):
     """Two-qubit concurrence max{0, xi1 - xi2 - xi3 - xi4}."""
-    rho = as_density_matrix(rho, dim=4)
-    return _concurrence_block(rho)
+    return _concurrence_block(as_density_matrix(rho, dim=4))
 
 
 def _require_x_form(rho):
@@ -148,7 +148,7 @@ def _min_tgx_i_concurrence(rho):
 def min_sgx_i_concurrence(rho):
     """I-concurrence of a minimal SGX state: the full (not X-shortcut)
     concurrence of its coherent quartet (``states._coherent_quartet``), with
-    the block's eigenvalues at or below RANK_TOL cut as in ls_numeric.  The
+    the block's eigh round-off eigenvalues cut (see _concurrence_block).  The
     other two quartet blocks hold only qubit-local coherences |1,a><2,a|, so
     they are block-diagonal in the qutrit, hence separable, with concurrence 0."""
     return _min_sgx_i_concurrence(as_density_matrix(rho, dim=6))

@@ -59,6 +59,12 @@ def bell_2x2():
     return np.outer(psi, psi)
 
 
+def small_eigenvalue_x_state(eps=5e-13):
+    """X state 1/2 |Phi+><Phi+| + (1/2 - eps)|01><01| + eps |10><10|."""
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    return 0.5 * np.outer(phi, phi) + np.diag([0.0, 0.5 - eps, eps, 0.0])
+
+
 class TestConcurrence2x2:
     def test_bell(self):
         assert abs(concurrence_2x2(bell_2x2()) - 1.0) < 1e-12
@@ -77,6 +83,9 @@ class TestConcurrence2x2:
         for _ in range(300):
             rho = random_x_state(rng)
             assert abs(concurrence_2x2(rho) - x_concurrence(rho)) < 1e-9
+        # a real eigenvalue 5e-13 adds sqrt-sized terms (C = 0.5 - 1e-6):
+        # only eigh round-off may be cut from tau, not RANK_TOL-sized values
+        assert abs(concurrence_2x2(small_eigenvalue_x_state()) - (0.5 - 1e-6)) < 1e-9
 
 
 class TestXConcurrence:
@@ -237,6 +246,10 @@ class TestMinSgx:
             xi = ls_numeric(rho).xi
             assert abs(val - e) < 1e-12, n
             assert abs(val - max(0.0, xi[0] - xi[1] - xi[2] - xi[3])) < 1e-13, n
+        # a minimal TGX state whose coherent block has the real eigenvalue 4.5e-13
+        rho = np.diag([0.0, 0.06, 0.0, 0.0, 0.04, 0.0]).astype(complex)
+        rho[np.ix_([0, 2, 3, 5], [0, 2, 3, 5])] += 0.9 * small_eigenvalue_x_state()
+        assert abs(min_sgx_i_concurrence(rho) - min_tgx_i_concurrence(rho)) < 1e-9
 
     def test_diagonal_zero(self):
         assert min_sgx_i_concurrence(np.diag([0.5, 0.2, 0.1, 0.1, 0.05, 0.05])) == 0.0
