@@ -58,7 +58,7 @@ from .measures import (
     sampled_gen_preconcurrence,
     x_concurrence,
 )
-from .numerics import _hermitian_eig_unchecked, _negativity_unchecked, hermitian_eig
+from .numerics import RANK_TOL, _hermitian_eig_unchecked, _negativity_unchecked, hermitian_eig
 from .states import (
     _cap_2x2,
     _check_physical,
@@ -275,7 +275,7 @@ def cmd_construct(args):
 def cmd_measure(args):
     rho, dims = _load_state(args.input)
     flags = _classify(rho) if dims == (2, 3) else None
-    eig = _hermitian_eig_unchecked(rho)
+    eig = _hermitian_eig_unchecked(rho, RANK_TOL)
     lam = np.clip(eig.values, 0.0, None)
     purity = float(np.trace(rho @ rho).real)
     outputs = {
@@ -317,7 +317,7 @@ def _ls_residuals(rho, dec, target):
     and the negativity of the separable remainder."""
     recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
     if dec.p_e > LS_WEIGHT_TOL:
-        top = _hermitian_eig_unchecked(dec.rho_e).vectors[:, 0]
+        top = _hermitian_eig_unchecked(dec.rho_e, RANK_TOL).vectors[:, 0]
         optimality = abs(dec.p_e * pure_i_concurrence(top) - target)
     else:
         optimality = abs(target)
@@ -336,7 +336,7 @@ def cmd_ls(args):
     if args.route == "explicit":
         if not _classify(rho).is_epu_min_tgx:
             raise NotMinimalTGX("explicit route requires the constructed single-coherence form")
-        eig = _hermitian_eig_unchecked(rho)
+        eig = _hermitian_eig_unchecked(rho, RANK_TOL)
         lam = np.clip(eig.values, 0.0, None)
         e = _min_tgx_i_concurrence(rho)
         e_phys = _check_physical(e, max(0.0, _e_mems(lam)))
@@ -373,7 +373,7 @@ def _formula_value(rho):
     if flags.is_min_sgx:
         return _min_sgx_i_concurrence(rho)
     if float(np.trace(rho @ rho).real) >= 1.0 - PURITY_TOL:
-        return pure_i_concurrence(_hermitian_eig_unchecked(rho).vectors[:, 0])
+        return pure_i_concurrence(_hermitian_eig_unchecked(rho, RANK_TOL).vectors[:, 0])
     return None
 
 
@@ -424,9 +424,10 @@ def cmd_sample(args):
 
 # -- verification suites ---------------------------------------------------
 
-def _random_spectrum(rng):
-    rank = int(rng.integers(1, 7))
-    lam = np.zeros(6)
+def _random_spectrum(rng, n=6, rank=None):
+    """n descending Dirichlet eigenvalues, zero past ``rank`` (drawn in 1..n if None)."""
+    rank = int(rng.integers(1, n + 1)) if rank is None else rank
+    lam = np.zeros(n)
     lam[:rank] = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
     return lam
 

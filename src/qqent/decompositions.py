@@ -60,7 +60,7 @@ def _spectral_factors(rho):
 
     ``rho`` must already have passed ``as_density_matrix``.
     """
-    eig = _hermitian_eig_unchecked(rho)
+    eig = _hermitian_eig_unchecked(rho, RANK_TOL)
     r = int(np.sum(eig.values > RANK_TOL))
     return np.sqrt(np.clip(eig.values[:r], 0.0, None)), eig.vectors[:, :r].T
 

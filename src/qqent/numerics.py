@@ -55,16 +55,21 @@ def _consecutive_clusters(vals, tol=DEGENERACY_TOL):
     return spans
 
 
-def _first_significant(vec):
-    sig = np.flatnonzero(np.abs(vec) > _SUPPORT_TOL)
-    return int(sig[0]) if sig.size else 0
+def _lead(v):
+    """Row and value of each column's first component above _SUPPORT_TOL
+    (row 0 if there is none)."""
+    idx = np.argmax(np.abs(v) > _SUPPORT_TOL, axis=0)
+    return idx, v[idx, np.arange(v.shape[1])]
 
 
-def _fix_phase(vec):
-    z = vec[_first_significant(vec)]
-    if abs(z) == 0.0:
-        return vec
-    return vec * (abs(z) / z)
+def _fix_phases(v):
+    """Each column of ``v`` (each with a component above _SUPPORT_TOL, as a
+    unit vector has) times the phase that makes its lead component real
+    positive, bit for bit as column by column: np.hypot rounds as abs() of one
+    complex number does, which np.abs's vector loop need not, and a 2-D phase
+    row keeps a 1 x 1 product on the loop that a column times a scalar takes."""
+    z = _lead(v)[1]
+    return v * (np.hypot(z.real, z.imag) / z)[None, :]
 
 
 def _canonical_subspace_basis(block):
@@ -90,14 +95,10 @@ def _canonical_subspace_basis(block):
             break
     if len(basis) < k:
         # projector too ill-conditioned to resolve; keep eigh's basis
-        return np.column_stack([_fix_phase(block[:, j]) for j in range(k)])
-    basis = [_fix_phase(b) for b in basis]
-
-    def key(b):
-        idx = _first_significant(b)
-        return (-abs(b[idx]), idx)
-
-    return np.column_stack(sorted(basis, key=key))
+        return _fix_phases(block)
+    basis = _fix_phases(np.column_stack(basis))
+    idx, z = _lead(basis)
+    return basis[:, np.lexsort((idx, -np.hypot(z.real, z.imag)))]
 
 
 def hermitian_eig(a):
@@ -114,16 +115,25 @@ def hermitian_eig(a):
     return _hermitian_eig_unchecked(a)
 
 
-def _hermitian_eig_unchecked(a):
-    """hermitian_eig for a finite complex square matrix already known Hermitian."""
+def _hermitian_eig_unchecked(a, cut=-np.inf):
+    """hermitian_eig for a finite complex square matrix already known Hermitian.
+
+    A caller that keeps only the values above ``cut`` passes it: the clusters
+    whose top value is at or below it keep eigh's columns, unphased.  Every
+    other column, a cluster that straddles the cut included, is hermitian_eig's.
+    """
     w, v = np.linalg.eigh(a)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
+    singles = []
     for lo, hi in _consecutive_clusters(w):
+        if w[lo] <= cut:
+            break
         if hi - lo > 1:
             v[:, lo:hi] = _canonical_subspace_basis(v[:, lo:hi])
         else:
-            v[:, lo] = _fix_phase(v[:, lo])
+            singles.append(lo)
+    v[:, singles] = _fix_phases(v[:, singles])
     return HermitianEig(values=w, vectors=v)
 
 
@@ -167,9 +177,10 @@ def _takagi_svd(t):
     for lo, hi in _consecutive_clusters(s, tol=_SV_GROUP_TOL):
         if s[lo] <= REAL_SYMMETRIC_TOL:
             q[lo:hi, lo:hi] = np.eye(hi - lo)
-        else:
-            z = a[:, lo:hi].T @ w[:, lo:hi]
-            q[lo:hi, lo:hi] = _sym_unitary_sqrt(z)
+        elif hi - lo > 1:
+            q[lo:hi, lo:hi] = _sym_unitary_sqrt(a[:, lo:hi].T @ w[:, lo:hi])
+        else:  # one phase, whose root needs no eigenbasis
+            q[lo:hi, lo:hi] = np.exp(0.5j * np.angle(a[:, lo:hi].T @ w[:, lo:hi]))
     return TakagiFactorization(unitary=a @ q.conj(), values=s.copy())
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import settings
 
+from qqent.cli import _random_spectrum as random_spectrum
 from qqent.measures import SPIN_FLIP_4
 from qqent.numerics import haar_unitary
 
@@ -15,13 +16,6 @@ QUARTET_IDX = {
     (1, 3, 4, 6): np.array([0, 2, 3, 5]),
     (2, 3, 5, 6): np.array([1, 2, 4, 5]),
 }
-
-
-def random_spectrum(rng, n=6, rank=None):
-    rank = int(rng.integers(1, n + 1)) if rank is None else rank
-    lam = np.zeros(n)
-    lam[:rank] = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
-    return lam
 
 
 def random_density(rng, dim, rank=None):
@@ -88,3 +82,96 @@ def reduction_purity_entanglement(psi):
     m = np.asarray(psi, dtype=complex).reshape(2, 3)
     red = m @ m.conj().T
     return float(np.sqrt(max(2.0 * (1.0 - np.trace(red @ red).real), 0.0)))
+
+
+# -- reference kernels: the earlier algorithms, kept to pin the fast ones ----
+
+_REF_SUPPORT_TOL = 1e-8
+
+
+def _ref_first_significant(vec):
+    sig = np.flatnonzero(np.abs(vec) > _REF_SUPPORT_TOL)
+    return int(sig[0]) if sig.size else 0
+
+
+def ref_fix_phase(vec):
+    """One column phase-fixed: first significant component real positive."""
+    z = vec[_ref_first_significant(vec)]
+    if abs(z) == 0.0:
+        return vec
+    return vec * (abs(z) / z)
+
+
+def _ref_canonical_subspace_basis(block):
+    n, k = block.shape
+    proj = block @ block.conj().T
+    basis = []
+    for j in range(n):
+        cand = proj[:, j].copy()
+        for b in basis:
+            cand -= b * np.vdot(b, cand)
+        norm = np.linalg.norm(cand)
+        if norm > _REF_SUPPORT_TOL:
+            basis.append(cand / norm)
+        if len(basis) == k:
+            break
+    if len(basis) < k:
+        return np.column_stack([ref_fix_phase(block[:, j]) for j in range(k)])
+    basis = [ref_fix_phase(b) for b in basis]
+
+    def key(b):
+        idx = _ref_first_significant(b)
+        return (-abs(b[idx]), idx)
+
+    return np.column_stack(sorted(basis, key=key))
+
+
+def _ref_clusters(vals, tol):
+    spans, lo = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or abs(vals[i] - vals[i - 1]) > tol:
+            spans.append((lo, i))
+            lo = i
+    return spans
+
+
+def ref_hermitian_eig(a):
+    """(values, vectors) of the full canonical eig: every cluster rebuilt,
+    every singleton phase-fixed column by column."""
+    w, v = np.linalg.eigh(a)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    for lo, hi in _ref_clusters(w, 1e-10):
+        if hi - lo > 1:
+            v[:, lo:hi] = _ref_canonical_subspace_basis(v[:, lo:hi])
+        else:
+            v[:, lo] = ref_fix_phase(v[:, lo])
+    return w, v
+
+
+def _ref_sym_unitary_sqrt(z):
+    z = (z + z.T) / 2.0
+    x, y = z.real, z.imag
+    wx, o = np.linalg.eigh(x)
+    for lo, hi in _ref_clusters(wx, 1e-8):
+        if hi - lo > 1:
+            sub = o[:, lo:hi]
+            _, p = np.linalg.eigh(sub.T @ y @ sub)
+            o[:, lo:hi] = sub @ p
+    theta = np.angle(np.diagonal(o.T @ z @ o))
+    return (o * np.exp(0.5j * theta)) @ o.T
+
+
+def ref_takagi_svd(t):
+    """(unitary, values) of the SVD Takagi route with the eigenbasis square
+    root on every singular-value cluster, 1x1 ones included."""
+    a, s, bh = np.linalg.svd(t)
+    w = bh.conj().T
+    n = t.shape[0]
+    q = np.zeros((n, n), dtype=complex)
+    for lo, hi in _ref_clusters(s, 1e-8):
+        if s[lo] <= 1e-12:
+            q[lo:hi, lo:hi] = np.eye(hi - lo)
+        else:
+            q[lo:hi, lo:hi] = _ref_sym_unitary_sqrt(a[:, lo:hi].T @ w[:, lo:hi])
+    return a @ q.conj(), s.copy()

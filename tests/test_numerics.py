@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqent.errors import InvalidState, NotHermitian, NotSymmetric
 from qqent.numerics import (
+    DEGENERACY_TOL,
+    RANK_TOL,
+    _fix_phases,
     _haar_columns,
+    _hermitian_eig_unchecked,
+    _takagi_svd,
     haar_unitary,
     hermitian_eig,
     partial_transpose_negativity,
@@ -13,7 +20,14 @@ from qqent.numerics import (
 )
 from qqent.states import build_mems
 
-from conftest import brute_force_negativity, random_density
+from conftest import (
+    brute_force_negativity,
+    random_density,
+    random_spectrum,
+    ref_fix_phase,
+    ref_hermitian_eig,
+    ref_takagi_svd,
+)
 
 
 class TestHermitianEig:
@@ -197,3 +211,131 @@ class TestHaar:
             haar_unitary(1, 0)
         with pytest.raises(ValueError):
             haar_unitary(9, 0)
+
+
+def same_bytes(x, y):
+    """Equal shape and bytes: -0.0 and 0.0 differ."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+HERMITIAN_KINDS = ("dense", "spectrum", "degenerate", "basis")
+
+
+def hermitian_case(seed, n, rank, kind):
+    """A Hermitian n x n matrix: ``dense`` Gaussian; ``spectrum`` a Dirichlet
+    spectrum of the given rank, Haar-rotated; ``degenerate`` the same with a
+    run of levels made equal; ``basis`` the spectrum on standard basis vectors
+    with phases, so eigenvectors hold exact zeros."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return a + a.conj().T
+    lam = random_spectrum(rng, n, min(rank, n))
+    if kind == "degenerate":
+        lo, hi = sorted(rng.choice(n + 1, size=2, replace=False))
+        lam[lo:hi] = lam[lo:hi].mean()
+    if kind == "basis":
+        u = np.eye(n)[rng.permutation(n)] * np.exp(2j * np.pi * rng.uniform(size=n))
+    else:
+        u = haar_unitary(n, rng)
+    return (u * lam) @ u.conj().T
+
+
+class TestEigKernelMatchesReference:
+    """The cluster-cut, vectorized eig kernel against the full canonical eig
+    with its per-column phase fix, compared bytewise."""
+
+    @settings(max_examples=300)
+    @given(seed=SEEDS, n=st.sampled_from([4, 6]), rank=st.integers(1, 6),
+           kind=st.sampled_from(HERMITIAN_KINDS))
+    def test_full_and_cut_forms(self, seed, n, rank, kind):
+        a = hermitian_case(seed, n, rank, kind)
+        w, v = ref_hermitian_eig(a)
+        full = hermitian_eig(a)
+        assert same_bytes(full.values, w) and same_bytes(full.vectors, v)
+        cut = _hermitian_eig_unchecked(a, RANK_TOL)
+        keep = w > RANK_TOL
+        assert same_bytes(cut.values, w)
+        assert same_bytes(cut.vectors[:, keep], v[:, keep])
+        if not keep.all():  # the clusters under the cut keep eigh's own columns
+            first = np.flatnonzero(~keep)[0]
+            if w[first - 1] - w[first] > DEGENERACY_TOL:
+                assert same_bytes(cut.vectors[:, first:], np.linalg.eigh(a)[1][:, ::-1][:, first:])
+
+    @settings(max_examples=200)
+    @given(seed=SEEDS, n=st.integers(1, 6), k=st.integers(1, 6))
+    def test_fix_phases(self, seed, n, k):
+        # unit columns with components at all scales, some below the support
+        # cut, some 0 or -0.0, some real
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        v *= 10.0 ** rng.integers(-10, 2, size=(n, k))
+        v[rng.uniform(size=(n, k)) < 0.2] = complex(0.0, -0.0)
+        v[rng.uniform(size=(n, k)) < 0.2] = complex(-0.0, 0.0)
+        if rng.uniform() < 0.2:
+            v = v.real + 0.0j
+        v[rng.integers(n, size=k), np.arange(k)] += 1.0  # no zero column
+        v /= np.linalg.norm(v, axis=0)
+        ref = np.column_stack([ref_fix_phase(v[:, j]) for j in range(k)])
+        assert same_bytes(_fix_phases(v), ref)
+        assert same_bytes(_fix_phases(v[:, ::-1]), ref[:, ::-1])  # a strided view
+
+    def test_straddling_cluster_is_rebuilt_whole(self):
+        # eigenvalues 3e-11 and 0: one cluster at DEGENERACY_TOL, on both sides of RANK_TOL
+        u = haar_unitary(4, 2024)
+        a = (u * np.array([0.6, 0.4 - 3e-11, 3e-11, 0.0])) @ u.conj().T
+        w, v = ref_hermitian_eig(a)
+        assert w[2] > RANK_TOL >= w[3] and w[2] - w[3] <= DEGENERACY_TOL
+        cut = _hermitian_eig_unchecked(a, RANK_TOL)
+        assert same_bytes(cut.vectors[:, 2], v[:, 2])
+        assert same_bytes(cut.vectors[:, 2:], v[:, 2:])
+        # a phase fix of eigh's own column would not give the kept column
+        raw = ref_fix_phase(np.linalg.eigh(a)[1][:, ::-1][:, 2])
+        assert not np.allclose(raw, v[:, 2], atol=1e-6)
+
+
+TAU_KINDS = ("generic", "zero", "two_zero", "repeated_top", "repeated_low", "repeated_zero")
+
+
+def tau_case(seed, kind):
+    """A complex symmetric 4x4 W diag(s) W^T with a zero or repeated singular pair."""
+    rng = np.random.default_rng(seed)
+    s = np.sort(rng.uniform(0.05, 1.0, size=4))[::-1]
+    if kind == "zero":
+        s[3] = 0.0
+    elif kind == "two_zero":
+        s[2:] = 0.0
+    elif kind == "repeated_top":
+        s[1] = s[0]
+    elif kind == "repeated_low":
+        s[2] = s[1]
+    elif kind == "repeated_zero":
+        s[1], s[2:] = s[0], 0.0
+    w = haar_unitary(4, rng)
+    t = (w * s) @ w.T
+    return (t + t.T) / 2.0
+
+
+class TestTakagiKernelMatchesReference:
+    """The SVD Takagi route with the closed-form 1x1 root against the
+    eigenbasis square root on every cluster, compared bytewise."""
+
+    @settings(max_examples=300)
+    @given(seed=SEEDS, kind=st.sampled_from(TAU_KINDS))
+    def test_unitary_and_values(self, seed, kind):
+        t = tau_case(seed, kind)
+        u, s = ref_takagi_svd(t)
+        fact = _takagi_svd(t)
+        assert same_bytes(fact.values, s) and same_bytes(fact.unitary, u)
+
+    @pytest.mark.parametrize("z", [complex(x, y) for x in (1.0, -1.0) for y in (0.0, -0.0)]
+                             + [complex(x, y) for x in (0.0, -0.0) for y in (1.0, -1.0)])
+    def test_signed_zero_phases(self, monkeypatch, z):
+        # a 1x1 SVD whose a^T w is an exact real or imaginary phase, with
+        # signed zeros in the factors
+        factors = (np.array([[z]]), np.array([1.0]), np.array([[complex(1.0, -0.0)]]))
+        monkeypatch.setattr(np.linalg, "svd", lambda t: factors)
+        u, s = ref_takagi_svd(np.array([[z]]))
+        fact = _takagi_svd(np.array([[z]]))
+        assert same_bytes(fact.values, s) and same_bytes(fact.unitary, u)
