@@ -314,7 +314,8 @@ def cmd_measure(args):
 
 def _ls_residuals(rho, dec, target):
     """Residuals of the LS split ``dec`` of ``rho``: reconstruction, |p_E E(rho_E) - target|
-    and the negativity of the separable remainder."""
+    with ``target`` an independent value of rho's I-concurrence (the split's
+    own xi would move with it), and the negativity of the separable remainder."""
     recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
     if dec.p_e > LS_WEIGHT_TOL:
         top = _hermitian_eig_unchecked(dec.rho_e, RANK_TOL).vectors[:, 0]
@@ -349,15 +350,15 @@ def cmd_ls(args):
         inputs = {"route": "explicit", "spectrum": list(eig.values), "entanglement": e}
     else:
         dec = _ls_numeric(rho)
+        e = _min_sgx_i_concurrence(rho)
         inputs = {"route": "numeric"}
-    xi1, xi2, xi3, xi4 = dec.xi
     outputs = {
         "p_e": dec.p_e,
         "xi": list(dec.xi),
         "x_kets": [matrix_to_wire(k) for k in dec.x_kets],
         "rho_e": state_to_wire(dec.rho_e, dims),
         "rho_s": state_to_wire(dec.rho_s, dims),
-        "residuals": _ls_residuals(rho, dec, max(0.0, xi1 - xi2 - xi3 - xi4)),
+        "residuals": _ls_residuals(rho, dec, e),
     }
     if dec.n1 is not None:
         outputs["n1"] = dec.n1

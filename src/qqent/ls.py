@@ -206,11 +206,11 @@ def _require_min_sgx(nz):
 
 
 def _tau(rho, k):
-    """_block_tau of quartet k's block in the canonical eigenbasis (the kets
-    are output), cut at RANK_TOL, with u 0-embedded in the full space."""
+    """_block_tau of quartet k's block, with u 0-embedded in the full space.
+    The eigenbasis is canonical above RANK_TOL, since the kets are output."""
     eig = _hermitian_eig_unchecked(rho[_GRID[k]], RANK_TOL)
     u = np.zeros((4, 6), dtype=complex)
-    u[:, _QUARTET_IDX[k]], tau = _block_tau(eig.values, eig.vectors, RANK_TOL)
+    u[:, _QUARTET_IDX[k]], tau = _block_tau(eig.values, eig.vectors)
     return u, tau
 
 
@@ -218,7 +218,8 @@ def tau_matrix(rho, quartet):
     """Spin-flip overlap matrix tau_kl = <u_k|S|u_l*> of the quartet block.
 
     Always 4x4 and complex symmetric; its Takagi values are the concurrence
-    singular values of the (unnormalized) quartet subspace.
+    singular values of the (unnormalized) quartet subspace.  Rows come from the
+    canonical eigenbasis, not eigh's raw one, so entries match the closed form.
     """
     rho = as_density_matrix(rho, dim=6)
     quartet = tuple(quartet)

@@ -37,14 +37,15 @@ SPIN_FLIP_4 = np.array(
 _EIG_ROUNDOFF = 8 * np.finfo(float).eps
 
 
-def _block_tau(w, v, cut):
-    """Rows u_k = sqrt(w_k) v[:, k] of the eigenpairs (w, v) of a 4x4 block,
-    zero where w_k <= cut, and the symmetrized spin-flip overlap
-    tau_kl = <u_k|F|u_l*>.  tau's singular (Takagi) values are the block's
-    concurrence singular values; building them from u never squares the data,
-    so near-zero values come out at machine precision."""
+def _block_tau(w, v):
+    """Rows u_k = sqrt(w_k) v[:, k] of the eigenpairs (w, v, sorted either way)
+    of a 4x4 block, zero where w_k is eigh round-off (<= _EIG_ROUNDOFF times
+    the top one), and the symmetrized spin-flip overlap tau_kl = <u_k|F|u_l*>.
+    tau's singular (Takagi) values are the block's concurrence singular values;
+    building them from u never squares the data, so they come out at machine
+    precision and a real w_k, however small, adds about sqrt(w_k)."""
     u = np.zeros((4, 4), dtype=complex)
-    keep = w > cut
+    keep = w > _EIG_ROUNDOFF * max(w[0], w[-1], 0.0)
     u[keep] = (v[:, keep] * np.sqrt(w[keep])).T
     tau = u.conj() @ SPIN_FLIP_4 @ u.conj().T
     return u, (tau + tau.T) / 2.0
@@ -53,10 +54,8 @@ def _block_tau(w, v, cut):
 def _concurrence_block(block):
     """Concurrence max{0, xi1 - xi2 - xi3 - xi4} of a possibly subnormalized
     4x4 block (degree-1 homogeneous; a zero block gives 0), from _block_tau of
-    its raw eigh, whose basis the values do not depend on.  Only eigh round-off
-    is cut: a real eigenvalue w, however small, adds about sqrt(w)."""
-    w, v = np.linalg.eigh(block)
-    xi = np.linalg.svd(_block_tau(w, v, _EIG_ROUNDOFF * max(w[-1], 0.0))[1], compute_uv=False)
+    its raw eigh, whose basis the values do not depend on."""
+    xi = np.linalg.svd(_block_tau(*np.linalg.eigh(block))[1], compute_uv=False)
     return float(max(0.0, xi[0] - xi[1] - xi[2] - xi[3]))
 
 

@@ -1,9 +1,10 @@
 """Dense complex matrix kernel for dimensions up to 8.
 
 Hermitian eigendecomposition with a deterministic ordering rule, Takagi
-factorization of complex symmetric matrices, the partial-transpose
-separability witness for qubit-qutrit states, and Haar-random unitary
-sampling.  Everything is plain numpy on small dense arrays.
+factorization of complex symmetric matrices (null-space columns are a
+deterministic orthonormal completion), the partial-transpose separability
+witness for qubit-qutrit states, and Haar-random unitary sampling.
+Everything is plain numpy on small dense arrays.
 """
 
 from dataclasses import dataclass
@@ -17,10 +18,6 @@ HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 REAL_SYMMETRIC_TOL = 1e-12
 _SUPPORT_TOL = 1e-8
-_SV_GROUP_TOL = 1e-8
-#: eigenvalues of Re(z) this close form one block that _sym_unitary_sqrt
-#: splits by Im(z)
-_REAL_PART_GROUP_TOL = 1e-8
 HAAR_MAX_DIM = 8
 #: eigenvalues above this count toward a state's rank
 RANK_TOL = 1e-12
@@ -44,12 +41,12 @@ class TakagiFactorization:
     values: np.ndarray
 
 
-def _consecutive_clusters(vals, tol=DEGENERACY_TOL):
-    """Spans (lo, hi) of consecutive entries closer than ``tol``."""
+def _consecutive_clusters(vals):
+    """Spans (lo, hi) of consecutive entries closer than DEGENERACY_TOL."""
     spans = []
     lo = 0
     for i in range(1, len(vals) + 1):
-        if i == len(vals) or abs(vals[i] - vals[i - 1]) > tol:
+        if i == len(vals) or abs(vals[i] - vals[i - 1]) > DEGENERACY_TOL:
             spans.append((lo, i))
             lo = i
     return spans
@@ -148,47 +145,33 @@ def _takagi_real(t):
     return TakagiFactorization(unitary=u[:, order], values=vals[order])
 
 
-def _sym_unitary_sqrt(z):
-    """Symmetric principal square root of a symmetric unitary matrix.
-
-    Re(z) and Im(z) are commuting real symmetric matrices; a common
-    orthogonal eigenbasis turns z into unit-modulus phases whose half-angles
-    give the root.
-    """
-    z = (z + z.T) / 2.0
-    x, y = z.real, z.imag
-    wx, o = np.linalg.eigh(x)
-    for lo, hi in _consecutive_clusters(wx, tol=_REAL_PART_GROUP_TOL):
-        if hi - lo > 1:
-            sub = o[:, lo:hi]
-            _, p = np.linalg.eigh(sub.T @ y @ sub)
-            o[:, lo:hi] = sub @ p
-    theta = np.angle(np.diagonal(o.T @ z @ o))
-    return (o * np.exp(0.5j * theta)) @ o.T
-
-
-def _takagi_svd(t):
-    # SVD route for genuinely complex symmetric input; degenerate singular
-    # values are handled group-wise with a symmetric matrix square root
-    a, s, bh = np.linalg.svd(t)
-    w = bh.conj().T
+def _takagi_embedded(t):
+    """Takagi factorization of a complex symmetric T = A + iB from the real
+    symmetric M = [[A, B], [B, -A]] (Horn & Johnson, Matrix Analysis, 2nd ed.,
+    sec. 4.4).  M [x; y] = s [x; y] says T conj(u) = s u for u = x + iy, and
+    [x; y] -> [-y; x] maps M's +s eigenspace onto its -s one, so any
+    orthonormal top-n eigenvectors give orthonormal u, degenerate s included.
+    Only T's null space, where +0 and -0 mix, is completed: by the kernel of
+    the projector on the columns kept above REAL_SYMMETRIC_TOL."""
     n = t.shape[0]
-    q = np.zeros((n, n), dtype=complex)
-    for lo, hi in _consecutive_clusters(s, tol=_SV_GROUP_TOL):
-        if s[lo] <= REAL_SYMMETRIC_TOL:
-            q[lo:hi, lo:hi] = np.eye(hi - lo)
-        elif hi - lo > 1:
-            q[lo:hi, lo:hi] = _sym_unitary_sqrt(a[:, lo:hi].T @ w[:, lo:hi])
-        else:  # one phase, whose root needs no eigenbasis
-            q[lo:hi, lo:hi] = np.exp(0.5j * np.angle(a[:, lo:hi].T @ w[:, lo:hi]))
-    return TakagiFactorization(unitary=a @ q.conj(), values=s.copy())
+    m = np.empty((2 * n, 2 * n))
+    m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:] = t.real, t.imag, t.imag, -t.real
+    w, v = np.linalg.eigh(m)
+    w, v = w[n:][::-1], v[:, n:][:, ::-1]
+    u = v[:n] + 1j * v[n:]
+    k = np.count_nonzero(w > REAL_SYMMETRIC_TOL)
+    if k < n:
+        u[:, k:] = np.linalg.eigh(u[:, :k] @ u[:, :k].conj().T)[1][:, :n - k]
+    return TakagiFactorization(unitary=u, values=np.maximum(w, 0.0))
 
 
 def takagi_symmetric(t):
     """Autonne-Takagi factorization T = U diag(d) U^T of a complex symmetric T.
 
     Returns a unitary U and nonnegative values d sorted descending; the
-    values equal the singular values of T as a multiset.
+    values equal the singular values of T as a multiset.  For complex T, U's
+    columns for values at or below 1e-12 are a deterministic orthonormal
+    completion; in a degenerate cluster U is one Takagi basis of many.
     """
     t = as_square_matrix(t)
     if np.max(np.abs(t - t.T)) > HERMITICITY_TOL:
@@ -200,7 +183,7 @@ def _takagi_unchecked(t):
     """takagi_symmetric for a finite complex square matrix already known symmetric."""
     if np.max(np.abs(t.imag)) <= REAL_SYMMETRIC_TOL:
         return _takagi_real(t.real)
-    return _takagi_svd(t)
+    return _takagi_embedded(t)
 
 
 def _negativity_unchecked(rho, dims=(2, 3)):

@@ -65,6 +65,17 @@ def concurrence_singular_values(block):
     return np.linalg.svd(x.conj().T @ SPIN_FLIP_4 @ x.conj(), compute_uv=False)
 
 
+def ls_round_off_tail_state(w):
+    """0.9 (1/2 |Phi+><Phi+| + (1/2 - w) |01><01| + w |10><10|) on quartet
+    {1,3,4,6}, plus 0.06 |2><2| + 0.04 |5><5|: a real block eigenvalue w
+    below RANK_TOL that is still worth about sqrt(w) of concurrence."""
+    rho = np.zeros((6, 6))
+    rho[np.ix_([0, 5], [0, 5])] = 0.9 * 0.25
+    rho[2, 2], rho[3, 3] = 0.9 * (0.5 - w), 0.9 * w
+    rho[1, 1], rho[4, 4] = 0.06, 0.04
+    return rho
+
+
 def brute_force_negativity(rho):
     """Independent partial-transpose oracle via explicit index loops."""
     pt = np.zeros((6, 6), dtype=complex)
@@ -147,31 +158,3 @@ def ref_hermitian_eig(a):
         else:
             v[:, lo] = ref_fix_phase(v[:, lo])
     return w, v
-
-
-def _ref_sym_unitary_sqrt(z):
-    z = (z + z.T) / 2.0
-    x, y = z.real, z.imag
-    wx, o = np.linalg.eigh(x)
-    for lo, hi in _ref_clusters(wx, 1e-8):
-        if hi - lo > 1:
-            sub = o[:, lo:hi]
-            _, p = np.linalg.eigh(sub.T @ y @ sub)
-            o[:, lo:hi] = sub @ p
-    theta = np.angle(np.diagonal(o.T @ z @ o))
-    return (o * np.exp(0.5j * theta)) @ o.T
-
-
-def ref_takagi_svd(t):
-    """(unitary, values) of the SVD Takagi route with the eigenbasis square
-    root on every singular-value cluster, 1x1 ones included."""
-    a, s, bh = np.linalg.svd(t)
-    w = bh.conj().T
-    n = t.shape[0]
-    q = np.zeros((n, n), dtype=complex)
-    for lo, hi in _ref_clusters(s, 1e-8):
-        if s[lo] <= 1e-12:
-            q[lo:hi, lo:hi] = np.eye(hi - lo)
-        else:
-            q[lo:hi, lo:hi] = _ref_sym_unitary_sqrt(a[:, lo:hi].T @ w[:, lo:hi])
-    return a @ q.conj(), s.copy()

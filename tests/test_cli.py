@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from qqent import cli
+from qqent import ls as ls_module
 from qqent.cli import _parse_spectrum, main, state_from_wire
 from qqent.decompositions import average_entanglement, decompose
 from qqent.errors import InvalidSpectrum
-from qqent.numerics import haar_unitary
+from qqent.measures import SPIN_FLIP_4
+from qqent.numerics import RANK_TOL, haar_unitary
 
 FIG2_ARGS = ["construct", "epu-min-tgx", "--spectrum", "0.7,0.3,0,0,0,0",
              "--entanglement", "0.693"]
@@ -157,6 +159,31 @@ class TestLsCommand:
         code, out, _ = run(capsys, "ls", str(path), "--route", "numeric")
         assert code == 0
         assert json.loads(out)["outputs"]["p_e"] == 0
+
+    def test_numeric_optimality_is_independent_of_the_split(self, tmp_path, capsys, monkeypatch):
+        # a split that drops the block eigenvalue w = 5e-13 (the cut at RANK_TOL)
+        # misses sqrt(w) of concurrence; its own xi would hide that
+        from conftest import ls_round_off_tail_state
+
+        rho = ls_round_off_tail_state(5e-13)
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"mode_dims": [2, 3],
+                                    "matrix": [[z, 0.0] for z in rho.reshape(-1).tolist()]}))
+        argv = ("ls", str(path), "--route", "numeric")
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)["outputs"]["residuals"]["optimality"] < 1e-10
+        block_tau = ls_module._block_tau
+
+        def rank_tol_cut(w, v):
+            u = block_tau(w, v)[0]
+            u[w <= RANK_TOL] = 0.0
+            tau = u.conj() @ SPIN_FLIP_4 @ u.conj().T
+            return u, (tau + tau.T) / 2.0
+
+        monkeypatch.setattr(ls_module, "_block_tau", rank_tol_cut)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["outputs"]["residuals"]["optimality"] > 1e-7
 
     def test_form_precondition_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

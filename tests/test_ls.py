@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qqent.errors import AmbiguousQuartet, InvalidQuartet, NotMinimalSGX
 from qqent.ls import (
@@ -19,6 +21,9 @@ from qqent.measures import (
 )
 from qqent.numerics import _negativity_unchecked, hermitian_eig
 from qqent.states import (
+    QUARTETS,
+    _coherent_quartet,
+    _offdiag_support,
     build_epu_min_tgx,
     build_epu_x_2x2,
     build_mems,
@@ -30,6 +35,7 @@ from qqent.states import (
 
 from conftest import (
     concurrence_singular_values,
+    ls_round_off_tail_state,
     random_density,
     random_spectrum,
     rotated_min_sgx,
@@ -300,6 +306,52 @@ class TestLsNumeric:
         tgx[0, 5] = tgx[5, 0] = 0.05
         with pytest.raises(AmbiguousQuartet):
             ls_numeric(tgx)
+
+
+class TestLsNumericRoundOffCut:
+    @pytest.mark.parametrize("w", [5e-13, 1e-13])
+    def test_eigenvalue_below_rank_tol_counts(self, w):
+        rho = ls_round_off_tail_state(w)
+        dec = ls_numeric(rho)
+        ref = min_tgx_i_concurrence(rho)
+        xi1, xi2, xi3, xi4 = dec.xi
+        assert abs(max(0.0, xi1 - xi2 - xi3 - xi4) - ref) < 1e-10
+        assert abs(entangled_part_value(dec) - ref) < 1e-10
+
+
+def contract_state(seed, family, rank):
+    """A minimal SGX state: an EPU state (xi3 = xi4), an LPU-rotated one, or
+    its quartet Haar-rotated into dense minimal SGX form."""
+    rng = np.random.default_rng(seed)
+    rho, _ = build_epu_min_tgx(*random_physical_pair(rng, rank))
+    if family == "lpu":
+        u = enumerate_lpus()[int(rng.integers(12))]
+        return u @ rho @ u.T
+    if family == "dense":
+        return rotated_min_sgx(rho, rng)
+    return rho
+
+
+class TestLsNumericContract:
+    """The kets of the numeric route are a Takagi basis of the quartet block,
+    whatever basis the kernel picks inside degenerate or null xi clusters."""
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["epu", "lpu", "dense"]),
+           rank=st.integers(1, 6))
+    def test_kets_tilde_orthogonal_and_complete(self, seed, family, rank):
+        rho = contract_state(seed, family, rank)
+        quartet = QUARTETS[_coherent_quartet(_offdiag_support(rho))]
+        dec = ls_numeric(rho)
+        x = dec.x_kets
+        overlap = x.conj() @ spin_flip_operator(quartet) @ x.conj().T
+        assert np.max(np.abs(overlap - np.diag(dec.xi))) < 1e-14
+        idx = np.array(quartet) - 1
+        embedded = np.zeros((6, 6), dtype=complex)
+        embedded[np.ix_(idx, idx)] = rho[np.ix_(idx, idx)]
+        assert np.max(np.abs(x.T @ x.conj() - embedded)) < 1e-14
+        sv = np.linalg.svd(tau_matrix(rho, quartet), compute_uv=False)
+        assert np.max(np.abs(dec.xi - sv)) < 1e-14
 
 
 class TestTransplant2x2:

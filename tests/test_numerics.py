@@ -9,10 +9,11 @@ from qqent.errors import InvalidState, NotHermitian, NotSymmetric
 from qqent.numerics import (
     DEGENERACY_TOL,
     RANK_TOL,
+    REAL_SYMMETRIC_TOL,
     _fix_phases,
     _haar_columns,
     _hermitian_eig_unchecked,
-    _takagi_svd,
+    _takagi_embedded,
     haar_unitary,
     hermitian_eig,
     partial_transpose_negativity,
@@ -26,7 +27,6 @@ from conftest import (
     random_spectrum,
     ref_fix_phase,
     ref_hermitian_eig,
-    ref_takagi_svd,
 )
 
 
@@ -122,7 +122,7 @@ class TestTakagi:
             assert np.max(np.abs(np.sort(sv) - np.sort(d))) < 1e-9
 
     def test_degenerate_complex_singular_values(self):
-        # forces the group-wise square root in the SVD route
+        # a repeated and a zero singular value of a complex tau
         rng = np.random.default_rng(3)
         w = haar_unitary(4, rng)
         t = w @ np.diag([0.7, 0.7, 0.2, 0.0]) @ w.T
@@ -294,47 +294,70 @@ class TestEigKernelMatchesReference:
         assert not np.allclose(raw, v[:, 2], atol=1e-6)
 
 
-TAU_KINDS = ("generic", "zero", "two_zero", "repeated_top", "repeated_low", "repeated_zero")
+TAU_KINDS = ("generic", "zero", "two_zero", "three_zero", "all_zero",
+             "repeated_top", "repeated_low", "repeated_zero")
 
 
-def tau_case(seed, kind):
-    """A complex symmetric 4x4 W diag(s) W^T with a zero or repeated singular pair."""
+def tau_case(seed, kind, n=4, smallest=None):
+    """A complex symmetric n x n W diag(s) W^T with zero or repeated singular
+    values (set through slices, so a kind clips to n), its smallest one then
+    set to ``smallest`` if given; also returns s, descending."""
     rng = np.random.default_rng(seed)
-    s = np.sort(rng.uniform(0.05, 1.0, size=4))[::-1]
+    s = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
     if kind == "zero":
-        s[3] = 0.0
+        s[-1:] = 0.0
     elif kind == "two_zero":
-        s[2:] = 0.0
+        s[-2:] = 0.0
+    elif kind == "three_zero":
+        s[-3:] = 0.0
+    elif kind == "all_zero":
+        s[:] = 0.0
     elif kind == "repeated_top":
-        s[1] = s[0]
+        s[1:2] = s[0]
     elif kind == "repeated_low":
-        s[2] = s[1]
+        s[2:3] = s[1:2]
     elif kind == "repeated_zero":
-        s[1], s[2:] = s[0], 0.0
-    w = haar_unitary(4, rng)
+        s[1:2], s[2:] = s[0], 0.0
+    if smallest is not None:
+        s[-1] = smallest
+    w = haar_unitary(n, rng) if n > 1 else np.exp(2j * np.pi * rng.uniform(size=(1, 1)))
     t = (w * s) @ w.T
-    return (t + t.T) / 2.0
+    return (t + t.T) / 2.0, s
+
+
+def assert_takagi(t, s):
+    """Unitarity, values and reconstruction of the embedded kernel on T = W diag(s) W^T.
+    Values at or below REAL_SYMMETRIC_TOL get null-space columns whose phase
+    is free, so each adds up to twice itself to the reconstruction error."""
+    fact = _takagi_embedded(t)
+    u, d = fact.unitary, fact.values
+    n = t.shape[0]
+    assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-14
+    assert np.max(np.abs(d - np.linalg.svd(t, compute_uv=False))) < 1e-14
+    assert np.all(d >= 0.0) and np.all(np.diff(d) <= 0.0)
+    free = 2.0 * s[s <= REAL_SYMMETRIC_TOL].sum()
+    assert np.max(np.abs((u * d) @ u.T - t)) < 1e-14 + free
 
 
 class TestTakagiKernelMatchesReference:
-    """The SVD Takagi route with the closed-form 1x1 root against the
-    eigenbasis square root on every cluster, compared bytewise."""
+    """The embedded Takagi kernel against its reference, np.linalg.svd's values,
+    and its own residuals: reconstruction and unitarity."""
 
     @settings(max_examples=300)
-    @given(seed=SEEDS, kind=st.sampled_from(TAU_KINDS))
-    def test_unitary_and_values(self, seed, kind):
-        t = tau_case(seed, kind)
-        u, s = ref_takagi_svd(t)
-        fact = _takagi_svd(t)
-        assert same_bytes(fact.values, s) and same_bytes(fact.unitary, u)
+    @given(seed=SEEDS, kind=st.sampled_from(TAU_KINDS), n=st.integers(1, 6))
+    def test_unitary_and_values(self, seed, kind, n):
+        assert_takagi(*tau_case(seed, kind, n))
+
+    @pytest.mark.parametrize("smallest", [1e-6, 1e-9, 1e-11, 2e-12, 5e-13])
+    @pytest.mark.parametrize("kind", ["generic", "repeated_top", "repeated_low"])
+    def test_small_singular_value(self, smallest, kind):
+        for seed in range(50):
+            assert_takagi(*tau_case(seed, kind, 4, smallest))
 
     @pytest.mark.parametrize("z", [complex(x, y) for x in (1.0, -1.0) for y in (0.0, -0.0)]
                              + [complex(x, y) for x in (0.0, -0.0) for y in (1.0, -1.0)])
-    def test_signed_zero_phases(self, monkeypatch, z):
-        # a 1x1 SVD whose a^T w is an exact real or imaginary phase, with
-        # signed zeros in the factors
-        factors = (np.array([[z]]), np.array([1.0]), np.array([[complex(1.0, -0.0)]]))
-        monkeypatch.setattr(np.linalg, "svd", lambda t: factors)
-        u, s = ref_takagi_svd(np.array([[z]]))
-        fact = _takagi_svd(np.array([[z]]))
-        assert same_bytes(fact.values, s) and same_bytes(fact.unitary, u)
+    def test_signed_zero_phases(self, z):
+        # an exact real or imaginary phase with a signed zero in the embedding
+        fact = _takagi_embedded(np.array([[z]]))
+        assert fact.values.tolist() == [1.0]
+        assert abs(fact.unitary[0, 0] ** 2 - z) < 1e-15
