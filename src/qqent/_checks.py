@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSeed, InvalidSpectrum, InvalidState, NotNormalized
+from .errors import InvalidBudget, InvalidSeed, InvalidSpectrum, InvalidState, NotNormalized
 
 DENSITY_TOL = 1e-10
 SPECTRUM_TOL = 1e-12
@@ -98,3 +98,10 @@ def as_seed(seed):
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidSeed(f"seed={seed!r} must be a nonnegative integer")
     return int(seed)
+
+
+def as_budget(value, name):
+    """Validate a sample or trial count: an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidBudget(f"{name}={value!r} must be an integer of at least 1")
+    return int(value)

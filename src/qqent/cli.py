@@ -27,13 +27,13 @@ from ._checks import (
     VERIFY_FORMULA_TOL,
     VERIFY_NEGATIVITY_TOL,
     VERIFY_TOL,
+    as_budget,
     as_density_matrix,
     as_seed,
 )
 from .decompositions import _search_budget, _search_chunks
 from .errors import (
     FormError,
-    InvalidBudget,
     InvalidOutput,
     InvalidSeed,
     InvalidSpectrum,
@@ -512,8 +512,7 @@ def _run_suite(suite, trials, seed):
 
 
 def cmd_verify(args):
-    if args.trials < 1:
-        raise InvalidBudget("trials must be >= 1")
+    as_budget(args.trials, "trials")
     seed = _default_seed(args)
     ok, worst, detail = _run_suite(args.suite, args.trials, seed)
     status = "PASS" if ok else "FAIL"

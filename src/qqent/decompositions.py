@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import ANGLE_TOL, as_density_matrix, as_seed, density_and_eigvals
-from .errors import AngleOutOfRange, DTooLarge, DTooSmall, InvalidBudget, NotUnitary
+from ._checks import ANGLE_TOL, as_budget, as_density_matrix, as_seed, density_and_eigvals
+from .errors import AngleOutOfRange, DTooLarge, DTooSmall, NotUnitary
 from .measures import _pure_i_unnormalized
 from .numerics import (
     BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, SCREEN_KAPPA, SCREEN_MARGIN, _gram_schmidt,
@@ -145,10 +145,7 @@ def _search_budget(d, budget):
     (900 grid points at D = 2, 1000 Haar trials otherwise) when it is None."""
     if budget is None:
         return DEFAULT_GRID_BUDGET if d == 2 else DEFAULT_SAMPLE_BUDGET
-    budget = int(budget)
-    if budget < 1:
-        raise InvalidBudget(f"budget={budget} must be at least 1")
-    return budget
+    return as_budget(budget, "budget")
 
 
 def _screened_averages(g, root, vt):

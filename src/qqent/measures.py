@@ -5,12 +5,13 @@ valid (minimal TGX / minimal SGX input); the form gates raise otherwise.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 
-from ._checks import as_density_matrix, as_seed, as_spectrum, as_unit_ket
+from ._checks import as_budget, as_density_matrix, as_seed, as_spectrum, as_unit_ket
 from .errors import (
-    InvalidBudget,
     InvalidQuartet,
     NotMinimalSGX,
     NotMinimalTGX,
@@ -290,13 +291,62 @@ def _exact_preconcurrence(g, root):
     return s[:, 0] - s[:, 1:].sum(axis=1)
 
 
+#: at r >= 3 a batch of at least this many draws is screened in two halves,
+#: the second on the helper thread
+_SPLIT_DRAWS = 1024
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+class _Helper(threading.Thread):
+    """A thread that runs the submitted calls in order; ``wait(job)`` returns
+    a call's result or raises its exception in the caller, and ``close``
+    lets the queued calls finish and joins the thread.  Started per call,
+    never at import: a forked child would inherit a pool without its thread."""
+
+    def __init__(self):
+        super().__init__(daemon=True)
+        self.jobs, self.queued = [], threading.Semaphore(0)
+        self.start()
+
+    def submit(self, fn, *args):
+        self.jobs.append(job := [fn, args, threading.Event()])
+        self.queued.release()
+        return job
+
+    def run(self):
+        while self.queued.acquire() and (job := self.jobs.pop(0)):
+            try:
+                job.append(job[0](*job[1]))
+            except BaseException as exc:  # raised again by wait, in the caller
+                job.append(exc)
+            job[2].set()
+
+    @staticmethod
+    def wait(job):
+        job[2].wait()
+        if isinstance(job[3], BaseException):
+            raise job[3]
+        return job[3]
+
+    def close(self):
+        self.jobs.append(None)
+        self.queued.release()
+        self.join()
+
+
 def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     """Monte-Carlo maximum of the generalized preconcurrence.
 
     Draws Haar unitaries V on the full 6-level space and maximizes
     (sigma1 - sum of the rest) of sqrt(L) V sqrt(L); always bounded above by
-    gen_concurrence_max(spectrum).  Deterministic per seed; samples < 1 raise
-    InvalidBudget, a negative or non-integer seed raises InvalidSeed.
+    gen_concurrence_max(spectrum).  Deterministic per seed; ``samples`` not
+    an integer of at least 1 raises InvalidBudget, a negative or non-integer
+    seed InvalidSeed.
 
     Each batch of up to 4096 draws is screened, then confirmed.  With r the
     index past the last nonzero eigenvalue, V's first r columns are built by
@@ -312,17 +362,21 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     SCREEN_MARGIN under the best of 16 probe estimates.  On random spectra
     that rules out nearly all of a batch; flagged draws and draws with a
     pivot at or below the floor are never ruled out (see SCREEN_MARGIN).
-    Draws within
-    SCREEN_MARGIN of the batch's best estimate (about one in 4096) are
-    rebuilt whole and scored by the exact 6 x 6 SVD; the largest of those
-    is the answer, the same bit for bit as scoring every draw by SVD.  A
-    rank-6 spectrum so flat that the screen would keep too many draws to
-    pay for itself skips the screen.
+    Draws within SCREEN_MARGIN of the batch's best estimate (about one in
+    4096) are rebuilt whole and scored by the exact 6 x 6 SVD; the largest
+    of those is the answer, the same bit for bit as scoring every draw by
+    SVD.  A rank-6 spectrum so flat that the screen would keep too many
+    draws to pay for itself skips the screen.
+
+    Where more than one CPU is usable, one helper thread draws the next
+    batch's normals from the same generator while the current batch is
+    scored, and at r >= 3 screens the second half of each batch of at least
+    1024 draws while this thread screens the first.  The stream does not
+    depend on the chunking, and the screen works draw by draw with a margin
+    that holds for any probes in a batch, so the answer is unchanged.
     """
     lam = as_spectrum(spectrum, 6)
-    samples = int(samples)
-    if samples < 1:
-        raise InvalidBudget(f"samples={samples} must be at least 1")
+    samples = as_budget(samples, "samples")
     root = np.sqrt(lam)
     r = int(np.flatnonzero(lam)[-1]) + 1
     # Expanding s = sqrt(lam) about its mean m, every draw's value lies, to
@@ -339,11 +393,25 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     window = 2.0 * m * (2.0 * s[0] - max(s[k] + s[5 - k] for k in range(3)))
     screened = window + (s[0] - s[5]) ** 2 / m > 50.0 * SCREEN_MARGIN
     rng = np.random.default_rng(as_seed(seed))
-    best = -np.inf
-    for lo in range(0, samples, BATCH_SIZE):
-        g = _haar_normals(rng, 6, min(samples - lo, BATCH_SIZE))
-        if screened:
-            screen = _screened_preconcurrence(g, root, r)
-            g = g[screen > screen.max() - SCREEN_MARGIN]
-        best = max(best, float(_exact_preconcurrence(g, root).max()))
+    sizes = [min(samples - lo, BATCH_SIZE) for lo in range(0, samples, BATCH_SIZE)]
+    split = screened and r >= 3
+    wanted = len(sizes) > 1 or split and sizes[0] >= _SPLIT_DRAWS
+    helper = _Helper() if wanted and _usable_cpus() > 1 else None
+    best, ahead = -np.inf, None
+    try:
+        for i, n in enumerate(sizes):
+            g = helper.wait(ahead) if ahead else _haar_normals(rng, 6, n)
+            far = helper and split and n >= _SPLIT_DRAWS and helper.submit(
+                _screened_preconcurrence, g[n // 2:], root, r)
+            if helper and i + 1 < len(sizes):
+                ahead = helper.submit(_haar_normals, rng, 6, sizes[i + 1])
+            if screened:
+                screen = _screened_preconcurrence(g[: n // 2] if far else g, root, r)
+                if far:
+                    screen = np.concatenate((screen, helper.wait(far)))
+                g = g[screen > screen.max() - SCREEN_MARGIN]
+            best = max(best, float(_exact_preconcurrence(g, root).max()))
+    finally:
+        if helper:
+            helper.close()
     return best

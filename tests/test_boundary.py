@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import qqent as qq
 from qqent import _checks, cli, decompositions, ls, measures, numerics, states
 from qqent.errors import (
+    InvalidBudget,
     InvalidSpectrum,
     InvalidState,
     NotHermitian,
@@ -238,6 +239,37 @@ def test_non_finite_entanglement_rejected(name, value):
     lam = [0.7, 0.3, 0, 0, 0, 0] if n == 6 else [0.5, 0.3, 0.2, 0]
     with pytest.raises(UnphysicalEntanglement):
         fn(lam, value)
+
+
+#: counts that used to be truncated (2.5 ran 2, True ran 1, "12" ran 12) or
+#: ended in an untyped ValueError, OverflowError or TypeError
+BAD_BUDGETS = [2.5, 3.0, np.float64(3.0), True, False, "12", float("nan"), float("inf"),
+               0, -1, np.int64(0), [3]]
+LAM_2 = (0.7, 0.3, 0, 0, 0, 0)
+RHO_2 = qq.build_epu_min_tgx(LAM_2, 0.5)[0]
+#: public entry points taking a sample or trial count
+BUDGET_ENTRY_POINTS = {
+    "sampled_gen_preconcurrence": lambda n: qq.sampled_gen_preconcurrence(LAM_2, n),
+    "min_average_search.grid": lambda n: qq.min_average_search(RHO_2, 2, n),
+    "min_average_search.haar": lambda n: qq.min_average_search(RHO_2, 3, n),
+    "iter_decomposition_samples": lambda n: list(qq.iter_decomposition_samples(RHO_2, 3, n)),
+}
+
+
+@pytest.mark.parametrize("value", BAD_BUDGETS, ids=repr)
+@pytest.mark.parametrize("name", sorted(BUDGET_ENTRY_POINTS))
+def test_bad_budgets_rejected(name, value):
+    with pytest.raises(InvalidBudget):
+        BUDGET_ENTRY_POINTS[name](value)
+
+
+def test_budget_types():
+    assert qq.sampled_gen_preconcurrence(LAM_2, np.int32(5)) == qq.sampled_gen_preconcurrence(
+        LAM_2, 5)
+    with pytest.raises(InvalidBudget):
+        qq.sampled_gen_preconcurrence(LAM_2, None)
+    # None is the search default: 900 grid points at D = 2, 1000 trials otherwise
+    assert len(list(qq.iter_decomposition_samples(RHO_2, 3, None))) == 1000
 
 
 # -- validate once ------------------------------------------------------------

@@ -1,10 +1,15 @@
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qqent
 from qqent import cli
 from qqent import ls as ls_module
 from qqent.cli import _parse_spectrum, main, state_from_wire
@@ -557,3 +562,14 @@ class TestVerify:
         assert err.startswith("  offending input: trial 0")
         assert len(drawn) == 1
         assert "np.float64" not in err
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # every qqent command pays its imports; concurrent.futures alone costs
+    # several milliseconds, and the preconcurrence helper thread needs only threading
+    src = str(Path(qqent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, qqent.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -427,6 +430,25 @@ def full_svd_preconcurrence(lam, samples, seed):
     return best
 
 
+#: sample counts for the helper thread: one batch, one draw past it, two
+#: batches, a split last batch and a one-draw last batch
+THREAD_SAMPLES = (4096, 4097, 8192, 9000, 12289)
+
+
+def full_svd_values(lam, samples, seed):
+    """Every draw's value as full_svd_preconcurrence scores it, in stream
+    order; the normals do not depend on the batching, so the maximum of the
+    first n is full_svd_preconcurrence(lam, n, seed)."""
+    root = np.sqrt(lam)
+    v = haar_unitary(6, np.random.default_rng(seed), count=samples)
+    s = np.linalg.svd(root[None, :, None] * v * root[None, None, :], compute_uv=False)
+    return s[:, 0] - s[:, 1:].sum(axis=1)
+
+
+class HelperFailed(Exception):
+    pass
+
+
 class TestSampledGenPreconcurrence:
     def test_matches_independent_reimplementation(self):
         lam = np.array([0.4, 0.3, 0.2, 0.1, 0, 0])
@@ -627,6 +649,81 @@ class TestSampledGenPreconcurrence:
                 # the screen still runs where it pays: the even spread at gap 1e-3
                 if gap == 1e-3 and x[1] == 4:
                     assert screened and sum(rows) < 0.01 * BATCH_SIZE
+
+    @pytest.mark.parametrize("kind", SCREEN_SPECTRA)
+    def test_helper_on_and_off_equal_full_svd(self, kind, monkeypatch):
+        # the helper thread, forced on and off through the CPU probe, changes
+        # neither the stream nor the answer; at r >= 3 it screens half of
+        # every batch of at least 1024 draws
+        rng = np.random.default_rng(SCREEN_SPECTRA.index(kind))
+        helpers, screens = [], []
+        screen, helper = measures._screened_preconcurrence, measures._Helper
+        monkeypatch.setattr(measures, "_Helper", lambda: helpers.append(1) or helper())
+        monkeypatch.setattr(
+            measures, "_screened_preconcurrence",
+            lambda g, root, r: screens.append(threading.current_thread()) or screen(g, root, r))
+        for rank in range(1, 7):
+            lam = screen_spectrum(kind, rank, rng)
+            seed = int(rng.integers(2**32))
+            values = full_svd_values(lam, max(THREAD_SAMPLES), seed)
+            r = int(np.flatnonzero(lam)[-1]) + 1
+            for cpus in (1, 2):
+                monkeypatch.setattr(measures, "_usable_cpus", lambda: cpus)
+                for samples in THREAD_SAMPLES:
+                    helpers.clear()
+                    screens.clear()
+                    got = sampled_gen_preconcurrence(lam, samples, seed)
+                    assert got == values[:samples].max(), (rank, cpus, samples)
+                    split = r >= 3 and bool(screens)
+                    assert len(helpers) == (cpus > 1 and (samples > BATCH_SIZE or split))
+                    on_helper = [t for t in screens if t is not threading.main_thread()]
+                    sizes = [min(BATCH_SIZE, samples - lo) for lo in range(0, samples, BATCH_SIZE)]
+                    halves = sum(n >= measures._SPLIT_DRAWS for n in sizes)
+                    assert len(on_helper) == (cpus > 1 and split) * halves
+
+    def test_helper_exception_reaches_caller(self, monkeypatch):
+        screen = measures._screened_preconcurrence
+
+        def failing_on_helper(g, root, r):
+            if threading.current_thread() is not threading.main_thread():
+                raise HelperFailed("raised on the helper thread")
+            return screen(g, root, r)
+
+        lam = screen_spectrum("random", 6, np.random.default_rng(3))
+        monkeypatch.setattr(measures, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        assert sampled_gen_preconcurrence(lam, 9000, 1) == full_svd_preconcurrence(lam, 9000, 1)
+        assert threading.active_count() == before
+        monkeypatch.setattr(measures, "_screened_preconcurrence", failing_on_helper)
+        with pytest.raises(HelperFailed):
+            sampled_gen_preconcurrence(lam, 9000, 1)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_keep_their_streams(self, monkeypatch):
+        # three calls at once, each with its own helper (six threads on fewer
+        # cores), under a short switch interval: a draw taken out of order or
+        # a job handed to the wrong call would change some answer
+        monkeypatch.setattr(measures, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(17)
+        cases = [(screen_spectrum("random", rank, rng), 9000, seed)
+                 for rank, seed in ((2, 1), (4, 2), (6, 3))]
+        got = [None] * len(cases)
+
+        def call(k):
+            got[k] = sampled_gen_preconcurrence(*cases[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [full_svd_preconcurrence(*case) for case in cases]
 
     def test_bound_is_attained_by_pairing_unitary(self):
         # the level pairing (1)(4)(2<->6)(3<->5) achieves the spectral maximum
