@@ -653,15 +653,23 @@ class TestSampledGenPreconcurrence:
     @pytest.mark.parametrize("kind", SCREEN_SPECTRA)
     def test_helper_on_and_off_equal_full_svd(self, kind, monkeypatch):
         # the helper thread, forced on and off through the CPU probe, changes
-        # neither the stream nor the answer; at r >= 3 it screens half of
-        # every batch of at least 1024 draws
+        # neither the stream nor the answer; it draws every batch after the
+        # first and, at r >= 3, screens half of every full batch, one call
+        # at a time
         rng = np.random.default_rng(SCREEN_SPECTRA.index(kind))
-        helpers, screens = [], []
-        screen, helper = measures._screened_preconcurrence, measures._Helper
-        monkeypatch.setattr(measures, "_Helper", lambda: helpers.append(1) or helper())
+        calls, screens = [], []
+        screen, call = measures._screened_preconcurrence, measures._Call
+
+        def counted(fn, *args):
+            calls.append(("draw" if fn is measures._haar_normals else "screen",
+                          threading.active_count()))
+            return call(fn, *args)
+
+        monkeypatch.setattr(measures, "_Call", counted)
         monkeypatch.setattr(
             measures, "_screened_preconcurrence",
             lambda g, root, r: screens.append(threading.current_thread()) or screen(g, root, r))
+        alone = threading.active_count()
         for rank in range(1, 7):
             lam = screen_spectrum(kind, rank, rng)
             seed = int(rng.integers(2**32))
@@ -670,16 +678,30 @@ class TestSampledGenPreconcurrence:
             for cpus in (1, 2):
                 monkeypatch.setattr(measures, "_usable_cpus", lambda: cpus)
                 for samples in THREAD_SAMPLES:
-                    helpers.clear()
+                    calls.clear()
                     screens.clear()
                     got = sampled_gen_preconcurrence(lam, samples, seed)
                     assert got == values[:samples].max(), (rank, cpus, samples)
                     split = r >= 3 and bool(screens)
-                    assert len(helpers) == (cpus > 1 and (samples > BATCH_SIZE or split))
+                    batches = -(-samples // BATCH_SIZE)
+                    names = sorted(name for name, _ in calls)
+                    assert names == sorted(
+                        ["draw"] * (batches - 1) + ["screen"] * (samples // BATCH_SIZE) * split
+                    ) * (cpus > 1)
+                    assert all(count == alone for _, count in calls)
                     on_helper = [t for t in screens if t is not threading.main_thread()]
-                    sizes = [min(BATCH_SIZE, samples - lo) for lo in range(0, samples, BATCH_SIZE)]
-                    halves = sum(n >= measures._SPLIT_DRAWS for n in sizes)
-                    assert len(on_helper) == (cpus > 1 and split) * halves
+                    assert len(on_helper) == names.count("screen")
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        # the affinity mask decides, not the machine's CPU count
+        monkeypatch.setattr(measures.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(measures.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(measures, "_Call", lambda *a: pytest.fail("helper thread started"))
+        assert measures._usable_cpus() == 1
+        lam = screen_spectrum("random", 6, np.random.default_rng(5))
+        assert sampled_gen_preconcurrence(lam, 9000, 2) == full_svd_preconcurrence(lam, 9000, 2)
+        monkeypatch.delattr(measures.os, "sched_getaffinity")
+        assert measures._usable_cpus() == 8
 
     def test_helper_exception_reaches_caller(self, monkeypatch):
         screen = measures._screened_preconcurrence
