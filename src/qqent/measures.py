@@ -351,10 +351,8 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     Where more than one CPU is usable, a helper thread (one at a time)
     draws the next batch's normals from the same generator while the
     current batch is scored, and at r >= 3 screens the second half of each
-    full batch while this thread screens the first; below about 3000 draws
-    two half screens took longer than one whole screen.  The stream does not
-    depend on the chunking, and the screen works draw by draw with a margin
-    that holds for any probes in a batch, so the answer is unchanged.
+    full batch.  The stream does not depend on the chunking and the screen's
+    margin holds for any probes in a batch, so the answer is unchanged.
     """
     lam = as_spectrum(spectrum, 6)
     samples = as_budget(samples, "samples")
@@ -374,8 +372,8 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     window = 2.0 * m * (2.0 * s[0] - max(s[k] + s[5 - k] for k in range(3)))
     screened = window + (s[0] - s[5]) ** 2 / m > 50.0 * SCREEN_MARGIN
     rng = np.random.default_rng(as_seed(seed))
-    # pinned to one CPU, the helper raised search's peak RSS 53 -> 60 MB
-    # for +4% throughput
+    # pinned to one CPU, the helper gave search +6% throughput but raised
+    # its peak RSS 52.9 -> 58.7 MB, past the benchmark's 10% bound
     threaded = _usable_cpus() > 1
     split = threaded and screened and r >= 3
     best, far, ahead = -np.inf, None, None
@@ -383,14 +381,17 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
         for lo in range(0, samples, BATCH_SIZE):
             n, more = min(samples - lo, BATCH_SIZE), min(samples - lo - BATCH_SIZE, BATCH_SIZE)
             g = ahead.result() if ahead else _haar_normals(rng, 6, n)
+            # the helper draws into this thread's buffer: batches it allocated
+            # stayed in its malloc arena and raised peak RSS by up to 9 MB
+            draw = threaded and more > 0 and (_haar_normals, rng, 6, more, np.empty((more, 2, 6, 6)))
             far = split and n == BATCH_SIZE and _Call(
                 _screened_preconcurrence, g[n // 2:], root, r)
-            ahead = threaded and more > 0 and not far and _Call(_haar_normals, rng, 6, more)
+            ahead = draw and not far and _Call(*draw)
             if screened:
                 screen = _screened_preconcurrence(g[: n // 2] if far else g, root, r)
                 if far:
                     screen = np.concatenate((screen, far.result()))
-                    ahead = more > 0 and _Call(_haar_normals, rng, 6, more)
+                    ahead = draw and _Call(*draw)
                 g = g[screen > screen.max() - SCREEN_MARGIN]
             best = max(best, float(_exact_preconcurrence(g, root).max()))
     finally:

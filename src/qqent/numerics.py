@@ -227,9 +227,10 @@ def haar_unitary(dim, seed, count=None):
     return _haar_columns(_haar_normals(rng, dim, count), dim)
 
 
-def _haar_normals(rng, dim, count=None):
-    """The normals haar_unitary consumes, shape ([count,] 2, dim, dim)."""
-    return rng.standard_normal((2, dim, dim) if count is None else (int(count), 2, dim, dim))
+def _haar_normals(rng, dim, count=None, out=None):
+    """The normals haar_unitary consumes, shape ([count,] 2, dim, dim),
+    written into ``out`` when given."""
+    return rng.standard_normal((2, dim, dim) if count is None else (int(count), 2, dim, dim), out=out)
 
 
 def _haar_columns(g, k):
