@@ -226,6 +226,7 @@ def _screened_preconcurrence(g, root, r):
         est = np.sqrt(np.clip(frob2 - 2.0 * det, 0.0, None))
     else:
         hr, hi = _block_gram(qr, qi, root, r)
+        del qr, qi  # H is all the rest reads
         live = kappa <= SCREEN_KAPPA
         if np.count_nonzero(live) > _PROBES:
             live &= ~_pruned(hr, hi, live)
@@ -243,15 +244,15 @@ _PROBES = 16
 
 
 def _block_gram(qr, qi, root, r):
-    """H = b^H b of the r x r blocks b = sqrt(L_r) V_r sqrt(L_r), from
-    _gram_schmidt's columns: real and imaginary parts as (r, r, N) arrays,
-    draw axis last, H_jk = s_j s_k sum_i lam_i conj(V_ij) V_ik."""
-    lam = (root[:r] * root[:r])[:, None]
-    vr, vi = qr[:, :r], qi[:, :r]
-    wr, wi = vr * lam, vi * lam
-    scale = (root[:r, None] * root[:r])[..., None]
-    hr = (np.einsum("jin,kin->jkn", wr, vr) + np.einsum("jin,kin->jkn", wi, vi)) * scale
-    hi = (np.einsum("jin,kin->jkn", wr, vi) - np.einsum("jin,kin->jkn", wi, vr)) * scale
+    """H = b^H b of the r x r blocks b = sqrt(L_r) V_r sqrt(L_r), as real and
+    imaginary (r, r, N) arrays, draw axis last.  Overwrites the first r rows
+    of _gram_schmidt's columns ``qr``, ``qi`` with b and sums in place."""
+    w = (root[:r, None] * root[:r])[..., None]
+    br, bi = (np.multiply(q[:, :r], w, out=q[:, :r]) for q in (qr, qi))  # b_ij at [j, i]
+    hr = np.einsum("jin,kin->jkn", br, br)
+    hr += np.einsum("jin,kin->jkn", bi, bi)
+    hi = np.einsum("jin,kin->jkn", br, bi)
+    hi -= np.einsum("jin,kin->jkn", bi, br)
     return hr, hi
 
 
@@ -353,6 +354,8 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     current batch is scored, and at r >= 3 screens the second half of each
     full batch.  The stream does not depend on the chunking and the screen's
     margin holds for any probes in a batch, so the answer is unchanged.
+    The next batch's buffer is allocated as its draw starts: at r >= 3 after
+    both half-screens return, never beside a screen's working set.
     """
     lam = as_spectrum(spectrum, 6)
     samples = as_budget(samples, "samples")
@@ -381,17 +384,18 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
         for lo in range(0, samples, BATCH_SIZE):
             n, more = min(samples - lo, BATCH_SIZE), min(samples - lo - BATCH_SIZE, BATCH_SIZE)
             g = ahead.result() if ahead else _haar_normals(rng, 6, n)
-            # the helper draws into this thread's buffer: batches it allocated
-            # stayed in its malloc arena and raised peak RSS by up to 9 MB
-            draw = threaded and more > 0 and (_haar_normals, rng, 6, more, np.empty((more, 2, 6, 6)))
+            # the helper draws into a buffer this thread allocates as the draw starts:
+            # batches it allocated stayed in its malloc arena (up to 9 MB more RSS)
+            draw = threaded and more > 0 and (lambda: _Call(
+                _haar_normals, rng, 6, more, np.empty((more, 2, 6, 6))))
             far = split and n == BATCH_SIZE and _Call(
                 _screened_preconcurrence, g[n // 2:], root, r)
-            ahead = draw and not far and _Call(*draw)
+            ahead = draw and not far and draw()
             if screened:
                 screen = _screened_preconcurrence(g[: n // 2] if far else g, root, r)
                 if far:
                     screen = np.concatenate((screen, far.result()))
-                    ahead = draw and _Call(*draw)
+                    ahead = draw and draw()
                 g = g[screen > screen.max() - SCREEN_MARGIN]
             best = max(best, float(_exact_preconcurrence(g, root).max()))
     finally:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_density_matrix, as_square_matrix
-from .errors import NotHermitian, NotSymmetric
+from ._checks import as_budget, as_density_matrix, as_seed, as_square_matrix
+from .errors import DTooLarge, DTooSmall, NotHermitian, NotSymmetric, ValidationError
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
@@ -207,7 +207,7 @@ def partial_transpose_negativity(rho):
 def haar_unitary(dim, seed, count=None):
     """Haar-distributed unitary (or a stack of ``count`` of them), 2 <= dim <= 8.
 
-    Deterministic for a fixed seed.  ``seed`` may be an int or a numpy
+    Deterministic for a fixed seed.  ``seed`` may be a nonnegative int or a numpy
     Generator; the construction is QR of a complex Gaussian matrix with the
     triangular factor's diagonal phases divided out.  Each unitary consumes
     2 * dim**2 consecutive normals (real part, then imaginary part), so row i
@@ -219,18 +219,22 @@ def haar_unitary(dim, seed, count=None):
     gen-preconcurrence screen orthonormalize their first columns of the same
     normals by Gram-Schmidt instead (equal to round-off, enough for an
     estimate) and rebuild the few draws they score exactly through the same
-    QR.
+    QR.  A bad ``dim`` raises DTooSmall or DTooLarge (ValidationError if
+    not an integer), a bad ``count`` InvalidBudget, a bad seed InvalidSeed.
     """
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValidationError(f"dim={dim!r} must be an integer")
     if not 2 <= dim <= HAAR_MAX_DIM:
-        raise ValueError(f"dim must be between 2 and {HAAR_MAX_DIM}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        raise (DTooSmall if dim < 2 else DTooLarge)(f"dim={dim} outside 2..{HAAR_MAX_DIM}")
+    count = None if count is None else as_budget(count, "count")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(as_seed(seed))
     return _haar_columns(_haar_normals(rng, dim, count), dim)
 
 
 def _haar_normals(rng, dim, count=None, out=None):
     """The normals haar_unitary consumes, shape ([count,] 2, dim, dim),
     written into ``out`` when given."""
-    return rng.standard_normal((2, dim, dim) if count is None else (int(count), 2, dim, dim), out=out)
+    return rng.standard_normal((2, dim, dim) if count is None else (count, 2, dim, dim), out=out)
 
 
 def _haar_columns(g, k):
@@ -314,17 +318,19 @@ def _gram_schmidt(g, r):
 
     ``g`` comes from _haar_normals, shape (N, 2, D, D).  Struct of arrays:
     the real and imaginary parts come back as separate (r, D, N) arrays,
-    column first and draw last.  The input is not scaled by 1/sqrt(2) and
-    no phase is fixed: Gram-Schmidt's R has a positive diagonal, like
-    haar_unitary's, so the columns equal _haar_columns(g, r) to round-off.
+    column first and draw last, each copied out of ``g`` in turn.  The input
+    is not scaled by 1/sqrt(2) and no phase is fixed: Gram-Schmidt's R has a
+    positive diagonal, like haar_unitary's, so the columns equal
+    _haar_columns(g, r) to round-off.
     Also returns, per draw, the conditioning certificate
     ||A_r||_F^r / prod R_jj, an upper bound on kappa(A_r).
     """
-    a = np.ascontiguousarray(g[..., :r].transpose(1, 3, 2, 0))  # part, column, row, draw
-    qr, qi = np.empty_like(a[0]), np.empty_like(a[1])
-    prod_r = np.ones(g.shape[0])
+    n, _, d, _ = g.shape
+    qr, qi = np.empty((r, d, n)), np.empty((r, d, n))
+    prod_r, frob2 = np.ones(n), np.zeros(n)
     for j in range(r):
-        vr, vi = a[0, j].copy(), a[1, j].copy()
+        vr, vi = g[:, 0, :, j].T.copy(), g[:, 1, :, j].T.copy()  # row, draw
+        frob2 += np.einsum("in,in->n", vr, vr) + np.einsum("in,in->n", vi, vi)
         pr, pi = qr[:j], qi[:j]
         for _ in range(2 if j else 0):
             cr = np.einsum("kin,in->kn", pr, vr) + np.einsum("kin,in->kn", pi, vi)
@@ -332,9 +338,10 @@ def _gram_schmidt(g, r):
             vr -= np.einsum("kin,kn->in", pr, cr) - np.einsum("kin,kn->in", pi, ci)
             vi -= np.einsum("kin,kn->in", pr, ci) + np.einsum("kin,kn->in", pi, cr)
         norm = np.sqrt(np.einsum("in,in->n", vr, vr) + np.einsum("in,in->n", vi, vi))
-        qr[j], qi[j] = vr / norm, vi / norm
+        np.divide(vr, norm, out=qr[j])
+        np.divide(vi, norm, out=qi[j])
         prod_r *= norm
-    return qr, qi, np.sqrt(np.einsum("pjin,pjin->n", a, a)) ** r / prod_r
+    return qr, qi, np.sqrt(frob2) ** r / prod_r
 
 
 #: a pivot of _cholesky_pivots at or below this fails the recursion
@@ -353,12 +360,16 @@ def _cholesky_pivots(hr, hi):
     r = hr.shape[0]
     piv = np.empty(hr.shape[1:])
     ok = np.ones(hr.shape[-1], dtype=bool)
+    scratch = np.empty((r - 1, r - 1, hr.shape[-1]))
     for k in range(r):
         ok &= hr[k, k] > _PIVOT_FLOOR
         piv[k] = np.where(ok, hr[k, k], 1.0)
         root = np.sqrt(piv[k])
         lr, li = hr[k + 1:, k] / root, hi[k + 1:, k] / root
-        # trailing block minus l l^H
-        hr[k + 1:, k + 1:] -= lr[:, None] * lr + li[:, None] * li
-        hi[k + 1:, k + 1:] -= li[:, None] * lr - lr[:, None] * li
+        # trailing block minus l l^H, one outer product at a time
+        s = scratch[: r - k - 1, : r - k - 1]
+        hr[k + 1:, k + 1:] -= np.multiply(lr[:, None], lr, out=s)
+        hr[k + 1:, k + 1:] -= np.multiply(li[:, None], li, out=s)
+        hi[k + 1:, k + 1:] -= np.multiply(li[:, None], lr, out=s)
+        hi[k + 1:, k + 1:] += np.multiply(lr[:, None], li, out=s)
     return piv, ok

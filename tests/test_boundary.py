@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 import qqent as qq
 from qqent import _checks, cli, decompositions, ls, measures, numerics, states
 from qqent.errors import (
+    DTooLarge,
+    DTooSmall,
     InvalidBudget,
+    InvalidSeed,
     InvalidSpectrum,
     InvalidState,
     NotHermitian,
@@ -270,6 +273,38 @@ def test_budget_types():
         qq.sampled_gen_preconcurrence(LAM_2, None)
     # None is the search default: 900 grid points at D = 2, 1000 trials otherwise
     assert len(list(qq.iter_decomposition_samples(RHO_2, 3, None))) == 1000
+
+
+#: haar_unitary arguments that used to run truncated (count 2.5 gave 2
+#: unitaries, True 1, "3" 3), return an empty stack (count 0) or raise a
+#: builtin ValueError or TypeError, with the typed error each raises now
+BAD_HAAR_CALLS = {
+    "count=2.5": ((4, 0, 2.5), InvalidBudget),
+    "count=True": ((4, 0, True), InvalidBudget),
+    "count='3'": ((4, 0, "3"), InvalidBudget),
+    "count=0": ((4, 0, 0), InvalidBudget),
+    "count=-2": ((4, 0, -2), InvalidBudget),
+    "dim=1": ((1, 0), DTooSmall),
+    "dim=9": ((9, 0), DTooLarge),
+    "dim=4.5": ((4.5, 0), ValidationError),
+    "dim=True": ((True, 0), ValidationError),
+    "seed=-1": ((4, -1), InvalidSeed),
+    "seed=1.5": ((4, 1.5), InvalidSeed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_HAAR_CALLS))
+def test_haar_unitary_rejects_bad_arguments(name):
+    args, error = BAD_HAAR_CALLS[name]
+    assert raised(lambda a: qq.haar_unitary(*a), args) is error
+
+
+def test_haar_unitary_valid_arguments():
+    one = qq.haar_unitary(4, 0)
+    assert one.shape == (4, 4)
+    assert np.array_equal(qq.haar_unitary(np.int64(4), np.int64(0), count=np.int32(1))[0], one)
+    assert np.array_equal(qq.haar_unitary(4, np.random.default_rng(0), count=2)[0], one)
+    assert qq.haar_unitary(qq.numerics.HAAR_MAX_DIM, 1).shape == (8, 8)
 
 
 # -- validate once ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,22 @@ def full_svd_values(lam, samples, seed):
     return s[:, 0] - s[:, 1:].sum(axis=1)
 
 
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while fn(*args) runs, above what was
+    traced before; numpy reports its buffers to tracemalloc, on every thread."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 class HelperFailed(Exception):
     pass
 
@@ -553,6 +570,27 @@ class TestSampledGenPreconcurrence:
         assert np.max(np.abs(estimates - exact(g, root))) < 1e-6
         pruned = screened == -np.inf
         assert (estimates[pruned] < screened.max() - measures.SCREEN_MARGIN).all()
+
+    @pytest.mark.parametrize("rank", range(3, 7))
+    def test_block_gram_equals_matmul_reference(self, rank):
+        # H = b^H b of b = sqrt(L_r) V_r sqrt(L_r), V_r from the Householder path
+        rng = np.random.default_rng(60 + rank)
+        root = np.sqrt(screen_spectrum("random", rank, rng))
+        g = rng.standard_normal((512, 2, 6, 6))
+        hr, hi = measures._block_gram(*measures._gram_schmidt(g, rank)[:2], root, rank)
+        b = root[:rank, None] * measures._haar_columns(g, rank)[:, :rank] * root[:rank]
+        h = np.matmul(b.conj().swapaxes(1, 2), b)
+        assert np.max(np.abs((hr + 1j * hi).transpose(2, 0, 1) - h)) < 1e-14
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_gram_schmidt_certificate_equals_qr_reference(self, rank):
+        # ||A_r||_F^r / prod |R_jj| of the complex normals A_r, by LAPACK
+        g = np.random.default_rng(70 + rank).standard_normal((512, 2, 6, 6))
+        kappa = measures._gram_schmidt(g, rank)[2]
+        a = g[:, 0, :, :rank] + 1j * g[:, 1, :, :rank]
+        diag = np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
+        ref = np.linalg.norm(a, axis=(1, 2)) ** rank / diag.prod(axis=1)
+        assert np.max(np.abs(kappa / ref - 1.0)) < 1e-12
 
     def test_screen_calls_no_lapack_qr(self, monkeypatch):
         # outside the exact scoring of flagged draws the screen calls no QR,
@@ -746,6 +784,23 @@ class TestSampledGenPreconcurrence:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [full_svd_preconcurrence(*case) for case in cases]
+
+    def test_screen_working_set(self):
+        # a rank-6 screen keeps only what its next stage reads
+        rng = np.random.default_rng(11)
+        root = np.sqrt(screen_spectrum("random", 6, rng))
+        g = rng.standard_normal((BATCH_SIZE // 2, 2, 6, 6))
+        measures._screened_preconcurrence(g, root, 6)
+        assert traced_peak(measures._screened_preconcurrence, g, root, 6) <= 3.2 * g.nbytes
+
+    @pytest.mark.parametrize("cpus", (1, 2))
+    def test_call_working_set(self, cpus, monkeypatch):
+        # two batches and a partial one, with and without the helper thread
+        monkeypatch.setattr(measures, "_usable_cpus", lambda: cpus)
+        lam = screen_spectrum("random", 6, np.random.default_rng(12))
+        sampled_gen_preconcurrence(lam, 9000, 3)
+        batch_bytes = BATCH_SIZE * 2 * 6 * 6 * 8
+        assert traced_peak(sampled_gen_preconcurrence, lam, 9000, 3) <= 4.2 * batch_bytes
 
     def test_bound_is_attained_by_pairing_unitary(self):
         # the level pairing (1)(4)(2<->6)(3<->5) achieves the spectral maximum

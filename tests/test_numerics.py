@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qqent.errors import InvalidState, NotHermitian, NotSymmetric
+from qqent.errors import DTooLarge, DTooSmall, InvalidState, NotHermitian, NotSymmetric
 from qqent.numerics import (
     DEGENERACY_TOL,
     RANK_TOL,
@@ -207,9 +207,9 @@ class TestHaar:
                     assert np.array_equal(_haar_columns(g, k), full[..., :k]), (d, n, k)
 
     def test_dim_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DTooSmall):
             haar_unitary(1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DTooLarge):
             haar_unitary(9, 0)
 
 
