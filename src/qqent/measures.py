@@ -251,8 +251,11 @@ def _block_gram(qr, qi, root, r):
     br, bi = (np.multiply(q[:, :r], w, out=q[:, :r]) for q in (qr, qi))  # b_ij at [j, i]
     hr = np.einsum("jin,kin->jkn", br, br)
     hr += np.einsum("jin,kin->jkn", bi, bi)
-    hi = np.einsum("jin,kin->jkn", br, bi)
-    hi -= np.einsum("jin,kin->jkn", bi, br)
+    hi = np.einsum("jin,kin->jkn", br, bi)  # A, and H's imaginary part is A - A^T
+    for j, k in zip(*np.triu_indices(r, 1)):
+        hi[j, k] -= hi[k, j]
+        np.negative(hi[j, k], out=hi[k, j])
+    hi[np.arange(r), np.arange(r)] = 0.0
     return hr, hi
 
 
@@ -270,20 +273,31 @@ def _pruned(hr, hi, live):
 
     d = sum sqrt(pivots of H) <= ||b||_*, and a passing recursion on
     x I - H, x = ((t + d) / 2)^2, certifies sigma1 < (t + d) / 2, so
-    2 sigma1 - ||b||_* < t; see SCREEN_MARGIN for the rounding."""
-    ar, ai = hr.copy(), hi.copy()
-    piv, ok = _cholesky_pivots(ar, ai)
-    d = np.sqrt(piv).sum(axis=0)
+    2 sigma1 - ||b||_* < t; see SCREEN_MARGIN for the rounding.  The
+    recursions run in place on H's lower triangle, rebuilt from the upper
+    one after each, so H comes back as it was and is never copied."""
     diag = np.arange(hr.shape[0])
-    lead = np.where(live, 2.0 * np.sqrt(hr[diag, diag].max(axis=0)) - d, -np.inf)
+    h = hr[diag, diag]
+    piv, ok = _cholesky_pivots(hr, hi)
+    d = np.sqrt(piv).sum(axis=0)
+    lead = np.where(live, 2.0 * np.sqrt(h.max(axis=0)) - d, -np.inf)
     probes = np.argpartition(lead, -_PROBES)[-_PROBES:]
+    _mirror(hr, hi, h, 1.0)
     t = _gram_estimates(hr[..., probes], hi[..., probes]).max() - 2.0 * SCREEN_MARGIN
     ok &= t + d > 0.0
-    # the second pass reuses the first's buffers: fewer fresh batch-sized arrays
-    np.negative(hr, out=ar)
-    np.negative(hi, out=ai)
-    ar[diag, diag] += np.where(ok, 0.5 * (t + d), 0.0) ** 2
-    return ok & _cholesky_pivots(ar, ai)[1]
+    _mirror(hr, hi, np.where(ok, 0.5 * (t + d), 0.0) ** 2 - h, -1.0)
+    ok &= _cholesky_pivots(hr, hi)[1]
+    _mirror(hr, hi, h, 1.0)
+    return ok
+
+
+def _mirror(hr, hi, diag, sign):
+    """Set the lower triangle of hr + i hi to ``sign`` times the conjugate
+    of its upper triangle, and the diagonal to ``diag``."""
+    low = np.tril_indices(len(hr), -1)
+    hr[low] = sign * hr[low[::-1]]
+    hi[low] = -sign * hi[low[::-1]]
+    hr[np.arange(len(hr)), np.arange(len(hr))] = diag
 
 
 def _exact_preconcurrence(g, root):

@@ -355,21 +355,23 @@ def _cholesky_pivots(hr, hi):
     Returns the (r, N) pivots and, per draw, whether every pivot exceeds
     _PIVOT_FLOOR, which certifies the matrix positive definite.  A failed
     pivot is replaced by 1, so the rest of that draw's recursion stays
-    finite; its pivots mean nothing.  Overwrites both inputs.
+    finite; its pivots mean nothing.  Reads and overwrites only the lower
+    triangle, with the diagonal, of both inputs.
     """
     r = hr.shape[0]
     piv = np.empty(hr.shape[1:])
     ok = np.ones(hr.shape[-1], dtype=bool)
-    scratch = np.empty((r - 1, r - 1, hr.shape[-1]))
+    scratch = np.empty(hr.shape[1:])
     for k in range(r):
         ok &= hr[k, k] > _PIVOT_FLOOR
         piv[k] = np.where(ok, hr[k, k], 1.0)
         root = np.sqrt(piv[k])
-        lr, li = hr[k + 1:, k] / root, hi[k + 1:, k] / root
-        # trailing block minus l l^H, one outer product at a time
-        s = scratch[: r - k - 1, : r - k - 1]
-        hr[k + 1:, k + 1:] -= np.multiply(lr[:, None], lr, out=s)
-        hr[k + 1:, k + 1:] -= np.multiply(li[:, None], li, out=s)
-        hi[k + 1:, k + 1:] -= np.multiply(li[:, None], lr, out=s)
-        hi[k + 1:, k + 1:] += np.multiply(lr[:, None], li, out=s)
+        # l, in place: no later step reads column k
+        lr, li = (np.divide(h[k + 1:, k], root, out=h[k + 1:, k]) for h in (hr, hi))
+        for j in range(1, r - k):  # lower triangle of the trailing block minus l l^H, by rows
+            x, y, s = lr[j - 1], li[j - 1], scratch[:j]
+            hr[k + j, k + 1:k + j + 1] -= np.multiply(x, lr[:j], out=s)
+            hr[k + j, k + 1:k + j + 1] -= np.multiply(y, li[:j], out=s)
+            hi[k + j, k + 1:k + j + 1] -= np.multiply(y, lr[:j], out=s)
+            hi[k + j, k + 1:k + j + 1] += np.multiply(x, li[:j], out=s)
     return piv, ok
