@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import ANGLE_TOL, as_budget, as_density_matrix, as_seed, density_and_eigvals
-from .errors import AngleOutOfRange, DTooLarge, DTooSmall, NotUnitary
+from .errors import AngleOutOfRange, DTooLarge, DTooSmall, NotUnitary, ValidationError
 from .measures import _pure_i_unnormalized
 from .numerics import (
     BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, SCREEN_KAPPA, SCREEN_MARGIN, _gram_schmidt,
@@ -175,6 +175,8 @@ def _search_chunks(rho, d, budget, seed, screen=False):
     Gram-Schmidt columns, and those within SCREEN_MARGIN of the best
     estimate, or above SCREEN_KAPPA, are rebuilt by QR and scored exactly.
     """
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise ValidationError(f"D={d!r} must be an integer")
     root, vt = _spectral_factors(rho)
     r = root.size
     if d < r:
@@ -221,10 +223,10 @@ def iter_decomposition_samples(rho, d, budget=None, seed=0):
     i replays as decompose(rho, haar_unitary(D, seed, count=i + 1)[i]) and a
     larger budget extends a search without reshuffling its first rows.
     ``params`` is (theta, phi) for the grid, (trial_index,) for sampling, and
-    () for the trivial D = 1 case.  ``seed`` must be a nonnegative integer
-    (``InvalidSeed`` otherwise).  The search is batched: rho is
-    eigendecomposed once and trials are scored in stacked chunks of
-    BATCH_SIZE (4096), so memory stays bounded for any budget.
+    () for the trivial D = 1 case.  D must be an integer (ValidationError),
+    ``seed`` a nonnegative integer (InvalidSeed).  The search is batched:
+    rho is eigendecomposed once and trials are scored in stacked chunks of
+    BATCH_SIZE (2048), so memory stays bounded for any budget.
     """
     index = 0
     for params, averages in _search_chunks(as_density_matrix(rho, dim=6), d, budget, seed):

@@ -343,7 +343,7 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     an integer of at least 1 raises InvalidBudget, a negative or non-integer
     seed InvalidSeed.
 
-    Each batch of up to 4096 draws is screened, then confirmed.  With r the
+    Each batch of up to 2048 draws is screened, then confirmed.  With r the
     index past the last nonzero eigenvalue, V's first r columns are built by
     Gram-Schmidt (CGS2) over the whole batch, without LAPACK, and each
     draw's value is estimated from the r x r block b of sqrt(L) V sqrt(L):
@@ -357,19 +357,18 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     SCREEN_MARGIN under the best of 16 probe estimates.  On random spectra
     that rules out nearly all of a batch; flagged draws and draws with a
     pivot at or below the floor are never ruled out (see SCREEN_MARGIN).
-    Draws within SCREEN_MARGIN of the batch's best estimate (about one in
-    4096) are rebuilt whole and scored by the exact 6 x 6 SVD; the largest
+    Draws within SCREEN_MARGIN of the batch's best estimate (about one per
+    batch) are rebuilt whole and scored by the exact 6 x 6 SVD; the largest
     of those is the answer, the same bit for bit as scoring every draw by
     SVD.  A rank-6 spectrum so flat that the screen would keep too many
     draws to pay for itself skips the screen.
 
     Where more than one CPU is usable, a helper thread (one at a time)
-    draws the next batch's normals from the same generator while the
-    current batch is scored, and at r >= 3 screens the second half of each
-    full batch.  The stream does not depend on the chunking and the screen's
-    margin holds for any probes in a batch, so the answer is unchanged.
-    The next batch's buffer is allocated as its draw starts: at r >= 3 after
-    both half-screens return, never beside a screen's working set.
+    draws the next batch's normals from the same generator, into a buffer
+    the calling thread allocates, while the calling thread screens and
+    confirms the current batch whole.  The stream does not depend on the
+    chunking and the screen's margin holds in any batch, so the answer is
+    unchanged.
     """
     lam = as_spectrum(spectrum, 6)
     samples = as_budget(samples, "samples")
@@ -392,28 +391,20 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     # pinned to one CPU, the helper gave search +6% throughput but raised
     # its peak RSS 52.9 -> 58.7 MB, past the benchmark's 10% bound
     threaded = _usable_cpus() > 1
-    split = threaded and screened and r >= 3
-    best, far, ahead = -np.inf, None, None
+    best, ahead = -np.inf, None
     try:
         for lo in range(0, samples, BATCH_SIZE):
             n, more = min(samples - lo, BATCH_SIZE), min(samples - lo - BATCH_SIZE, BATCH_SIZE)
             g = ahead.result() if ahead else _haar_normals(rng, 6, n)
-            # the helper draws into a buffer this thread allocates as the draw starts:
-            # batches it allocated stayed in its malloc arena (up to 9 MB more RSS)
-            draw = threaded and more > 0 and (lambda: _Call(
-                _haar_normals, rng, 6, more, np.empty((more, 2, 6, 6))))
-            far = split and n == BATCH_SIZE and _Call(
-                _screened_preconcurrence, g[n // 2:], root, r)
-            ahead = draw and not far and draw()
+            # the helper draws into a buffer this thread allocates: batches
+            # it allocated stayed in its malloc arena (up to 9 MB more RSS)
+            ahead = threaded and more > 0 and _Call(
+                _haar_normals, rng, 6, more, np.empty((more, 2, 6, 6)))
             if screened:
-                screen = _screened_preconcurrence(g[: n // 2] if far else g, root, r)
-                if far:
-                    screen = np.concatenate((screen, far.result()))
-                    ahead = draw and draw()
+                screen = _screened_preconcurrence(g, root, r)
                 g = g[screen > screen.max() - SCREEN_MARGIN]
             best = max(best, float(_exact_preconcurrence(g, root).max()))
     finally:
-        for call in (far, ahead):
-            if call:
-                call.join()
+        if ahead:
+            ahead.join()
     return best

@@ -22,7 +22,7 @@ HAAR_MAX_DIM = 8
 #: eigenvalues above this count toward a state's rank
 RANK_TOL = 1e-12
 #: matrices per stacked batch in the sampling loops; bounds their memory
-BATCH_SIZE = 4096
+BATCH_SIZE = 2048
 
 
 @dataclass(frozen=True)

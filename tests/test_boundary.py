@@ -299,6 +299,27 @@ def test_haar_unitary_rejects_bad_arguments(name):
     assert raised(lambda a: qq.haar_unitary(*a), args) is error
 
 
+#: D values that a range check alone let through to the wrong error: 4.5
+#: raised DTooLarge on this rank-2 state, True DTooSmall, "3" and 3.0 a
+#: builtin TypeError
+BAD_SEARCH_DS = (4.5, True, "3", 3.0)
+SEARCHES = {
+    "min_average_search": lambda d: qq.min_average_search(RHO_2, d, 10),
+    "iter_decomposition_samples": lambda d: list(qq.iter_decomposition_samples(RHO_2, d, 10)),
+}
+
+
+@pytest.mark.parametrize("d", BAD_SEARCH_DS, ids=repr)
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_search_rejects_non_integer_d(name, d):
+    assert raised(SEARCHES[name], d) is ValidationError
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_search_accepts_numpy_integer_d(name):
+    assert SEARCHES[name](np.int64(3)) == SEARCHES[name](3)
+
+
 def test_haar_unitary_valid_arguments():
     one = qq.haar_unitary(4, 0)
     assert one.shape == (4, 4)

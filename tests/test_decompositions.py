@@ -22,7 +22,7 @@ from qqent.errors import (
     NotUnitary,
 )
 from qqent.measures import min_sgx_i_concurrence, min_tgx_i_concurrence, pure_i_concurrence
-from qqent.numerics import SCREEN_KAPPA, SCREEN_MARGIN, haar_unitary, hermitian_eig
+from qqent.numerics import BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, haar_unitary, hermitian_eig
 from qqent.states import build_alpha_beta, build_epu_min_tgx, physical_entanglement
 
 from conftest import random_density, random_ket, random_spectrum, rotated_min_sgx
@@ -246,8 +246,10 @@ class TestBatchedSearch:
         full = haar_unitary(d, 3, count=5000)
         assert np.array_equal(mixers, full[..., :2])
         # ... which is haar_unitary(d, 3, count=i + 1)[i]; checked on both
-        # sides of the 4096-trial chunk boundary (the rest: test_stack_prefix)
-        boundary = [rows[i] for i in (0, 1, 17, 4095, 4096, 4097, 4999)]
+        # sides of every chunk boundary (the rest: test_stack_prefix)
+        edges = [k + i for k in range(BATCH_SIZE, 5000, BATCH_SIZE) for i in (-1, 0, 1)]
+        assert edges
+        boundary = [rows[i] for i in (0, 1, 17, *edges, 4999)]
         assert_rows_match_per_trial_reference(rho, d, boundary, 3, mixers)
         for _, (i,), avg in rows:
             ref = average_entanglement(decompose(rho, full[i]))
@@ -326,8 +328,8 @@ def first_minimum(rows, d, seed):
     return avgs[k], MixerParams(d=d, seed=seed, trial=params[0])
 
 
-#: across the 4096-trial chunk boundary, and the one-trial edge
-SCREEN_BUDGETS = (1, 1000, 4096, 5000)
+#: the one-trial edge, one full chunk, and across the chunk boundaries
+SCREEN_BUDGETS = (1, 1000, BATCH_SIZE, 5000)
 
 #: the screen's worst-case average error at kappa = SCREEN_KAPPA (see SCREEN_MARGIN)
 SCREEN_ERROR = 4e-8
@@ -430,7 +432,8 @@ class TestScreenedSearch:
             rho = random_density(rng, 6, rank=rank)
             factored.clear()
             list(iter_decomposition_samples(rho, d, 5000, 4))
-            assert factored == [4096, 904]
+            assert factored == [BATCH_SIZE] * (5000 // BATCH_SIZE) + [5000 % BATCH_SIZE]
             factored.clear()
             min_average_search(rho, d, 5000, 4)
-            assert len(factored) == 2 and max(factored) <= 8, (rank, d, factored)
+            chunks = -(-5000 // BATCH_SIZE)
+            assert len(factored) == chunks and max(factored) <= 8, (rank, d, factored)

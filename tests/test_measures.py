@@ -432,8 +432,9 @@ def full_svd_preconcurrence(lam, samples, seed):
 
 
 #: sample counts for the helper thread: one batch, one draw past it, two
-#: batches, a split last batch and a one-draw last batch
-THREAD_SAMPLES = (4096, 4097, 8192, 9000, 12289)
+#: batches, a partial last batch and a one-draw last batch
+THREAD_SAMPLES = (BATCH_SIZE, BATCH_SIZE + 1, 2 * BATCH_SIZE, 2 * BATCH_SIZE + 808,
+                  3 * BATCH_SIZE + 1)
 
 
 def full_svd_values(lam, samples, seed):
@@ -704,16 +705,15 @@ class TestSampledGenPreconcurrence:
     @pytest.mark.parametrize("kind", SCREEN_SPECTRA)
     def test_helper_on_and_off_equal_full_svd(self, kind, monkeypatch):
         # the helper thread, forced on and off through the CPU probe, changes
-        # neither the stream nor the answer; it draws every batch after the
-        # first and, at r >= 3, screens half of every full batch, one call
-        # at a time
+        # neither the stream nor the answer; its one job is drawing every
+        # batch after the first, one call at a time, and every screen runs on
+        # the calling thread
         rng = np.random.default_rng(SCREEN_SPECTRA.index(kind))
         calls, screens = [], []
         screen, call = measures._screened_preconcurrence, measures._Call
 
         def counted(fn, *args):
-            calls.append(("draw" if fn is measures._haar_normals else "screen",
-                          threading.active_count()))
+            calls.append((fn, threading.active_count()))
             return call(fn, *args)
 
         monkeypatch.setattr(measures, "_Call", counted)
@@ -725,7 +725,6 @@ class TestSampledGenPreconcurrence:
             lam = screen_spectrum(kind, rank, rng)
             seed = int(rng.integers(2**32))
             values = full_svd_values(lam, max(THREAD_SAMPLES), seed)
-            r = int(np.flatnonzero(lam)[-1]) + 1
             for cpus in (1, 2):
                 monkeypatch.setattr(measures, "_usable_cpus", lambda: cpus)
                 for samples in THREAD_SAMPLES:
@@ -733,15 +732,10 @@ class TestSampledGenPreconcurrence:
                     screens.clear()
                     got = sampled_gen_preconcurrence(lam, samples, seed)
                     assert got == values[:samples].max(), (rank, cpus, samples)
-                    split = r >= 3 and bool(screens)
                     batches = -(-samples // BATCH_SIZE)
-                    names = sorted(name for name, _ in calls)
-                    assert names == sorted(
-                        ["draw"] * (batches - 1) + ["screen"] * (samples // BATCH_SIZE) * split
-                    ) * (cpus > 1)
-                    assert all(count == alone for _, count in calls)
-                    on_helper = [t for t in screens if t is not threading.main_thread()]
-                    assert len(on_helper) == names.count("screen")
+                    draws = (batches - 1) * (cpus > 1)
+                    assert calls == [(measures._haar_normals, alone)] * draws
+                    assert all(t is threading.main_thread() for t in screens)
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
         # the affinity mask decides, not the machine's CPU count
@@ -755,19 +749,19 @@ class TestSampledGenPreconcurrence:
         assert measures._usable_cpus() == 8
 
     def test_helper_exception_reaches_caller(self, monkeypatch):
-        screen = measures._screened_preconcurrence
+        draw = measures._haar_normals
 
-        def failing_on_helper(g, root, r):
+        def failing_on_helper(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise HelperFailed("raised on the helper thread")
-            return screen(g, root, r)
+            return draw(*args)
 
         lam = screen_spectrum("random", 6, np.random.default_rng(3))
         monkeypatch.setattr(measures, "_usable_cpus", lambda: 2)
         before = threading.active_count()
         assert sampled_gen_preconcurrence(lam, 9000, 1) == full_svd_preconcurrence(lam, 9000, 1)
         assert threading.active_count() == before
-        monkeypatch.setattr(measures, "_screened_preconcurrence", failing_on_helper)
+        monkeypatch.setattr(measures, "_haar_normals", failing_on_helper)
         with pytest.raises(HelperFailed):
             sampled_gen_preconcurrence(lam, 9000, 1)
         assert threading.active_count() == before
@@ -802,18 +796,18 @@ class TestSampledGenPreconcurrence:
         # a rank-6 screen keeps only what its next stage reads
         rng = np.random.default_rng(11)
         root = np.sqrt(screen_spectrum("random", 6, rng))
-        g = rng.standard_normal((BATCH_SIZE // 2, 2, 6, 6))
+        g = rng.standard_normal((BATCH_SIZE, 2, 6, 6))
         measures._screened_preconcurrence(g, root, 6)
         assert traced_peak(measures._screened_preconcurrence, g, root, 6) <= 2.5 * g.nbytes
 
     @pytest.mark.parametrize("cpus", (1, 2))
     def test_call_working_set(self, cpus, monkeypatch):
-        # two batches and a partial one, with and without the helper thread
+        # full batches and a partial one, with and without the helper thread
         monkeypatch.setattr(measures, "_usable_cpus", lambda: cpus)
         lam = screen_spectrum("random", 6, np.random.default_rng(12))
         sampled_gen_preconcurrence(lam, 9000, 3)
-        batch_bytes = BATCH_SIZE * 2 * 6 * 6 * 8
-        assert traced_peak(sampled_gen_preconcurrence, lam, 9000, 3) <= 3.6 * batch_bytes
+        batch_bytes = 4096 * 2 * 6 * 6 * 8  # the normals of 4096 draws
+        assert traced_peak(sampled_gen_preconcurrence, lam, 9000, 3) <= 2.4 * batch_bytes
 
     def test_bound_is_attained_by_pairing_unitary(self):
         # the level pairing (1)(4)(2<->6)(3<->5) achieves the spectral maximum
