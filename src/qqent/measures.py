@@ -388,8 +388,8 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     window = 2.0 * m * (2.0 * s[0] - max(s[k] + s[5 - k] for k in range(3)))
     screened = window + (s[0] - s[5]) ** 2 / m > 50.0 * SCREEN_MARGIN
     rng = np.random.default_rng(as_seed(seed))
-    # pinned to one CPU, the helper gave search +6% throughput but raised
-    # its peak RSS 52.9 -> 58.7 MB, past the benchmark's 10% bound
+    # pinned to one CPU, the helper raised search's peak RSS 43.9 -> 45.2 MB
+    # and its p99 latency, for no throughput gain beyond the host's drift
     threaded = _usable_cpus() > 1
     best, ahead = -np.inf, None
     try:
