@@ -1,5 +1,9 @@
 """Shared random-input helpers for the test suite."""
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 from hypothesis import settings
 
@@ -10,6 +14,26 @@ from qqent.numerics import haar_unitary
 # every property test is seeded: the same examples on every run
 settings.register_profile("seeded", derandomize=True, deadline=None)
 settings.load_profile("seeded")
+
+def blas_platform():
+    """numpy's version and the run-time config and core of its scipy-openblas
+    (None where the library or symbol is absent), for the message of a failed
+    output digest: LAPACK's last bits depend on the kernels that ran."""
+    found = dict.fromkeys(("config", "corename"))
+    base = os.path.dirname(np.__file__)
+    for path in glob.glob(os.path.join(base, os.pardir, "numpy.libs", "*openblas*")) + glob.glob(
+            os.path.join(base, ".dylibs", "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for key in found:
+            get = getattr(lib, f"scipy_openblas_get_{key}64_", None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                found[key] = get().decode()
+    return f"numpy {np.__version__}, OpenBLAS config {found['config']!r}, core {found['corename']!r}"
+
 
 QUARTET_IDX = {
     (1, 2, 4, 5): np.array([0, 1, 3, 4]),

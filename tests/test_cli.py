@@ -18,6 +18,8 @@ from qqent.errors import InvalidSpectrum
 from qqent.measures import SPIN_FLIP_4
 from qqent.numerics import BATCH_SIZE, RANK_TOL, haar_unitary
 
+from conftest import blas_platform
+
 FIG2_ARGS = ["construct", "epu-min-tgx", "--spectrum", "0.7,0.3,0,0,0,0",
              "--entanglement", "0.693"]
 
@@ -320,7 +322,7 @@ class TestSample:
         code, out, _ = run(capsys, "sample", "fig2.json", *argv)
         assert code == 0
         data = out.encode()
-        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), blas_platform()
 
     @pytest.mark.parametrize("d, budget", [("2", 900), ("3", 1000)])
     def test_default_budget_recorded(self, tmp_path, capsys, d, budget):
@@ -542,7 +544,7 @@ class TestVerify:
     def test_bytes_unchanged(self, capsys, suite, trials, seed, digest):
         code, out, _ = run(capsys, "verify", suite, "--trials", str(trials), "--seed", str(seed))
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, blas_platform()
 
     @pytest.mark.parametrize("suite", ["epu", "ls", "formulas", "genconc"])
     def test_fail_stops_at_first_trial_over_limit(self, capsys, monkeypatch, suite):
