@@ -13,8 +13,8 @@ from ._checks import ANGLE_TOL, as_budget, as_density_matrix, as_seed, density_a
 from .errors import AngleOutOfRange, DTooLarge, DTooSmall, NotUnitary, ValidationError
 from .measures import _pure_i_unnormalized
 from .numerics import (
-    BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, SCREEN_KAPPA, SCREEN_MARGIN, _gram_schmidt,
-    _haar_columns, _haar_normals, _hermitian_eig_unchecked,
+    BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _candidates, _gram_schmidt, _haar_columns,
+    _haar_normals, _hermitian_eig_unchecked,
 )
 
 ZERO_WEIGHT_TOL = 1e-14
@@ -150,7 +150,7 @@ def _search_budget(d, budget):
 
 def _screened_averages(g, root, vt):
     """Estimated average of each trial in the normals ``g``, with the
-    Gram-Schmidt certificate of its mixer columns (see SCREEN_MARGIN).
+    Gram-Schmidt certificate of its mixer columns (see numerics._candidates).
 
     Struct of arrays with the trial axis last, one member at a time: one
     small product forms member j's kets in every trial, and no stacked
@@ -172,8 +172,8 @@ def _search_chunks(rho, d, budget, seed, screen=False):
     mixers, bit-identical to those of haar_unitary(D, seed, count=n), since
     the average reads no others.  With ``screen`` a D >= 3 chunk yields only
     the trials that can hold its minimum: every trial is estimated from
-    Gram-Schmidt columns, and those within SCREEN_MARGIN of the best
-    estimate, or above SCREEN_KAPPA, are rebuilt by QR and scored exactly.
+    Gram-Schmidt columns, and those that numerics._candidates returns for
+    the negated estimates are rebuilt by QR and scored exactly.
     """
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValidationError(f"D={d!r} must be an integer")
@@ -207,9 +207,7 @@ def _search_chunks(rho, d, budget, seed, screen=False):
         index = range(lo, lo + len(g))
         if screen:
             est, kappa = _screened_averages(g, root, vt)
-            flagged = kappa > SCREEN_KAPPA
-            cut = np.min(est, where=~flagged, initial=np.inf) + SCREEN_MARGIN
-            keep = np.flatnonzero(flagged | (est <= cut))
+            keep = _candidates(-est, kappa)
             g, index = g[keep], (lo + keep).tolist()
         yield [(k,) for k in index], _averages(_haar_columns(g, r), root, vt)
 
@@ -242,9 +240,9 @@ def min_average_search(rho, d, budget=None, seed=0):
     result can never fall below the convex-roof value beyond round-off.
     Ties go to the earliest trial.  The trials are those of
     iter_decomposition_samples, and so is the result, bit for bit; at
-    D >= 3 each chunk is screened first (see _search_chunks and
-    numerics.SCREEN_MARGIN), so only a handful of its trials per chunk are
-    QR-factored and scored exactly.
+    D >= 3 each chunk is screened first (see _search_chunks), so only the
+    handful of its trials that numerics._candidates returns are QR-factored
+    and scored exactly.
     """
     best = np.inf
     best_params = ()

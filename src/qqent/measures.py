@@ -19,8 +19,8 @@ from .errors import (
     NotXForm,
 )
 from .numerics import (
-    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _cholesky_pivots, _gram_schmidt, _haar_columns,
-    _haar_normals,
+    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _candidates, _cholesky_pivots, _gram_schmidt,
+    _haar_columns, _haar_normals,
 )
 from .states import DELTA_TOL, QUARTETS, ZERO_TOL, _class_of, _classify, _coherent_quartet
 from .states import _offdiag_support, _physical_pair, build_alpha_beta, e_mems
@@ -208,9 +208,9 @@ def _gen_concurrence_max(lam):
 
 def _screened_preconcurrence(g, root, r):
     """Estimated preconcurrence of each draw in the normals ``g``, from V's
-    first r columns; ``root`` is sqrt(L), zero past index r - 1.  Draws whose
-    Gram-Schmidt certificate exceeds SCREEN_KAPPA are scored exactly.  At
-    r >= 3, draws certified to lie more than SCREEN_MARGIN below the best
+    first r columns, and their Gram-Schmidt certificate, for _candidates;
+    ``root`` is sqrt(L), zero past index r - 1.  At r >= 3, flagged draws
+    and draws certified to lie more than SCREEN_MARGIN below the best
     estimate get -inf instead of an estimate (see SCREEN_MARGIN)."""
     qr, qi, kappa = _gram_schmidt(g, r)
     lam = (root * root).tolist()
@@ -233,10 +233,7 @@ def _screened_preconcurrence(g, root, r):
         rows = np.flatnonzero(live)
         est = np.full(len(kappa), -np.inf)
         est[rows] = _gram_estimates(hr[..., rows], hi[..., rows])
-    flagged = np.flatnonzero(kappa > SCREEN_KAPPA)
-    if flagged.size:
-        est[flagged] = _exact_preconcurrence(g[flagged], root)
-    return est
+    return est, kappa
 
 
 #: draws whose eigvalsh estimate sets the pruning threshold, per batch
@@ -348,20 +345,18 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     Gram-Schmidt (CGS2) over the whole batch, without LAPACK, and each
     draw's value is estimated from the r x r block b of sqrt(L) V sqrt(L):
     lam1 |V11| for r = 1, sigma1 - sigma2 = sqrt(||b||_F^2 - 2 |det b|) for
-    r = 2, and the square roots of eigvalsh(b^H b) for r >= 3.  A draw whose
-    columns are too ill-conditioned for that (kappa above SCREEN_KAPPA, by
-    the Gram-Schmidt certificate) is scored exactly instead.  At r >= 3,
+    r = 2, and the square roots of eigvalsh(b^H b) for r >= 3.  At r >= 3,
     eigvalsh runs only on draws that two Cholesky recursions over
     H = b^H b cannot rule out: the pivots give d <= ||b||_*, and a
     positive definite x I - H proves the value below a threshold 2
     SCREEN_MARGIN under the best of 16 probe estimates.  On random spectra
-    that rules out nearly all of a batch; flagged draws and draws with a
-    pivot at or below the floor are never ruled out (see SCREEN_MARGIN).
-    Draws within SCREEN_MARGIN of the batch's best estimate (about one per
-    batch) are rebuilt whole and scored by the exact 6 x 6 SVD; the largest
-    of those is the answer, the same bit for bit as scoring every draw by
-    SVD.  A rank-6 spectrum so flat that the screen would keep too many
-    draws to pay for itself skips the screen.
+    that rules out nearly all of a batch; draws with a pivot at or below
+    the floor are never ruled out (see SCREEN_MARGIN).  The draws that
+    numerics._candidates returns (those too ill-conditioned to estimate,
+    and about one more per batch) are rebuilt whole and scored by the exact
+    6 x 6 SVD; the largest of those is the answer, the same bit for bit as
+    scoring every draw by SVD.  A rank-6 spectrum so flat that the screen
+    would keep too many draws to pay for itself skips the screen.
 
     Where more than one CPU is usable, a helper thread (one at a time)
     draws the next batch's normals from the same generator, into a buffer
@@ -401,8 +396,7 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
             ahead = threaded and more > 0 and _Call(
                 _haar_normals, rng, 6, more, np.empty((more, 2, 6, 6)))
             if screened:
-                screen = _screened_preconcurrence(g, root, r)
-                g = g[screen > screen.max() - SCREEN_MARGIN]
+                g = g[_candidates(*_screened_preconcurrence(g, root, r))]
             best = max(best, float(_exact_preconcurrence(g, root).max()))
     finally:
         if ahead:

@@ -252,12 +252,11 @@ def _haar_columns(g, k):
 
 #: Candidate margin of the Gram-Schmidt screens.  A screen estimates each
 #: draw's value from the first r columns of its Haar unitary, built by
-#: _gram_schmidt, and rescores exactly (through _haar_columns) every draw
-#: within this margin of the best estimate.  If every estimate lies within
-#: half the margin of its exact value, the exact best draw, and every draw
-#: that ties it, is among those kept, so the answer and its tie rule are the
-#: same bit for bit as scoring every draw exactly.  Both screens stay far
-#: inside that:
+#: _gram_schmidt, and rescores exactly (through _haar_columns) the draws
+#: that _candidates returns.  If every unflagged estimate lies within half
+#: the margin of its exact value, the exact best draw, and every draw that
+#: ties it, is among those, so the answer and its tie rule are the same bit
+#: for bit as scoring every draw exactly.  Both screens stay far inside that:
 #:
 #: - measures.sampled_gen_preconcurrence estimates sigma1 - sigma2 =
 #:   sqrt(||b||_F^2 - 2 |det b|) of the r x r block b = sqrt(L_r) V_r sqrt(L_r)
@@ -292,8 +291,8 @@ def _haar_columns(g, k):
 #: by sqrt(||E||) ~ 3e-7, so the two passes miss their bounds by at most
 #: (r + 2) sqrt(||E||) ~ 3e-6 together: a pruned draw's estimate is below
 #: L0 - 2 SCREEN_MARGIN + 5e-6, more than SCREEN_MARGIN under the batch's
-#: best, and the rule above would not have kept it.  Flagged draws and draws
-#: with a pivot at or below the floor are never pruned.
+#: best, and _candidates would not have returned it.  Flagged draws and
+#: draws with a pivot at or below the floor are never pruned.
 SCREEN_MARGIN = 1e-5
 
 #: Conditioning cap of the screens' Gram-Schmidt.  Classical Gram-Schmidt
@@ -310,6 +309,15 @@ SCREEN_MARGIN = 1e-5
 #: error budget.  Draws above the cap (about 1 in 1000 at rank 6, none seen
 #: below rank 5) are always scored exactly.
 SCREEN_KAPPA = 1e5
+
+
+def _candidates(score, kappa):
+    """Indices of the draws a screen scores exactly: each with ``kappa`` over
+    SCREEN_KAPPA, whatever its ``score``, and each other unpruned (not -inf)
+    one within SCREEN_MARGIN of the best unflagged score (higher is better)."""
+    flagged = kappa > SCREEN_KAPPA
+    cut = np.max(score, where=~flagged, initial=-np.inf) - SCREEN_MARGIN
+    return np.flatnonzero(flagged | (score >= cut) & (score > -np.inf))
 
 
 def _gram_schmidt(g, r):

@@ -30,7 +30,7 @@ def blas_platform():
         for key in found:
             get = getattr(lib, f"scipy_openblas_get_{key}64_", None)
             if get is not None:
-                get.restype = ctypes.c_char_p
+                get.argtypes, get.restype = [], ctypes.c_char_p
                 found[key] = get().decode()
     return f"numpy {np.__version__}, OpenBLAS config {found['config']!r}, core {found['corename']!r}"
 

@@ -375,15 +375,12 @@ def screen_spectrum(kind, rank, rng):
 
 
 def unpruned_screen(g, root, r):
-    """The screen's estimate of every draw, none pruned; flagged draws exact."""
+    """The screen's estimate of every draw, flagged ones included and none
+    pruned, with the Gram-Schmidt certificates."""
     if r <= 2:
         return measures._screened_preconcurrence(g, root, r)
     qr, qi, kappa = measures._gram_schmidt(g, r)
-    est = measures._gram_estimates(*measures._block_gram(qr, qi, root, r))
-    flagged = kappa > measures.SCREEN_KAPPA
-    if flagged.any():
-        est[flagged] = measures._exact_preconcurrence(g[flagged], root)
-    return est
+    return measures._gram_estimates(*measures._block_gram(qr, qi, root, r)), kappa
 
 
 def ill_conditioned_normals(rng, rank):
@@ -516,21 +513,26 @@ class TestSampledGenPreconcurrence:
         )
 
     def test_screen_error_below_margin(self):
-        # the margin argument: every draw's estimate lies within 1e-6 of its
-        # exact value, and the screen returns that estimate or, pruned, -inf
+        # the margin argument: every unflagged draw's estimate lies within
+        # 1e-6 of its exact value, the screen returns that estimate or,
+        # pruned, -inf, and every flagged draw is a candidate
         rng = np.random.default_rng(21)
         for kind in SCREEN_SPECTRA:
             for rank in range(1, 7):
                 root = np.sqrt(screen_spectrum(kind, rank, rng))
                 r = int(np.flatnonzero(root)[-1]) + 1
                 g = rng.standard_normal((512, 2, 6, 6))
-                estimates = unpruned_screen(g, root, r)
+                estimates, kappa = unpruned_screen(g, root, r)
+                unflagged = kappa <= measures.SCREEN_KAPPA
                 exact = measures._exact_preconcurrence(g, root)
-                assert np.max(np.abs(estimates - exact)) < 1e-6
-                screened = measures._screened_preconcurrence(g, root, r)
+                assert np.max(np.abs(estimates - exact)[unflagged]) < 1e-6
+                screened, screened_kappa = measures._screened_preconcurrence(g, root, r)
+                assert (screened_kappa == kappa).all()
                 kept = screened > -np.inf
                 assert (screened[kept] == estimates[kept]).all()
                 assert kept.all() or r >= 3
+                candidates = measures._candidates(screened, kappa)
+                assert set(np.flatnonzero(~unflagged)) <= set(candidates)
         assert 2e-6 < measures.SCREEN_MARGIN
 
     def test_flat_spectrum_skips_screen(self, monkeypatch):
@@ -548,7 +550,8 @@ class TestSampledGenPreconcurrence:
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_ill_conditioned_draws_scored_exactly(self, rank, monkeypatch):
         rng = np.random.default_rng(40 + rank)
-        root = np.sqrt(screen_spectrum("random", rank, rng))
+        lam = screen_spectrum("random", rank, rng)
+        root = np.sqrt(lam)
         g = ill_conditioned_normals(rng, rank)
         qr, qi, kappa = measures._gram_schmidt(g, rank)
         flagged = kappa > measures.SCREEN_KAPPA
@@ -563,14 +566,31 @@ class TestSampledGenPreconcurrence:
         monkeypatch.setattr(
             measures, "_exact_preconcurrence", lambda g, root: rows.append(len(g)) or exact(g, root)
         )
-        screened = measures._screened_preconcurrence(g, root, rank)
-        assert sum(rows) == flagged.sum()
-        assert (screened[flagged] == exact(g[flagged], root)).all()
-        # every other draw's estimate is within 1e-6, and pruned ones far below the best
-        estimates = unpruned_screen(g, root, rank)
-        assert np.max(np.abs(estimates - exact(g, root))) < 1e-6
-        pruned = screened == -np.inf
-        assert (estimates[pruned] < screened.max() - measures.SCREEN_MARGIN).all()
+        # the screen scores nothing exactly and leaves every flagged draw a candidate
+        screened, kappa = measures._screened_preconcurrence(g, root, rank)
+        assert rows == []
+        assert set(np.flatnonzero(flagged)) <= set(measures._candidates(screened, kappa))
+        # every unflagged draw's estimate is within 1e-6, and pruned ones far below the best
+        estimates = unpruned_screen(g, root, rank)[0]
+        assert np.max(np.abs(estimates - exact(g, root))[~flagged]) < 1e-6
+        pruned = (screened == -np.inf) & ~flagged
+        best = screened[~flagged].max()
+        assert (estimates[pruned] < best - measures.SCREEN_MARGIN).all()
+        # end to end, every flagged draw reaches the exact scorer, and the
+        # answer is the full SVD's on the same normals
+        scored, screens = [], []
+        screen = measures._screened_preconcurrence
+        monkeypatch.setattr(measures, "_haar_normals", lambda *args: g.copy())
+        monkeypatch.setattr(
+            measures, "_exact_preconcurrence", lambda g, root: scored.append(g) or exact(g, root)
+        )
+        monkeypatch.setattr(
+            measures, "_screened_preconcurrence", lambda *a: screens.append(1) or screen(*a)
+        )
+        assert sampled_gen_preconcurrence(lam, BATCH_SIZE) == exact(g, root).max()
+        assert screens == [1]
+        seen = {row.tobytes() for batch in scored for row in batch}
+        assert {g[k].tobytes() for k in np.flatnonzero(flagged)} <= seen
 
     @pytest.mark.parametrize("rank", range(3, 7))
     def test_block_gram_equals_matmul_reference(self, rank):
@@ -607,14 +627,13 @@ class TestSampledGenPreconcurrence:
         assert np.max(np.abs(kappa / ref - 1.0)) < 1e-12
 
     def test_screen_calls_no_lapack_qr(self, monkeypatch):
-        # outside the exact scoring of flagged draws the screen calls no QR,
-        # for r <= 2 no np.linalg routine at all, and for r >= 3 only eigvalsh
-        calls, inside = [], []
+        # the screen calls no QR, for r <= 2 no np.linalg routine at all, and
+        # for r >= 3 only eigvalsh
+        calls = []
 
         def recording(name, func):
             def wrapper(*args, **kwargs):
-                if not inside:
-                    calls.append(name)
+                calls.append(name)
                 return func(*args, **kwargs)
             return wrapper
 
@@ -622,16 +641,6 @@ class TestSampledGenPreconcurrence:
             func = getattr(np.linalg, name)
             if callable(func) and not isinstance(func, type):
                 monkeypatch.setattr(np.linalg, name, recording(name, func))
-        exact = measures._exact_preconcurrence
-
-        def scored_exactly(g, root):
-            inside.append(1)
-            try:
-                return exact(g, root)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(measures, "_exact_preconcurrence", scored_exactly)
         rng = np.random.default_rng(8)
         for rank in range(1, 7):
             root = np.sqrt(screen_spectrum("random", rank, rng))
@@ -647,8 +656,8 @@ class TestSampledGenPreconcurrence:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_pruning_keeps_every_candidate(self, kind, rank, seed):
-        # the draws the all-draws estimate keeps are exactly those the pruned
-        # screen keeps, so each is still scored exactly; on random spectra
+        # the candidates of the all-draws estimate are exactly those of the
+        # pruned screen, so each is still scored exactly; on random spectra
         # eigvalsh sees under a quarter of the batch.  Near ties, where the
         # certificate is tight, need the pruning threshold's margin.
         rng = np.random.default_rng(seed)
@@ -663,11 +672,12 @@ class TestSampledGenPreconcurrence:
         rows, eigvalsh = [], np.linalg.eigvalsh
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
-            screened = measures._screened_preconcurrence(g, root, r)
-        estimates = unpruned_screen(g, root, r)
-        margin = measures.SCREEN_MARGIN
-        assert screened.max() == estimates.max()
-        assert ((screened > screened.max() - margin) == (estimates > estimates.max() - margin)).all()
+            screened, kappa = measures._screened_preconcurrence(g, root, r)
+        estimates = unpruned_screen(g, root, r)[0]
+        unflagged = kappa <= measures.SCREEN_KAPPA
+        assert screened[unflagged].max() == estimates[unflagged].max()
+        candidates = measures._candidates(screened, kappa)
+        assert (candidates == measures._candidates(estimates, kappa)).all()
         kept = screened > -np.inf
         assert (screened[kept] == estimates[kept]).all()
         if kind == "random":

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qqent import decompositions
+from qqent._checks import as_density_matrix
 from qqent.errors import DTooLarge, DTooSmall, InvalidState, NotHermitian, NotSymmetric
 from qqent.numerics import (
     DEGENERACY_TOL,
     RANK_TOL,
     REAL_SYMMETRIC_TOL,
+    SCREEN_KAPPA,
+    SCREEN_MARGIN,
+    _candidates,
     _fix_phases,
     _haar_columns,
     _hermitian_eig_unchecked,
@@ -211,6 +216,60 @@ class TestHaar:
             haar_unitary(1, 0)
         with pytest.raises(DTooLarge):
             haar_unitary(9, 0)
+
+
+class TestCandidates:
+    """The one rule that picks the screened draws scored exactly."""
+
+    def test_flagged_draw_returned_whatever_its_score(self):
+        # draw 4's score would lead, but flagged draws do not set the best
+        score = np.array([0.5, np.nan, -np.inf, 0.1, 10.0, 0.5 - 2 * SCREEN_MARGIN])
+        kappa = np.array([1.0, 2 * SCREEN_KAPPA, np.inf, 1.0, 1e6, 1.0])
+        assert _candidates(score, kappa).tolist() == [0, 1, 2, 4]
+
+    def test_all_flagged_batch_returns_every_draw(self):
+        score = np.array([np.nan, -np.inf, 0.3, np.inf, -0.2])
+        assert _candidates(score, np.full(5, 2 * SCREEN_KAPPA)).tolist() == [0, 1, 2, 3, 4]
+
+    def test_pruned_draw_never_returned(self):
+        kappa = np.ones(4)
+        score = np.array([-np.inf, 0.2, -np.inf, 0.2 - SCREEN_MARGIN / 2])
+        assert _candidates(score, kappa).tolist() == [1, 3]
+        # nor when every unflagged draw is pruned
+        assert _candidates(np.full(4, -np.inf), kappa).tolist() == []
+        kappa[2] = 2 * SCREEN_KAPPA
+        assert _candidates(np.full(4, -np.inf), kappa).tolist() == [2]
+
+    def test_score_at_margin_edge_returned(self):
+        edge = 0.7 - SCREEN_MARGIN
+        score = np.array([0.7, edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)])
+        assert _candidates(score, np.ones(4)).tolist() == [0, 1, 3]
+
+    def test_equals_min_search_rule_it_replaced(self):
+        # the search kept the flagged trials and each estimate at or below
+        # the least unflagged one plus SCREEN_MARGIN; negating the estimates
+        # is exact, so the kept trials are the same
+        def replaced(est, kappa):
+            flagged = kappa > SCREEN_KAPPA
+            cut = np.min(est, where=~flagged, initial=np.inf) + SCREEN_MARGIN
+            return np.flatnonzero(flagged | (est <= cut))
+
+        rng = np.random.default_rng(31)
+        for rank in range(2, 7):
+            rho = as_density_matrix(random_density(rng, 6, rank=rank))
+            root, vt = decompositions._spectral_factors(rho)
+            for d in range(max(3, rank), min(rank * rank, 8) + 1):
+                g = rng.standard_normal((512, 2, d, d))
+                g[:8, :, :, 1] = g[:8, :, :, 0] + 1e-9 * g[:8, :, :, 1]  # flagged
+                est, kappa = decompositions._screened_averages(g, root, vt)
+                assert (kappa[:8] > SCREEN_KAPPA).all() and (kappa[8:12] <= SCREEN_KAPPA).all()
+                assert np.array_equal(_candidates(-est, kappa), replaced(est, kappa))
+                # a tie with the least, the cut, and one ulp either side of it
+                low = est[8:][kappa[8:] <= SCREEN_KAPPA].min()
+                cut = low + SCREEN_MARGIN
+                est[8:12] = low, cut, np.nextafter(cut, np.inf), np.nextafter(cut, -np.inf)
+                assert np.array_equal(_candidates(-est, kappa), replaced(est, kappa))
+                assert {8, 9, 11} <= set(replaced(est, kappa)) and 10 not in replaced(est, kappa)
 
 
 def same_bytes(x, y):
