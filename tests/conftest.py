@@ -20,9 +20,8 @@ def blas_platform():
     (None where the library or symbol is absent), for the message of a failed
     output digest: LAPACK's last bits depend on the kernels that ran."""
     found = dict.fromkeys(("config", "corename"))
-    base = os.path.dirname(np.__file__)
-    for path in glob.glob(os.path.join(base, os.pardir, "numpy.libs", "*openblas*")) + glob.glob(
-            os.path.join(base, ".dylibs", "*openblas*")):
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "*openblas*")):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
