@@ -1,8 +1,8 @@
 """Qubit-qutrit entanglement toolkit.
 
 Constructs the special 2x3 state families, evaluates their closed-form
-I-concurrence, synthesizes states for any physical spectrum-entanglement
-pair, computes optimal entangled/separable splits, and verifies the
+I-concurrence, synthesizes minimal TGX states for each spectrum-entanglement
+pair that family reaches, computes optimal entangled/separable splits, and verifies the
 formulas as minimum averages over sampled decompositions.
 """
 

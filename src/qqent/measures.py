@@ -5,8 +5,6 @@ valid (minimal TGX / minimal SGX input); the form gates raise otherwise.
 """
 
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -162,7 +160,8 @@ def _min_sgx_i_concurrence(rho):
 
 
 def mems_entanglement(spectrum):
-    """max{0, lam1 - lam5 - 2 sqrt(lam4 lam6)}: the spectral ceiling."""
+    """max{0, lam1 - lam5 - 2 sqrt(lam4 lam6)}: the largest I-concurrence of
+    the code's minimal-TGX family for the spectrum (see states.e_mems)."""
     return max(0.0, e_mems(spectrum))
 
 
@@ -196,7 +195,7 @@ def gen_concurrence_max(spectrum):
     """Spectral maximum of the generalized concurrence.
 
     max{0, lam1 - lam4 - 2 sqrt(lam2 lam6) - 2 sqrt(lam3 lam5)}; differs
-    from the I-concurrence ceiling, so the two measures are not equal.
+    from mems_entanglement, so the two measures are not equal.
     """
     return _gen_concurrence_max(as_spectrum(spectrum, 6))
 
@@ -303,34 +302,6 @@ def _exact_preconcurrence(g, root):
     return s[:, 0] - s[:, 1:].sum(axis=1)
 
 
-def _usable_cpus():
-    """CPUs this process may run on: its affinity mask, else the CPU count."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-class _Call(threading.Thread):
-    """fn(*args) on a thread of its own, started at once; ``result()`` joins
-    it and returns fn's value or raises fn's exception in the caller."""
-
-    def __init__(self, fn, *args):
-        super().__init__(daemon=True)
-        self.fn, self.args, self.error = fn, args, None
-        self.start()
-
-    def run(self):
-        try:
-            self.value = self.fn(*self.args)
-        except BaseException as exc:  # raised again by result, in the caller
-            self.error = exc
-
-    def result(self):
-        self.join()
-        if self.error:
-            raise self.error
-        return self.value
-
-
 def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     """Monte-Carlo maximum of the generalized preconcurrence.
 
@@ -356,14 +327,8 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     and about one more per batch) are rebuilt whole and scored by the exact
     6 x 6 SVD; the largest of those is the answer, the same bit for bit as
     scoring every draw by SVD.  A rank-6 spectrum so flat that the screen
-    would keep too many draws to pay for itself skips the screen.
-
-    Where more than one CPU is usable, a helper thread (one at a time)
-    draws the next batch's normals from the same generator, into a buffer
-    the calling thread allocates, while the calling thread screens and
-    confirms the current batch whole.  The stream does not depend on the
-    chunking and the screen's margin holds in any batch, so the answer is
-    unchanged.
+    would keep too many draws to pay for itself skips the screen.  Every
+    batch's normals are drawn into one buffer allocated once per call.
     """
     lam = as_spectrum(spectrum, 6)
     samples = as_budget(samples, "samples")
@@ -383,22 +348,11 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     window = 2.0 * m * (2.0 * s[0] - max(s[k] + s[5 - k] for k in range(3)))
     screened = window + (s[0] - s[5]) ** 2 / m > 50.0 * SCREEN_MARGIN
     rng = np.random.default_rng(as_seed(seed))
-    # pinned to one CPU, the helper raised search's peak RSS 43.9 -> 45.2 MB
-    # and its p99 latency, for no throughput gain beyond the host's drift
-    threaded = _usable_cpus() > 1
-    best, ahead = -np.inf, None
-    try:
-        for lo in range(0, samples, BATCH_SIZE):
-            n, more = min(samples - lo, BATCH_SIZE), min(samples - lo - BATCH_SIZE, BATCH_SIZE)
-            g = ahead.result() if ahead else _haar_normals(rng, 6, n)
-            # the helper draws into a buffer this thread allocates: batches
-            # it allocated stayed in its malloc arena (up to 9 MB more RSS)
-            ahead = threaded and more > 0 and _Call(
-                _haar_normals, rng, 6, more, np.empty((more, 2, 6, 6)))
-            if screened:
-                g = g[_candidates(*_screened_preconcurrence(g, root, r))]
-            best = max(best, float(_exact_preconcurrence(g, root).max()))
-    finally:
-        if ahead:
-            ahead.join()
+    buf, best = np.empty((min(samples, BATCH_SIZE), 2, 6, 6)), -np.inf
+    for lo in range(0, samples, BATCH_SIZE):
+        n = min(samples - lo, BATCH_SIZE)
+        g = _haar_normals(rng, 6, n, out=buf[:n])
+        if screened:
+            g = g[_candidates(*_screened_preconcurrence(g, root, r))]
+        best = max(best, float(_exact_preconcurrence(g, root).max()))
     return best

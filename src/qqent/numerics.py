@@ -1,10 +1,14 @@
-"""Dense complex matrix kernel for dimensions up to 8.
+"""Dense numerics kernels for dimensions up to 8.
 
 Hermitian eigendecomposition with a deterministic ordering rule, Takagi
 factorization of complex symmetric matrices (null-space columns are a
 deterministic orthonormal completion), the partial-transpose separability
-witness for qubit-qutrit states, and Haar-random unitary sampling.
-Everything is plain numpy on small dense arrays.
+witness for qubit-qutrit states, and Haar-random unitary sampling.  The
+Haar screens' batch kernels sit here too: Gram-Schmidt columns with a
+conditioning certificate and unpivoted Cholesky pivots, each over a whole
+batch as struct-of-arrays stacks with the draw axis last, and the rule
+(_candidates) that picks the draws scored exactly.  Everything is plain
+numpy, without compiled extensions.
 """
 
 from dataclasses import dataclass

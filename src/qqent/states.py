@@ -193,8 +193,9 @@ def me_tgx_states():
 def e_mems(spectrum):
     """lam1 - lam5 - 2*sqrt(lam4*lam6): the spectral pre-entanglement.
 
-    May be negative; max{0, .} is the largest entanglement any state with
-    this spectrum can carry.
+    May be negative; max{0, .} is the largest I-concurrence of the code's
+    minimal-TGX family for this spectrum.  Other states with the spectrum
+    can carry more.
     """
     return _e_mems(as_spectrum(spectrum, 6))
 
@@ -241,7 +242,8 @@ def _physical_pair(spectrum, entanglement):
 
 
 def build_mems(spectrum):
-    """Maximally entangled mixed state (wrt its spectrum), canonical orientation."""
+    """The state of the code's minimal-TGX family with the largest
+    I-concurrence for its spectrum, max{0, e_mems}; canonical orientation."""
     l1, l2, l3, l4, l5, l6 = as_spectrum(spectrum, 6).tolist()
     return _state(((l1 + l5) / 2, l2, l4, l6, l3, (l1 + l5) / 2), ((0, 5), (l1 - l5) / 2))
 
@@ -249,7 +251,7 @@ def build_mems(spectrum):
 def build_epu_min_tgx(spectrum, entanglement):
     """State with the given spectrum and I-concurrence, minimal TGX form.
 
-    Entanglement must be physical: 0 <= E <= max{0, e_mems(spectrum)}.
+    Entanglement must lie in the family's range 0 <= E <= max{0, e_mems(spectrum)}.
     Returns the 6x6 matrix and the case parameters (Q, Omega, Delta).  For
     Q >= 0 the minimal-TGX I-concurrence of the result is exactly E; for
     Q < 0 the only physical E is 0 and the result is separable.

@@ -569,8 +569,8 @@ class TestVerify:
 
 
 def test_cli_import_leaves_out_concurrent_futures():
-    # every qqent command pays its imports; concurrent.futures alone costs
-    # several milliseconds, and the preconcurrence helper thread needs only threading
+    # every qqent command pays its imports, and concurrent.futures alone
+    # costs several milliseconds; nothing in qqent runs work on other threads
     src = str(Path(qqent.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = "import sys, qqent.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"

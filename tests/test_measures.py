@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qqent import measures
+from qqent.decompositions import min_average_search
 from qqent.errors import (
     InvalidBudget,
     InvalidQuartet,
@@ -17,6 +18,7 @@ from qqent.errors import (
     NotNormalized,
     NotTGXForm,
     NotXForm,
+    UnphysicalEntanglement,
 )
 from qqent.ls import ls_numeric
 from qqent.measures import (
@@ -41,6 +43,7 @@ from qqent.states import (
     build_alpha_beta,
     build_epu_min_tgx,
     build_mems,
+    classify,
     e_mems,
     enumerate_lpus,
     physical_entanglement,
@@ -315,6 +318,32 @@ class TestSpectralMeasures:
         assert abs(gen_concurrence_max(lam) - 0.3) < 1e-15
         assert abs(e_mems(lam) - 0.4) < 1e-15  # differs: not the I-concurrence ceiling
 
+    def test_ceiling_witness(self):
+        # rho = (|psi1><psi1| + |psi2><psi2|) / 2, psi1 on levels 1, 5 and psi2
+        # on 2, 6, carries more than mems_entanglement of its spectrum: every
+        # ket a psi1 + b psi2 of its support has I-concurrence
+        # sqrt(1 - |a|^2 |b|^2) >= sqrt(3)/2, so E(rho) >= sqrt(3)/2 > 0.5
+        psi = np.zeros((2, 6))
+        psi[0, [0, 4]] = psi[1, [1, 5]] = 1 / np.sqrt(2)
+        rho = psi.T @ psi / 2
+        lam = (0.5, 0.5, 0, 0, 0, 0)
+        assert np.allclose(np.linalg.eigvalsh(rho)[::-1], lam, rtol=0, atol=1e-15)
+        assert mems_entanglement(lam) == 0.5
+        negativity_bound = 2 * partial_transpose_negativity(rho)
+        assert abs(negativity_bound - 0.6180339887) < 1e-9
+        assert negativity_bound > mems_entanglement(lam)
+        cls = classify(rho)
+        assert cls.is_tgx and not cls.is_min_tgx and not cls.is_min_sgx
+        rng = np.random.default_rng(23)
+        for ab in rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2)):
+            assert pure_i_concurrence(ab @ psi / np.linalg.norm(ab)) >= np.sqrt(3) / 2 - 1e-12
+        best = min_average_search(rho, 2, 2500, 0)[0]
+        assert np.sqrt(3) / 2 - 1e-9 <= best <= 0.8662
+        # the builder refuses E = 0.8, which rho's unitary orbit takes: it
+        # runs from the separable diagonal state up to sqrt(3)/2
+        with pytest.raises(UnphysicalEntanglement):
+            build_epu_min_tgx(lam, 0.8)
+
 
 class TestAlphaBetaFamily:
     def test_trivial_points(self):
@@ -428,9 +457,9 @@ def full_svd_preconcurrence(lam, samples, seed):
     return best
 
 
-#: sample counts for the helper thread: one batch, one draw past it, two
+#: sample counts at the batch boundaries: one batch, one draw past it, two
 #: batches, a partial last batch and a one-draw last batch
-THREAD_SAMPLES = (BATCH_SIZE, BATCH_SIZE + 1, 2 * BATCH_SIZE, 2 * BATCH_SIZE + 808,
+BOUNDARY_SAMPLES = (BATCH_SIZE, BATCH_SIZE + 1, 2 * BATCH_SIZE, 2 * BATCH_SIZE + 808,
                   3 * BATCH_SIZE + 1)
 
 
@@ -458,10 +487,6 @@ def traced_peak(fn, *args):
     finally:
         if started:
             tracemalloc.stop()
-
-
-class HelperFailed(Exception):
-    pass
 
 
 class TestSampledGenPreconcurrence:
@@ -580,7 +605,7 @@ class TestSampledGenPreconcurrence:
         # answer is the full SVD's on the same normals
         scored, screens = [], []
         screen = measures._screened_preconcurrence
-        monkeypatch.setattr(measures, "_haar_normals", lambda *args: g.copy())
+        monkeypatch.setattr(measures, "_haar_normals", lambda *a, out: np.copyto(out, g) or out)
         monkeypatch.setattr(
             measures, "_exact_preconcurrence", lambda g, root: scored.append(g) or exact(g, root)
         )
@@ -713,74 +738,34 @@ class TestSampledGenPreconcurrence:
                     assert screened and sum(rows) < 0.01 * BATCH_SIZE
 
     @pytest.mark.parametrize("kind", SCREEN_SPECTRA)
-    def test_helper_on_and_off_equal_full_svd(self, kind, monkeypatch):
-        # the helper thread, forced on and off through the CPU probe, changes
-        # neither the stream nor the answer; its one job is drawing every
-        # batch after the first, one call at a time, and every screen runs on
-        # the calling thread
+    def test_one_thread_equals_full_svd(self, kind, monkeypatch):
+        # the calling thread draws every batch, in stream order, into one
+        # buffer per call and screens it itself; the answer is the full SVD's
         rng = np.random.default_rng(SCREEN_SPECTRA.index(kind))
-        calls, screens = [], []
-        screen, call = measures._screened_preconcurrence, measures._Call
+        draw, buffers = measures._haar_normals, []
 
-        def counted(fn, *args):
-            calls.append((fn, threading.active_count()))
-            return call(fn, *args)
+        def recorded(gen, dim, count, out):
+            buffers.append(out.base)
+            return draw(gen, dim, count, out)
 
-        monkeypatch.setattr(measures, "_Call", counted)
-        monkeypatch.setattr(
-            measures, "_screened_preconcurrence",
-            lambda g, root, r: screens.append(threading.current_thread()) or screen(g, root, r))
+        monkeypatch.setattr(measures, "_haar_normals", recorded)
         alone = threading.active_count()
         for rank in range(1, 7):
             lam = screen_spectrum(kind, rank, rng)
             seed = int(rng.integers(2**32))
-            values = full_svd_values(lam, max(THREAD_SAMPLES), seed)
-            for cpus in (1, 2):
-                monkeypatch.setattr(measures, "_usable_cpus", lambda: cpus)
-                for samples in THREAD_SAMPLES:
-                    calls.clear()
-                    screens.clear()
-                    got = sampled_gen_preconcurrence(lam, samples, seed)
-                    assert got == values[:samples].max(), (rank, cpus, samples)
-                    batches = -(-samples // BATCH_SIZE)
-                    draws = (batches - 1) * (cpus > 1)
-                    assert calls == [(measures._haar_normals, alone)] * draws
-                    assert all(t is threading.main_thread() for t in screens)
+            values = full_svd_values(lam, max(BOUNDARY_SAMPLES), seed)
+            for samples in BOUNDARY_SAMPLES:
+                buffers.clear()
+                got = sampled_gen_preconcurrence(lam, samples, seed)
+                assert got == values[:samples].max(), (rank, samples)
+                assert len(buffers) == -(-samples // BATCH_SIZE)
+                assert all(b is buffers[0] for b in buffers)
+                assert threading.active_count() == alone
 
-    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
-        # the affinity mask decides, not the machine's CPU count
-        monkeypatch.setattr(measures.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(measures.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(measures, "_Call", lambda *a: pytest.fail("helper thread started"))
-        assert measures._usable_cpus() == 1
-        lam = screen_spectrum("random", 6, np.random.default_rng(5))
-        assert sampled_gen_preconcurrence(lam, 9000, 2) == full_svd_preconcurrence(lam, 9000, 2)
-        monkeypatch.delattr(measures.os, "sched_getaffinity")
-        assert measures._usable_cpus() == 8
-
-    def test_helper_exception_reaches_caller(self, monkeypatch):
-        draw = measures._haar_normals
-
-        def failing_on_helper(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise HelperFailed("raised on the helper thread")
-            return draw(*args)
-
-        lam = screen_spectrum("random", 6, np.random.default_rng(3))
-        monkeypatch.setattr(measures, "_usable_cpus", lambda: 2)
-        before = threading.active_count()
-        assert sampled_gen_preconcurrence(lam, 9000, 1) == full_svd_preconcurrence(lam, 9000, 1)
-        assert threading.active_count() == before
-        monkeypatch.setattr(measures, "_haar_normals", failing_on_helper)
-        with pytest.raises(HelperFailed):
-            sampled_gen_preconcurrence(lam, 9000, 1)
-        assert threading.active_count() == before
-
-    def test_concurrent_calls_keep_their_streams(self, monkeypatch):
-        # three calls at once, each with its own helper (six threads on fewer
-        # cores), under a short switch interval: a draw taken out of order or
-        # a job handed to the wrong call would change some answer
-        monkeypatch.setattr(measures, "_usable_cpus", lambda: 2)
+    def test_concurrent_calls_keep_their_streams(self):
+        # three calls at once on threads of their own (more than the cores),
+        # under a short switch interval: a draw taken out of order or a
+        # buffer shared between calls would change some answer
         rng = np.random.default_rng(17)
         cases = [(screen_spectrum("random", rank, rng), 9000, seed)
                  for rank, seed in ((2, 1), (4, 2), (6, 3))]
@@ -810,14 +795,12 @@ class TestSampledGenPreconcurrence:
         measures._screened_preconcurrence(g, root, 6)
         assert traced_peak(measures._screened_preconcurrence, g, root, 6) <= 2.5 * g.nbytes
 
-    @pytest.mark.parametrize("cpus", (1, 2))
-    def test_call_working_set(self, cpus, monkeypatch):
-        # full batches and a partial one, with and without the helper thread
-        monkeypatch.setattr(measures, "_usable_cpus", lambda: cpus)
+    def test_call_working_set(self):
+        # full batches and a partial one, all drawn into one buffer
         lam = screen_spectrum("random", 6, np.random.default_rng(12))
         sampled_gen_preconcurrence(lam, 9000, 3)
-        batch_bytes = 4096 * 2 * 6 * 6 * 8  # the normals of 4096 draws
-        assert traced_peak(sampled_gen_preconcurrence, lam, 9000, 3) <= 2.4 * batch_bytes
+        batch_bytes = np.empty((BATCH_SIZE, 2, 6, 6)).nbytes  # the normals of one batch
+        assert traced_peak(sampled_gen_preconcurrence, lam, 9000, 3) <= 3.2 * batch_bytes
 
     def test_bound_is_attained_by_pairing_unitary(self):
         # the level pairing (1)(4)(2<->6)(3<->5) achieves the spectral maximum
