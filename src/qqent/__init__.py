@@ -1,9 +1,10 @@
 """Qubit-qutrit entanglement toolkit.
 
 Constructs the special 2x3 state families, evaluates their closed-form
-I-concurrence, synthesizes minimal TGX states for each spectrum-entanglement
-pair that family reaches, computes optimal entangled/separable splits, and verifies the
-formulas as minimum averages over sampled decompositions.
+I-concurrence, synthesizes minimal TGX states for each
+spectrum-entanglement pair that family reaches, computes optimal
+entangled/separable splits, and verifies the formulas as minimum averages
+over sampled decompositions.
 """
 
 from .decompositions import (

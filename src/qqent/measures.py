@@ -348,7 +348,8 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     window = 2.0 * m * (2.0 * s[0] - max(s[k] + s[5 - k] for k in range(3)))
     screened = window + (s[0] - s[5]) ** 2 / m > 50.0 * SCREEN_MARGIN
     rng = np.random.default_rng(as_seed(seed))
-    buf, best = np.empty((min(samples, BATCH_SIZE), 2, 6, 6)), -np.inf
+    buf = np.empty((min(samples, BATCH_SIZE), 2, 6, 6))
+    best = -np.inf
     for lo in range(0, samples, BATCH_SIZE):
         n = min(samples - lo, BATCH_SIZE)
         g = _haar_normals(rng, 6, n, out=buf[:n])

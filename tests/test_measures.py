@@ -460,7 +460,7 @@ def full_svd_preconcurrence(lam, samples, seed):
 #: sample counts at the batch boundaries: one batch, one draw past it, two
 #: batches, a partial last batch and a one-draw last batch
 BOUNDARY_SAMPLES = (BATCH_SIZE, BATCH_SIZE + 1, 2 * BATCH_SIZE, 2 * BATCH_SIZE + 808,
-                  3 * BATCH_SIZE + 1)
+                    3 * BATCH_SIZE + 1)
 
 
 def full_svd_values(lam, samples, seed):
@@ -745,7 +745,7 @@ class TestSampledGenPreconcurrence:
         draw, buffers = measures._haar_normals, []
 
         def recorded(gen, dim, count, out):
-            buffers.append(out.base)
+            buffers.append(out)
             return draw(gen, dim, count, out)
 
         monkeypatch.setattr(measures, "_haar_normals", recorded)
@@ -759,7 +759,7 @@ class TestSampledGenPreconcurrence:
                 got = sampled_gen_preconcurrence(lam, samples, seed)
                 assert got == values[:samples].max(), (rank, samples)
                 assert len(buffers) == -(-samples // BATCH_SIZE)
-                assert all(b is buffers[0] for b in buffers)
+                assert all(np.shares_memory(b, buffers[0]) for b in buffers)
                 assert threading.active_count() == alone
 
     def test_concurrent_calls_keep_their_streams(self):
