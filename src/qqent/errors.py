@@ -55,7 +55,10 @@ class InvalidQuartet(ValidationError):
 
 
 class UnphysicalEntanglement(ValidationError):
-    pass
+    """Entanglement outside [0, cap], the range that the built family takes
+    for the spectrum: the minimal-TGX cap max{0, e_mems} in 2x3, the
+    two-qubit cap in 2x2.  In 2x3 that is the family's cap, not a physical
+    limit: other states of the same spectrum can exceed it (states.e_mems)."""
 
 
 class EtaOutOfRange(ValidationError):

@@ -224,11 +224,11 @@ def _screened_preconcurrence(g, root, r):
         det = l1 * l2 * np.abs(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
         est = np.sqrt(np.clip(frob2 - 2.0 * det, 0.0, None))
     else:
+        trace = _trace_bound(qr, qi, root) if r == 6 else None
         hr, hi = _block_gram(qr, qi, root, r)
-        del qr, qi  # H is all the rest reads
         live = kappa <= SCREEN_KAPPA
         if np.count_nonzero(live) > _PROBES:
-            live &= ~_pruned(hr, hi, live)
+            live &= ~_pruned(hr, hi, live, trace)
         rows = np.flatnonzero(live)
         est = np.full(len(kappa), -np.inf)
         est[rows] = _gram_estimates(hr[..., rows], hi[..., rows])
@@ -239,19 +239,30 @@ def _screened_preconcurrence(g, root, r):
 _PROBES = 16
 
 
+def _trace_bound(qr, qi, root):
+    """T = tr(b V^H) = sum_ij s_i s_j |V_ij|^2 <= ||b||_* of each full
+    6 x 6 b = sqrt(L) V sqrt(L), s = ``root``, from _gram_schmidt's unscaled
+    columns (V_ij at [j, i]); see SCREEN_MARGIN."""
+    w = root[:, None] * root
+    return np.einsum("ji,jin,jin->n", w, qr, qr) + np.einsum("ji,jin,jin->n", w, qi, qi)
+
+
 def _block_gram(qr, qi, root, r):
     """H = b^H b of the r x r blocks b = sqrt(L_r) V_r sqrt(L_r), as real and
-    imaginary (r, r, N) arrays, draw axis last.  Overwrites the first r rows
-    of _gram_schmidt's columns ``qr``, ``qi`` with b and sums in place."""
+    imaginary (r, r, N) arrays, draw axis last, written over the first r
+    rows of _gram_schmidt's columns ``qr``, ``qi``.  Those are scaled to b
+    in place; row j of H reads only b's columns j and up, so it overwrites
+    column j, and its part left of the diagonal is the conjugate of the
+    rows above: H comes out exactly Hermitian."""
     w = (root[:r, None] * root[:r])[..., None]
-    br, bi = (np.multiply(q[:, :r], w, out=q[:, :r]) for q in (qr, qi))  # b_ij at [j, i]
-    hr = np.einsum("jin,kin->jkn", br, br)
-    hr += np.einsum("jin,kin->jkn", bi, bi)
-    hi = np.einsum("jin,kin->jkn", br, bi)  # A, and H's imaginary part is A - A^T
-    for j, k in zip(*np.triu_indices(r, 1)):
-        hi[j, k] -= hi[k, j]
-        np.negative(hi[j, k], out=hi[k, j])
-    hi[np.arange(r), np.arange(r)] = 0.0
+    hr, hi = (np.multiply(q[:, :r], w, out=q[:, :r]) for q in (qr, qi))  # b_ij at [j, i]
+    for j in range(r):
+        br, bi = hr[j:], hi[j:]  # columns j and up of b
+        row_r = np.einsum("in,kin->kn", br[0], br) + np.einsum("in,kin->kn", bi[0], bi)
+        row_i = np.einsum("in,kin->kn", br[0], bi) - np.einsum("in,kin->kn", bi[0], br)
+        row_i[0] = 0.0
+        hr[j, j:], hi[j, j:] = row_r, row_i
+        hr[j, :j], hi[j, :j] = hr[:j, j], -hi[:j, j]
     return hr, hi
 
 
@@ -262,23 +273,27 @@ def _gram_estimates(hr, hi):
     return 2.0 * s[:, -1] - s.sum(axis=1)
 
 
-def _pruned(hr, hi, live):
+def _pruned(hr, hi, live, trace=None):
     """Draws whose value is certified below t = L0 - 2 SCREEN_MARGIN, L0 the
     best estimate of the _PROBES ``live`` draws with the largest
     2 sqrt(max H_kk) - d.
 
-    d = sum sqrt(pivots of H) <= ||b||_*, and a passing recursion on
-    x I - H, x = ((t + d) / 2)^2, certifies sigma1 < (t + d) / 2, so
-    2 sigma1 - ||b||_* < t; see SCREEN_MARGIN for the rounding.  The
+    d <= ||b||_* is ``trace``, the full-rank _trace_bound, when given, and
+    otherwise sum sqrt(pivots of H) from one Cholesky recursion.  A passing
+    recursion on x I - H, x = ((t + d) / 2)^2, certifies sigma1 < (t + d) / 2,
+    so 2 sigma1 - ||b||_* < t; see SCREEN_MARGIN for the rounding.  The
     recursions run in place on H's lower triangle, rebuilt from the upper
     one after each, so H comes back as it was and is never copied."""
     diag = np.arange(hr.shape[0])
     h = hr[diag, diag]
-    piv, ok = _cholesky_pivots(hr, hi)
-    d = np.sqrt(piv).sum(axis=0)
+    if trace is None:
+        piv, ok = _cholesky_pivots(hr, hi)
+        d = np.sqrt(piv).sum(axis=0)
+        _mirror(hr, hi, h, 1.0)
+    else:
+        d, ok = trace, np.ones(len(trace), dtype=bool)
     lead = np.where(live, 2.0 * np.sqrt(h.max(axis=0)) - d, -np.inf)
     probes = np.argpartition(lead, -_PROBES)[-_PROBES:]
-    _mirror(hr, hi, h, 1.0)
     t = _gram_estimates(hr[..., probes], hi[..., probes]).max() - 2.0 * SCREEN_MARGIN
     ok &= t + d > 0.0
     _mirror(hr, hi, np.where(ok, 0.5 * (t + d), 0.0) ** 2 - h, -1.0)
@@ -289,11 +304,11 @@ def _pruned(hr, hi, live):
 
 def _mirror(hr, hi, diag, sign):
     """Set the lower triangle of hr + i hi to ``sign`` times the conjugate
-    of its upper triangle, and the diagonal to ``diag``."""
-    low = np.tril_indices(len(hr), -1)
-    hr[low] = sign * hr[low[::-1]]
-    hi[low] = -sign * hi[low[::-1]]
-    hr[np.arange(len(hr)), np.arange(len(hr))] = diag
+    of its upper triangle, pair by pair, and the diagonal to ``diag``."""
+    for j in range(len(hr)):
+        np.multiply(hr[:j, j], sign, out=hr[j, :j])
+        np.multiply(hi[:j, j], -sign, out=hi[j, :j])
+        hr[j, j] = diag[j]
 
 
 def _exact_preconcurrence(g, root):
@@ -317,12 +332,15 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     draw's value is estimated from the r x r block b of sqrt(L) V sqrt(L):
     lam1 |V11| for r = 1, sigma1 - sigma2 = sqrt(||b||_F^2 - 2 |det b|) for
     r = 2, and the square roots of eigvalsh(b^H b) for r >= 3.  At r >= 3,
-    eigvalsh runs only on draws that two Cholesky recursions over
-    H = b^H b cannot rule out: the pivots give d <= ||b||_*, and a
-    positive definite x I - H proves the value below a threshold 2
-    SCREEN_MARGIN under the best of 16 probe estimates.  On random spectra
-    that rules out nearly all of a batch; draws with a pivot at or below
-    the floor are never ruled out (see SCREEN_MARGIN).  The draws that
+    eigvalsh runs only on draws that a bound d <= ||b||_* and a Cholesky
+    recursion over x I - H, H = b^H b, cannot rule out: a positive definite
+    x I - H proves the value below a threshold 2 SCREEN_MARGIN under the
+    best of 16 probe estimates.  At r = 6, d is the trace bound
+    tr(b V^H), read off V's columns; below it, d sums the square roots of
+    H's Cholesky pivots, and draws with a pivot at or below the floor are
+    never ruled out (see SCREEN_MARGIN).  On random spectra that rules out
+    nearly all of a batch.  H is built over V's columns, so a screen holds
+    about 1.5 batches of normals at its peak.  The draws that
     numerics._candidates returns (those too ill-conditioned to estimate,
     and about one more per batch) are rebuilt whole and scored by the exact
     6 x 6 SVD; the largest of those is the answer, the same bit for bit as

@@ -282,21 +282,31 @@ def _haar_columns(g, k):
 #:   E(x) <= ||x||^2 that adds at most D * 1e-14.
 #:
 #: At r >= 3 the preconcurrence screen runs eigvalsh only on draws it cannot
-#: rule out.  With H = b^H b and its Cholesky pivots p_k (_cholesky_pivots),
-#: d = sum sqrt(p_k) is the trace of the factor C = W b (W unitary), so
-#: d <= ||b||_* and the value 2 sigma1 - ||b||_* is at most 2 sigma1 - d.
-#: Let L0 be an eigvalsh estimate of some unflagged draw of the batch and
-#: t = L0 - 2 SCREEN_MARGIN.  A draw whose pivots all pass and for which
-#: x I - H, x = ((t + d) / 2)^2, also passes is certified: sigma1 < (t + d) / 2,
-#: so its value is below t.  A recursion that runs to completion is exact for
+#: rule out, from a lower bound d <= ||b||_*, so that the value
+#: 2 sigma1 - ||b||_* is at most 2 sigma1 - d.  Below rank 6, d = sum sqrt(p_k)
+#: over the Cholesky pivots p_k of H = b^H b (_cholesky_pivots) is the trace
+#: of the factor C = W b (W unitary).  At rank 6, where V_r is all of V, d is
+#: the trace bound T = tr(b V^H) = sum_ij s_i s_j |V_ij|^2, s = sqrt(L), which
+#: costs no recursion: von Neumann's trace inequality gives
+#: T <= sum_k sigma_k(b) sigma_k(V) <= (1 + ||V^H V - I||) ||b||_*, and below
+#: the kappa cap CGS2's columns are orthonormal to a few eps, so T and its
+#: rounding (about r^2 eps, from terms of at most 1) exceed ||b||_* by
+#: ~1e-14 at most.  Below rank 6 V_r is only a contraction and T is weaker
+#: than the pivot sum.  Let L0 be an eigvalsh estimate of some unflagged
+#: draw of the batch and t = L0 - 2 SCREEN_MARGIN.  A draw for which
+#: x I - H, x = ((t + d) / 2)^2, passes the recursion (and, below rank 6,
+#: whose own pivots all pass) is certified: sigma1 < (t + d) / 2, so its
+#: value is below t.  A recursion that runs to completion is exact for
 #: some H + E with ||E|| <= gamma_(r+1) r tr(H + E) (Demmel, SIAM J. Matrix
 #: Anal. Appl. 10, 1989), below ~1e-13 for both passes (tr H <= 1,
 #: tr(x I) <= 6 x, x < 3).  Eigenvalues move by at most ||E||, square roots
 #: by sqrt(||E||) ~ 3e-7, so the two passes miss their bounds by at most
 #: (r + 2) sqrt(||E||) ~ 3e-6 together: a pruned draw's estimate is below
 #: L0 - 2 SCREEN_MARGIN + 5e-6, more than SCREEN_MARGIN under the batch's
-#: best, and _candidates would not have returned it.  Flagged draws and
-#: draws with a pivot at or below the floor are never pruned.
+#: best, and _candidates would not have returned it.  Any lower bound of
+#: ||b||_* keeps that argument, so the answer does not depend on which d
+#: is used.  Flagged draws are never pruned, nor, below rank 6, draws with
+#: a pivot of H at or below the floor.
 SCREEN_MARGIN = 1e-5
 
 #: Conditioning cap of the screens' Gram-Schmidt.  Classical Gram-Schmidt
@@ -330,10 +340,11 @@ def _gram_schmidt(g, r):
 
     ``g`` comes from _haar_normals, shape (N, 2, D, D).  Struct of arrays:
     the real and imaginary parts come back as separate (r, D, N) arrays,
-    column first and draw last, each copied out of ``g`` in turn.  The input
-    is not scaled by 1/sqrt(2) and no phase is fixed: Gram-Schmidt's R has a
-    positive diagonal, like haar_unitary's, so the columns equal
-    _haar_columns(g, r) to round-off.
+    column first and draw last, each copied out of ``g`` in turn and
+    orthogonalized in its output slot.  The input is not scaled by
+    1/sqrt(2) and no phase is fixed: Gram-Schmidt's R has a positive
+    diagonal, like haar_unitary's, so the columns equal _haar_columns(g, r)
+    to round-off.
     Also returns, per draw, the conditioning certificate
     ||A_r||_F^r / prod R_jj, an upper bound on kappa(A_r).
     """
@@ -341,7 +352,9 @@ def _gram_schmidt(g, r):
     qr, qi = np.empty((r, d, n)), np.empty((r, d, n))
     prod_r, frob2 = np.ones(n), np.zeros(n)
     for j in range(r):
-        vr, vi = g[:, 0, :, j].T.copy(), g[:, 1, :, j].T.copy()  # row, draw
+        vr, vi = qr[j], qi[j]  # row, draw
+        np.copyto(vr, g[:, 0, :, j].T)
+        np.copyto(vi, g[:, 1, :, j].T)
         frob2 += np.einsum("in,in->n", vr, vr) + np.einsum("in,in->n", vi, vi)
         pr, pi = qr[:j], qi[:j]
         for _ in range(2 if j else 0):
@@ -350,8 +363,8 @@ def _gram_schmidt(g, r):
             vr -= np.einsum("kin,kn->in", pr, cr) - np.einsum("kin,kn->in", pi, ci)
             vi -= np.einsum("kin,kn->in", pr, ci) + np.einsum("kin,kn->in", pi, cr)
         norm = np.sqrt(np.einsum("in,in->n", vr, vr) + np.einsum("in,in->n", vi, vi))
-        np.divide(vr, norm, out=qr[j])
-        np.divide(vi, norm, out=qi[j])
+        vr /= norm
+        vi /= norm
         prod_r *= norm
     return qr, qi, np.sqrt(frob2) ** r / prod_r
 

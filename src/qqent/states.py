@@ -222,7 +222,9 @@ def physical_entanglement(spectrum, eta):
 def _check_physical(e, cap, what="E"):
     # written so that NaN fails it: every comparison with NaN is false
     if not -DELTA_TOL <= e <= cap + DELTA_TOL:
-        raise UnphysicalEntanglement(f"{what}={e} outside [0, {cap}]")
+        raise UnphysicalEntanglement(
+            f"{what}={e} outside [0, {cap}], the built family's cap for this spectrum"
+        )
     return min(max(float(e), 0.0), cap)
 
 
