@@ -58,7 +58,9 @@ class UnphysicalEntanglement(ValidationError):
     """Entanglement outside [0, cap], the range that the built family takes
     for the spectrum: the minimal-TGX cap max{0, e_mems} in 2x3, the
     two-qubit cap in 2x2.  In 2x3 that is the family's cap, not a physical
-    limit: other states of the same spectrum can exceed it (states.e_mems)."""
+    limit: other states of the same spectrum can exceed it (states.e_mems).
+    ``construct epu-x-2x2`` also raises it for an eta, the fraction of that
+    cap, outside [0, 1]."""
 
 
 class EtaOutOfRange(ValidationError):
