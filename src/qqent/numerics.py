@@ -5,7 +5,7 @@ factorization of complex symmetric matrices (null-space columns are a
 deterministic orthonormal completion), the partial-transpose separability
 witness for qubit-qutrit states, and Haar-random unitary sampling.  The
 Haar screens' batch kernels sit here too: Gram-Schmidt columns with a
-conditioning certificate and an unpivoted Cholesky test, each over a whole
+conditioning certificate and unpivoted Cholesky pivots, each over a whole
 batch as struct-of-arrays stacks with the draw axis last, and the rule
 (_candidates) that picks the draws scored exactly.  Everything is plain
 numpy, without compiled extensions.
@@ -282,26 +282,21 @@ def _haar_columns(g, k):
 #:   E(x) <= ||x||^2 that adds at most D * 1e-14.
 #:
 #: At r >= 3 the preconcurrence screen runs eigvalsh only on draws it cannot
-#: rule out, from the trace bound d = tr(b V_r^H) = sum_ij s_i s_j |V_ij|^2,
-#: s = sqrt(L), a lower bound of ||b||_* that costs no recursion.  Von
-#: Neumann's trace inequality gives d <= sum_k sigma_k(b) sigma_k(V_r)
-#: <= ||V_r|| ||b||_*, and V_r is a block of the columns Q that CGS2 returns,
-#: so ||V_r|| <= ||Q|| <= 1 + ||Q^H Q - I||, a few eps from 1 below the kappa
-#: cap.  With its rounding (about r^2 eps, from terms of at most 1), d
-#: exceeds ||b||_* by ~1e-14 at most, and the value 2 sigma1 - ||b||_* is at
-#: most 2 sigma1 - d.  Let L0 be an eigvalsh estimate of some unflagged
-#: draw of the batch and t = L0 - 2 SCREEN_MARGIN.  A draw for which
-#: x I - H, H = b^H b and x = ((t + d) / 2)^2, passes the Cholesky recursion
-#: (_cholesky_passes) is certified: sigma1 < (t + d) / 2, so its value is
-#: below t.  A recursion that runs to completion is exact for some
-#: H + E with ||E|| <= gamma_(r+1) r tr(x I - H + E) (Demmel, SIAM J. Matrix
-#: Anal. Appl. 10, 1989), below ~1e-13 (tr(x I) <= 6 x, x < 3).  Eigenvalues
-#: move by at most ||E||, square roots by sqrt(||E||) ~ 3e-7, so the pass
-#: misses its bound by at most 2 sqrt(||E||) ~ 7e-7: a pruned draw's
-#: estimate is below L0 - 2 SCREEN_MARGIN + 2e-6, more than SCREEN_MARGIN
-#: under the batch's best, and _candidates would not have returned it.  Any
-#: lower bound of ||b||_* keeps that argument, so the answer does not depend
-#: on which d is used.  Flagged draws are never pruned.
+#: rule out.  With H = b^H b and its Cholesky pivots p_k (_cholesky_pivots),
+#: d = sum sqrt(p_k) is the trace of the factor C = W b (W unitary), so
+#: d <= ||b||_* and the value 2 sigma1 - ||b||_* is at most 2 sigma1 - d.
+#: Let L0 be an eigvalsh estimate of some unflagged draw of the batch and
+#: t = L0 - 2 SCREEN_MARGIN.  A draw whose pivots all pass and for which
+#: x I - H, x = ((t + d) / 2)^2, also passes is certified: sigma1 < (t + d) / 2,
+#: so its value is below t.  A recursion that runs to completion is exact for
+#: some H + E with ||E|| <= gamma_(r+1) r tr(H + E) (Demmel, SIAM J. Matrix
+#: Anal. Appl. 10, 1989), below ~1e-13 for both passes (tr H <= 1,
+#: tr(x I) <= 6 x, x < 3).  Eigenvalues move by at most ||E||, square roots
+#: by sqrt(||E||) ~ 3e-7, so the two passes miss their bounds by at most
+#: (r + 2) sqrt(||E||) ~ 3e-6 together: a pruned draw's estimate is below
+#: L0 - 2 SCREEN_MARGIN + 5e-6, more than SCREEN_MARGIN under the batch's
+#: best, and _candidates would not have returned it.  Flagged draws and
+#: draws with a pivot at or below the floor are never pruned.
 SCREEN_MARGIN = 1e-5
 
 #: Conditioning cap of the screens' Gram-Schmidt.  Classical Gram-Schmidt
@@ -364,25 +359,28 @@ def _gram_schmidt(g, r):
     return qr, qi, np.sqrt(frob2) ** r / prod_r
 
 
-#: a pivot of _cholesky_passes at or below this fails the recursion
+#: a pivot of _cholesky_pivots at or below this fails the recursion
 _PIVOT_FLOOR = 1e-12
 
 
-def _cholesky_passes(hr, hi):
-    """Whether every pivot of the unpivoted Cholesky recursion of each
-    Hermitian matrix hr + i hi, struct of arrays (r, r, N) with the draw
-    axis last, exceeds _PIVOT_FLOOR, which certifies it positive definite.
+def _cholesky_pivots(hr, hi):
+    """Pivots of the unpivoted Cholesky recursion of the Hermitian matrices
+    hr + i hi, struct of arrays (r, r, N) with the draw axis last.
 
-    A failed pivot is replaced by 1, so the rest of that draw's recursion
-    stays finite.  Reads and overwrites only the lower triangle, with the
-    diagonal, of both inputs.
+    Returns the (r, N) pivots and, per draw, whether every pivot exceeds
+    _PIVOT_FLOOR, which certifies the matrix positive definite.  A failed
+    pivot is replaced by 1, so the rest of that draw's recursion stays
+    finite; its pivots mean nothing.  Reads and overwrites only the lower
+    triangle, with the diagonal, of both inputs.
     """
     r = hr.shape[0]
+    piv = np.empty(hr.shape[1:])
     ok = np.ones(hr.shape[-1], dtype=bool)
     scratch = np.empty(hr.shape[1:])
     for k in range(r):
         ok &= hr[k, k] > _PIVOT_FLOOR
-        root = np.sqrt(np.where(ok, hr[k, k], 1.0))
+        piv[k] = np.where(ok, hr[k, k], 1.0)
+        root = np.sqrt(piv[k])
         # l, in place: no later step reads column k
         lr, li = (np.divide(h[k + 1:, k], root, out=h[k + 1:, k]) for h in (hr, hi))
         for j in range(1, r - k):  # lower triangle of the trailing block minus l l^H, by rows
@@ -391,4 +389,4 @@ def _cholesky_passes(hr, hi):
             hr[k + j, k + 1:k + j + 1] -= np.multiply(y, li[:j], out=s)
             hi[k + j, k + 1:k + j + 1] -= np.multiply(y, lr[:j], out=s)
             hi[k + j, k + 1:k + j + 1] += np.multiply(x, li[:j], out=s)
-    return ok
+    return piv, ok
