@@ -17,7 +17,7 @@ from .errors import (
     NotXForm,
 )
 from .numerics import (
-    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _candidates, _cholesky_pivots, _gram_schmidt,
+    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _candidates, _cholesky_passes, _gram_schmidt,
     _haar_columns, _haar_normals,
 )
 from .states import DELTA_TOL, QUARTETS, ZERO_TOL, _class_of, _classify, _coherent_quartet
@@ -224,10 +224,11 @@ def _screened_preconcurrence(g, root, r):
         det = l1 * l2 * np.abs(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
         est = np.sqrt(np.clip(frob2 - 2.0 * det, 0.0, None))
     else:
+        trace = _trace_bound(qr, qi, root, r)
         hr, hi = _block_gram(qr, qi, root, r)
         live = kappa <= SCREEN_KAPPA
         if np.count_nonzero(live) > _PROBES:
-            live &= ~_pruned(hr, hi, live)
+            live &= ~_pruned(hr, hi, live, trace)
         rows = np.flatnonzero(live)
         est = np.full(len(kappa), -np.inf)
         est[rows] = _gram_estimates(hr[..., rows], hi[..., rows])
@@ -236,6 +237,15 @@ def _screened_preconcurrence(g, root, r):
 
 #: draws whose eigvalsh estimate sets the pruning threshold, per batch
 _PROBES = 16
+
+
+def _trace_bound(qr, qi, root, r):
+    """T = tr(b V_r^H) = sum_ij s_i s_j |V_ij|^2 <= ||b||_* of each r x r
+    block b = sqrt(L_r) V_r sqrt(L_r), s = ``root``, from _gram_schmidt's
+    unscaled columns (V_ij at [j, i]); see SCREEN_MARGIN."""
+    w = root[:r, None] * root[:r]
+    qr, qi = qr[:, :r], qi[:, :r]
+    return np.einsum("ji,jin,jin->n", w, qr, qr) + np.einsum("ji,jin,jin->n", w, qi, qi)
 
 
 def _block_gram(qr, qi, root, r):
@@ -264,27 +274,26 @@ def _gram_estimates(hr, hi):
     return 2.0 * s[:, -1] - s.sum(axis=1)
 
 
-def _pruned(hr, hi, live):
+def _pruned(hr, hi, live, d):
     """Draws whose value is certified below t = L0 - 2 SCREEN_MARGIN, L0 the
     best estimate of the _PROBES ``live`` draws with the largest
-    2 sqrt(max H_kk) - d.
+    2 sqrt(max H_kk) - d, d <= ||b||_* the _trace_bound of each draw.
 
-    d = sum sqrt(pivots of H) <= ||b||_*, and a passing recursion on
-    x I - H, x = ((t + d) / 2)^2, certifies sigma1 < (t + d) / 2, so
-    2 sigma1 - ||b||_* < t; see SCREEN_MARGIN for the rounding.  The
-    recursions run in place on H's lower triangle, rebuilt from the upper
-    one after each, so H comes back as it was and is never copied."""
+    A passing Cholesky recursion on x I - H, x = y^2, certifies sigma1 < y,
+    so 2 sigma1 - ||b||_* < t, for the larger of y = (t + d) / 2 and the
+    root y of 2 y - tr H / y = t (||b||_* >= ||b||_F^2 / sigma1, and
+    ||b||_F^2 = tr H); see SCREEN_MARGIN for the rounding.  The recursion
+    runs in place on H's lower triangle, rebuilt from the upper one after
+    it, so H comes back as it was and is never copied."""
     diag = np.arange(hr.shape[0])
     h = hr[diag, diag]
-    piv, ok = _cholesky_pivots(hr, hi)
-    d = np.sqrt(piv).sum(axis=0)
     lead = np.where(live, 2.0 * np.sqrt(h.max(axis=0)) - d, -np.inf)
     probes = np.argpartition(lead, -_PROBES)[-_PROBES:]
-    _mirror(hr, hi, h, 1.0)
     t = _gram_estimates(hr[..., probes], hi[..., probes]).max() - 2.0 * SCREEN_MARGIN
-    ok &= t + d > 0.0
-    _mirror(hr, hi, np.where(ok, 0.5 * (t + d), 0.0) ** 2 - h, -1.0)
-    ok &= _cholesky_pivots(hr, hi)[1]
+    y = np.maximum(0.5 * (t + d), 0.25 * (t + np.sqrt(t * t + 8.0 * h.sum(axis=0))))
+    ok = y > 0.0
+    _mirror(hr, hi, np.where(ok, y, 0.0) ** 2 - h, -1.0)
+    ok &= _cholesky_passes(hr, hi)
     _mirror(hr, hi, h, 1.0)
     return ok
 
@@ -319,13 +328,13 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     draw's value is estimated from the r x r block b of sqrt(L) V sqrt(L):
     lam1 |V11| for r = 1, sigma1 - sigma2 = sqrt(||b||_F^2 - 2 |det b|) for
     r = 2, and the square roots of eigvalsh(b^H b) for r >= 3.  At r >= 3,
-    eigvalsh runs only on draws that two Cholesky recursions cannot rule
-    out: the pivots of H = b^H b give a bound d <= ||b||_*, and a positive
-    definite x I - H then proves the value below a threshold 2 SCREEN_MARGIN
-    under the best of 16 probe estimates (see SCREEN_MARGIN); draws with a
-    pivot of H at or below the floor are never ruled out.  On random
-    spectra that rules out nearly all of a batch.  H is built over V's
-    columns, so a screen holds about 1.6 batches of normals at its peak.
+    eigvalsh runs only on draws that one Cholesky recursion cannot rule out:
+    with two lower bounds of ||b||_* that cost no recursion, the trace bound
+    tr(b V_r^H) and ||b||_F^2 / sigma1, a positive definite x I - H,
+    H = b^H b, proves the value below a threshold 2 SCREEN_MARGIN under the
+    best of 16 probe estimates (see SCREEN_MARGIN).  On random spectra that
+    rules out nearly all of a batch.  H is built over V's columns, so a
+    screen holds about 1.4 batches of normals at its peak.
     The draws that numerics._candidates returns (those too ill-conditioned
     to estimate, and about one more per batch) are rebuilt whole and scored
     by the exact 6 x 6 SVD; the largest of those is the answer, the same
@@ -343,8 +352,9 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     # the values are -4 m^2 + 2 m^2 h with h the largest eigenvalue of
     # V^H E V + E, E = diag(s / m - 1), and Weyl's and Horn's inequalities
     # bound h.  (s1 - s6)^2 / m covers the second-order terms (it bounded
-    # the observed spread of every near-flat family tried).  The screen
-    # costs about 0.6 of the exact path at rank 6, so it pays only if it
+    # the observed spread of every near-flat family tried).  At rank 6 the
+    # screen costs about 0.2 of the exact path when it rules out nearly
+    # every draw and 0.6 when it rules out none, so it pays only if it
     # keeps under ~40% of the draws; below a window of 50 margins some
     # families keep more (up to 46% at 30), above it at most 30% were kept.
     # Either way the answer is the same.
