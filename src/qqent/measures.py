@@ -290,10 +290,9 @@ def _pruned(hr, hi, live, d):
     lead = np.where(live, 2.0 * np.sqrt(h.max(axis=0)) - d, -np.inf)
     probes = np.argpartition(lead, -_PROBES)[-_PROBES:]
     t = _gram_estimates(hr[..., probes], hi[..., probes]).max() - 2.0 * SCREEN_MARGIN
-    y = np.maximum(0.5 * (t + d), 0.25 * (t + np.sqrt(t * t + 8.0 * h.sum(axis=0))))
-    ok = y > 0.0
-    _mirror(hr, hi, np.where(ok, y, 0.0) ** 2 - h, -1.0)
-    ok &= _cholesky_passes(hr, hi)
+    y = np.maximum(0.5 * (t + d), 0.25 * (t + np.sqrt(t * t + 8.0 * h.sum(axis=0))))  # >= 0
+    _mirror(hr, hi, y * y - h, -1.0)
+    ok = _cholesky_passes(hr, hi)
     _mirror(hr, hi, h, 1.0)
     return ok
 
