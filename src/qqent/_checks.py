@@ -52,9 +52,10 @@ def as_density_matrix(rho, dim=None):
 def density_and_eigvals(rho, dim=None):
     """as_density_matrix that also returns the ascending eigenvalues it checked."""
     rho = as_square_matrix(rho, dim)
-    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
-        raise InvalidState("density matrix is not Hermitian to 1e-10")
-    trace = rho.trace()
+    with np.errstate(over="ignore"):  # a huge entry's inf fails the gates below
+        if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
+            raise InvalidState("density matrix is not Hermitian to 1e-10")
+        trace = rho.trace()
     if abs(trace.real - 1.0) > DENSITY_TOL or abs(trace.imag) > DENSITY_TOL:
         raise InvalidState("density matrix does not have unit trace to 1e-10")
     w = np.linalg.eigvalsh(rho)
@@ -76,7 +77,8 @@ def as_spectrum(values, n):
     if min(vals) < -SPECTRUM_TOL:
         raise InvalidSpectrum("spectrum has a negative eigenvalue")
     # numpy's sum, not Python's (compensated from 3.12): it decides the 1e-12 edge
-    total = arr.sum()
+    with np.errstate(over="ignore"):  # huge entries sum to inf, which fails the gate
+        total = arr.sum()
     if abs(total - 1.0) > SPECTRUM_TOL:
         raise InvalidSpectrum(f"spectrum sums to {total!r}, not 1")
     return np.array([v if v > 0.0 else 0.0 for v in vals])
@@ -88,8 +90,9 @@ def as_unit_ket(psi, dim):
         raise InvalidState(f"expected a {dim}-component ket, got {psi.shape[0]}")
     if not np.isfinite(psi).all():
         raise InvalidState("ket has a NaN or infinite entry")
-    if abs(np.linalg.norm(psi) - 1.0) > KET_NORM_TOL:
-        raise NotNormalized("ket is not unit-norm to 1e-10")
+    with np.errstate(over="ignore"):  # a huge entry's inf norm fails the gate
+        if abs(np.linalg.norm(psi) - 1.0) > KET_NORM_TOL:
+            raise NotNormalized("ket is not unit-norm to 1e-10")
     return psi
 
 

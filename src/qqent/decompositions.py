@@ -10,12 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import ANGLE_TOL, as_budget, as_density_matrix, as_seed, density_and_eigvals
+from ._screen import _gram_schmidt, draws
 from .errors import AngleOutOfRange, DTooLarge, DTooSmall, NotUnitary, ValidationError
 from .measures import _pure_i_unnormalized
-from .numerics import (
-    BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _candidates, _gram_schmidt, _haar_columns,
-    _haar_normals, _hermitian_eig_unchecked,
-)
+from .numerics import BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _hermitian_eig_unchecked
 
 ZERO_WEIGHT_TOL = 1e-14
 _UNITARY_TOL = 1e-10
@@ -133,11 +131,8 @@ def _mixer_2_stack(theta, phi):
 
 def average_entanglement(dec):
     """sum_j p_j * (pure I-concurrence of ket j) for a 2x3 decomposition."""
-    total = 0.0
-    for w, ket in zip(dec.weights, dec.kets):
-        if w > ZERO_WEIGHT_TOL:
-            total += w * _pure_i_unnormalized(ket)
-    return float(total)
+    e = dec.weights * _pure_i_unnormalized(dec.kets)
+    return float(np.where(dec.weights > ZERO_WEIGHT_TOL, e, 0.0).sum())
 
 
 def _search_budget(d, budget):
@@ -149,8 +144,9 @@ def _search_budget(d, budget):
 
 
 def _screened_averages(g, root, vt):
-    """Estimated average of each trial in the normals ``g``, with the
-    Gram-Schmidt certificate of its mixer columns (see numerics._candidates).
+    """The search's estimator (see qqent._screen): the negated estimated
+    average of each trial in the normals ``g``, the score that _candidates
+    ranks, with the Gram-Schmidt certificate of its mixer columns.
 
     Struct of arrays with the trial axis last, one member at a time: one
     small product forms member j's kets in every trial, and no stacked
@@ -159,7 +155,7 @@ def _screened_averages(g, root, vt):
     qr, qi, kappa = _gram_schmidt(g, root.size)
     wt = (root[:, None] * vt).T  # column k is sqrt(lam_k) v_k
     bars = (wt @ (qr[:, j] + 1j * qi[:, j]) for j in range(qr.shape[1]))
-    return sum(_pure_i_unnormalized(b.T) for b in bars), kappa
+    return -sum(_pure_i_unnormalized(b.T) for b in bars), kappa
 
 
 def _search_chunks(rho, d, budget, seed, screen=False):
@@ -171,9 +167,7 @@ def _search_chunks(rho, d, budget, seed, screen=False):
     A D >= 3 chunk builds only the first r = rank columns of its Haar
     mixers, bit-identical to those of haar_unitary(D, seed, count=n), since
     the average reads no others.  With ``screen`` a D >= 3 chunk yields only
-    the trials that can hold its minimum: every trial is estimated from
-    Gram-Schmidt columns, and those that numerics._candidates returns for
-    the negated estimates are rebuilt by QR and scored exactly.
+    the trials that can hold its minimum (see qqent._screen).
     """
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValidationError(f"D={d!r} must be an integer")
@@ -201,15 +195,9 @@ def _search_chunks(rho, d, budget, seed, screen=False):
             params = list(zip(theta.tolist(), phi.tolist()))
             yield params, _averages(_mixer_2_stack(theta, phi), root, vt)
         return
-    rng = np.random.default_rng(seed)
-    for lo in range(0, budget, BATCH_SIZE):
-        g = _haar_normals(rng, d, min(BATCH_SIZE, budget - lo))
-        index = range(lo, lo + len(g))
-        if screen:
-            est, kappa = _screened_averages(g, root, vt)
-            keep = _candidates(-est, kappa)
-            g, index = g[keep], (lo + keep).tolist()
-        yield [(k,) for k in index], _averages(_haar_columns(g, r), root, vt)
+    estimate = (lambda g: _screened_averages(g, root, vt)) if screen else None
+    for index, v in draws(seed, d, budget, r, estimate):
+        yield [(k,) for k in index.tolist()], _averages(v, root, vt)
 
 
 def iter_decomposition_samples(rho, d, budget=None, seed=0):
@@ -240,9 +228,7 @@ def min_average_search(rho, d, budget=None, seed=0):
     result can never fall below the convex-roof value beyond round-off.
     Ties go to the earliest trial.  The trials are those of
     iter_decomposition_samples, and so is the result, bit for bit; at
-    D >= 3 each chunk is screened first (see _search_chunks), so only the
-    handful of its trials that numerics._candidates returns are QR-factored
-    and scored exactly.
+    D >= 3 each chunk is screened first (see qqent._screen).
     """
     best = np.inf
     best_params = ()

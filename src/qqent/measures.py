@@ -9,16 +9,13 @@ import math
 import numpy as np
 
 from ._checks import as_budget, as_density_matrix, as_seed, as_spectrum, as_unit_ket
+from ._screen import draws, preconcurrence_estimator
 from .errors import (
     InvalidQuartet,
     NotMinimalSGX,
     NotMinimalTGX,
     NotTGXForm,
     NotXForm,
-)
-from .numerics import (
-    BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, _candidates, _cholesky_passes, _gram_schmidt,
-    _haar_columns, _haar_normals,
 )
 from .states import DELTA_TOL, QUARTETS, ZERO_TOL, _class_of, _classify, _coherent_quartet
 from .states import _offdiag_support, _physical_pair, build_alpha_beta, e_mems
@@ -205,110 +202,10 @@ def _gen_concurrence_max(lam):
     return max(0.0, l1 - l4 - 2.0 * math.sqrt(l2 * l6) - 2.0 * math.sqrt(l3 * l5))
 
 
-def _screened_preconcurrence(g, root, r):
-    """Estimated preconcurrence of each draw in the normals ``g``, from V's
-    first r columns, and their Gram-Schmidt certificate, for _candidates;
-    ``root`` is sqrt(L), zero past index r - 1.  At r >= 3, flagged draws
-    and draws certified to lie more than SCREEN_MARGIN below the best
-    estimate get -inf instead of an estimate (see SCREEN_MARGIN)."""
-    qr, qi, kappa = _gram_schmidt(g, r)
-    lam = (root * root).tolist()
-    if r == 1:
-        est = lam[0] * np.hypot(qr[0, 0], qi[0, 0])
-    elif r == 2:
-        # sigma1 - sigma2 of b_ij = sqrt(lam_i lam_j) V_ij; v[j, i] is V_ij
-        v = qr[:, :2] + 1j * qi[:, :2]
-        w = v.real ** 2 + v.imag ** 2
-        l1, l2 = lam[0], lam[1]
-        frob2 = l1 * l1 * w[0, 0] + l1 * l2 * (w[0, 1] + w[1, 0]) + l2 * l2 * w[1, 1]
-        det = l1 * l2 * np.abs(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
-        est = np.sqrt(np.clip(frob2 - 2.0 * det, 0.0, None))
-    else:
-        trace = _trace_bound(qr, qi, root, r)
-        hr, hi = _block_gram(qr, qi, root, r)
-        live = kappa <= SCREEN_KAPPA
-        if np.count_nonzero(live) > _PROBES:
-            live &= ~_pruned(hr, hi, live, trace)
-        rows = np.flatnonzero(live)
-        est = np.full(len(kappa), -np.inf)
-        est[rows] = _gram_estimates(hr[..., rows], hi[..., rows])
-    return est, kappa
-
-
-#: draws whose eigvalsh estimate sets the pruning threshold, per batch
-_PROBES = 16
-
-
-def _trace_bound(qr, qi, root, r):
-    """T = tr(b V_r^H) = sum_ij s_i s_j |V_ij|^2 <= ||b||_* of each r x r
-    block b = sqrt(L_r) V_r sqrt(L_r), s = ``root``, from _gram_schmidt's
-    unscaled columns (V_ij at [j, i]); see SCREEN_MARGIN."""
-    w = root[:r, None] * root[:r]
-    qr, qi = qr[:, :r], qi[:, :r]
-    return np.einsum("ji,jin,jin->n", w, qr, qr) + np.einsum("ji,jin,jin->n", w, qi, qi)
-
-
-def _block_gram(qr, qi, root, r):
-    """H = b^H b of the r x r blocks b = sqrt(L_r) V_r sqrt(L_r), as real and
-    imaginary (r, r, N) arrays, draw axis last, written over the first r
-    rows of _gram_schmidt's columns ``qr``, ``qi``.  Those are scaled to b
-    in place; row j of H reads only b's columns j and up, so it overwrites
-    column j, and its part left of the diagonal is the conjugate of the
-    rows above: H comes out exactly Hermitian."""
-    w = (root[:r, None] * root[:r])[..., None]
-    hr, hi = (np.multiply(q[:, :r], w, out=q[:, :r]) for q in (qr, qi))  # b_ij at [j, i]
-    for j in range(r):
-        br, bi = hr[j:], hi[j:]  # columns j and up of b
-        row_r = np.einsum("in,kin->kn", br[0], br) + np.einsum("in,kin->kn", bi[0], bi)
-        row_i = np.einsum("in,kin->kn", br[0], bi) - np.einsum("in,kin->kn", bi[0], br)
-        row_i[0] = 0.0
-        hr[j, j:], hi[j, j:] = row_r, row_i
-        hr[j, :j], hi[j, :j] = hr[:j, j], -hi[:j, j]
-    return hr, hi
-
-
-def _gram_estimates(hr, hi):
-    """2 sigma1 - sum sigma_k of each b, from eigvalsh of its H (see _block_gram)."""
-    h = (hr + 1j * hi).transpose(2, 0, 1)
-    s = np.sqrt(np.clip(np.linalg.eigvalsh(h), 0.0, None))
-    return 2.0 * s[:, -1] - s.sum(axis=1)
-
-
-def _pruned(hr, hi, live, d):
-    """Draws whose value is certified below t = L0 - 2 SCREEN_MARGIN, L0 the
-    best estimate of the _PROBES ``live`` draws with the largest
-    2 sqrt(max H_kk) - d, d <= ||b||_* the _trace_bound of each draw.
-
-    A passing Cholesky recursion on x I - H, x = y^2, certifies sigma1 < y,
-    so 2 sigma1 - ||b||_* < t, for the larger of y = (t + d) / 2 and the
-    root y of 2 y - tr H / y = t (||b||_* >= ||b||_F^2 / sigma1, and
-    ||b||_F^2 = tr H); see SCREEN_MARGIN for the rounding.  The recursion
-    runs in place on H's lower triangle, rebuilt from the upper one after
-    it, so H comes back as it was and is never copied."""
-    diag = np.arange(hr.shape[0])
-    h = hr[diag, diag]
-    lead = np.where(live, 2.0 * np.sqrt(h.max(axis=0)) - d, -np.inf)
-    probes = np.argpartition(lead, -_PROBES)[-_PROBES:]
-    t = _gram_estimates(hr[..., probes], hi[..., probes]).max() - 2.0 * SCREEN_MARGIN
-    y = np.maximum(0.5 * (t + d), 0.25 * (t + np.sqrt(t * t + 8.0 * h.sum(axis=0))))  # >= 0
-    _mirror(hr, hi, y * y - h, -1.0)
-    ok = _cholesky_passes(hr, hi)
-    _mirror(hr, hi, h, 1.0)
-    return ok
-
-
-def _mirror(hr, hi, diag, sign):
-    """Set the lower triangle of hr + i hi to ``sign`` times the conjugate
-    of its upper triangle, pair by pair, and the diagonal to ``diag``."""
-    for j in range(len(hr)):
-        np.multiply(hr[:j, j], sign, out=hr[j, :j])
-        np.multiply(hi[:j, j], -sign, out=hi[j, :j])
-        hr[j, j] = diag[j]
-
-
-def _exact_preconcurrence(g, root):
-    """sigma1 - sum of the rest of sqrt(L) V sqrt(L), by the full 6 x 6 SVD."""
-    s = np.linalg.svd(root[:, None] * _haar_columns(g, 6) * root, compute_uv=False)
+def _exact_preconcurrence(v, root):
+    """sigma1 - sum of the rest of sqrt(L) V sqrt(L) for each of the unitaries
+    ``v``, by the full 6 x 6 SVD."""
+    s = np.linalg.svd(root[:, None] * v * root, compute_uv=False)
     return s[:, 0] - s[:, 1:].sum(axis=1)
 
 
@@ -319,54 +216,12 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     (sigma1 - sum of the rest) of sqrt(L) V sqrt(L); always bounded above by
     gen_concurrence_max(spectrum).  Deterministic per seed; ``samples`` not
     an integer of at least 1 raises InvalidBudget, a negative or non-integer
-    seed InvalidSeed.
-
-    Each batch of up to 2048 draws is screened, then confirmed.  With r the
-    index past the last nonzero eigenvalue, V's first r columns are built by
-    Gram-Schmidt (CGS2) over the whole batch, without LAPACK, and each
-    draw's value is estimated from the r x r block b of sqrt(L) V sqrt(L):
-    lam1 |V11| for r = 1, sigma1 - sigma2 = sqrt(||b||_F^2 - 2 |det b|) for
-    r = 2, and the square roots of eigvalsh(b^H b) for r >= 3.  At r >= 3,
-    eigvalsh runs only on draws that one Cholesky recursion cannot rule out:
-    with two lower bounds of ||b||_* that cost no recursion, the trace bound
-    tr(b V_r^H) and ||b||_F^2 / sigma1, a positive definite x I - H,
-    H = b^H b, proves the value below a threshold 2 SCREEN_MARGIN under the
-    best of 16 probe estimates (see SCREEN_MARGIN).  On random spectra that
-    rules out nearly all of a batch.  H is built over V's columns, so a
-    screen holds about 1.4 batches of normals at its peak.
-    The draws that numerics._candidates returns (those too ill-conditioned
-    to estimate, and about one more per batch) are rebuilt whole and scored
-    by the exact 6 x 6 SVD; the largest of those is the answer, the same
-    bit for bit as scoring every draw by SVD.  A rank-6 spectrum so flat
-    that the screen would keep too many draws to pay for itself skips the
-    screen.  Every batch's normals are drawn into one buffer allocated once
-    per call.
+    seed InvalidSeed.  Each batch is screened (see qqent._screen), and only
+    the draws the screen keeps are scored by the SVD; the answer is the same
+    bit for bit as scoring every draw.
     """
     lam = as_spectrum(spectrum, 6)
     samples = as_budget(samples, "samples")
     root = np.sqrt(lam)
-    r = int(np.flatnonzero(lam)[-1]) + 1
-    # Expanding s = sqrt(lam) about its mean m, every draw's value lies, to
-    # first order, in a window of width 2 m (2 s1 - max_k (s_k + s_{7-k})):
-    # the values are -4 m^2 + 2 m^2 h with h the largest eigenvalue of
-    # V^H E V + E, E = diag(s / m - 1), and Weyl's and Horn's inequalities
-    # bound h.  (s1 - s6)^2 / m covers the second-order terms (it bounded
-    # the observed spread of every near-flat family tried).  At rank 6 the
-    # screen costs about 0.2 of the exact path when it rules out nearly
-    # every draw and 0.6 when it rules out none, so it pays only if it
-    # keeps under ~40% of the draws; below a window of 50 margins some
-    # families keep more (up to 46% at 30), above it at most 30% were kept.
-    # Either way the answer is the same.
-    s, m = root.tolist(), float(root.mean())
-    window = 2.0 * m * (2.0 * s[0] - max(s[k] + s[5 - k] for k in range(3)))
-    screened = window + (s[0] - s[5]) ** 2 / m > 50.0 * SCREEN_MARGIN
-    rng = np.random.default_rng(as_seed(seed))
-    buf = np.empty((min(samples, BATCH_SIZE), 2, 6, 6))
-    best = -np.inf
-    for lo in range(0, samples, BATCH_SIZE):
-        n = min(samples - lo, BATCH_SIZE)
-        g = _haar_normals(rng, 6, n, out=buf[:n])
-        if screened:
-            g = g[_candidates(*_screened_preconcurrence(g, root, r))]
-        best = max(best, float(_exact_preconcurrence(g, root).max()))
-    return best
+    batches = draws(as_seed(seed), 6, samples, 6, preconcurrence_estimator(root))
+    return max(float(_exact_preconcurrence(v, root).max()) for _, v in batches)

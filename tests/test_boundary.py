@@ -31,8 +31,9 @@ from conftest import random_density, random_spectrum, rotated_min_sgx
 
 SETTINGS = settings(max_examples=40)
 
-MATRIX_KINDS = ("nan", "inf", "non_hermitian", "trace", "negative", "shape", "empty", "overflow")
-SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape", "overflow")
+MATRIX_KINDS = ("nan", "inf", "non_hermitian", "trace", "negative", "shape", "empty", "overflow",
+                "huge")
+SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape", "overflow", "huge")
 
 #: Public entry points taking a 2x3 density matrix; every bad kind is InvalidState.
 DENSITY_6 = {
@@ -106,6 +107,8 @@ def corrupt_matrix(rng, dim, kind):
     elif kind == "overflow":  # a Python int beyond the float range
         rho = rho.astype(object)
         rho[i, j] = 2**1024
+    elif kind == "huge":  # two finite diagonal entries whose sum, the trace, overflows
+        rho[i, i] = rho[(i + 1) % dim, (i + 1) % dim] = 1e308 if j % 2 else -1e308
     elif kind == "non_hermitian":
         rho[i, (i + 1) % dim] += 1e-6
     elif kind == "trace":
@@ -123,6 +126,8 @@ def corrupt_spectrum(rng, n, kind):
     elif kind == "overflow":
         lam = lam.astype(object)
         lam[int(rng.integers(n))] = 2**1024
+    elif kind == "huge":  # finite, but the sum overflows
+        lam[:2] = 1e308
     elif kind == "unsorted":
         lam = lam[::-1]
     elif kind == "negative":
@@ -155,13 +160,16 @@ def test_spectrum_entry_points_reject_invalid_spectra(seed, kind):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(("nan", "inf", "non_hermitian", "shape", "empty")),
+    kind=st.sampled_from(("nan", "inf", "non_hermitian", "shape", "empty", "huge")),
 )
 def test_kernel_entry_points_reject_invalid_matrices(seed, kind):
     """hermitian_eig and takagi_symmetric check shape, finiteness and symmetry
     (not trace or sign, which a general matrix need not have)."""
     rho = corrupt_matrix(np.random.default_rng(seed), 6, kind)
-    if kind == "non_hermitian":
+    if kind == "huge":  # finite +-1e308 entries whose difference in the gates overflows
+        rho = np.zeros((6, 6))
+        rho[seed % 5, seed % 5 + 1], rho[seed % 5 + 1, seed % 5] = 1e308, -1e308
+    if kind in ("non_hermitian", "huge"):
         assert raised(qq.hermitian_eig, rho) is NotHermitian
         assert raised(qq.takagi_symmetric, rho.real) is NotSymmetric
     else:

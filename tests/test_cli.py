@@ -370,6 +370,23 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert "InvalidState" in err
 
+    def test_huge_entries_exit_2_with_the_error_line_alone(self, tmp_path):
+        # finite 1e308 entries overflow in the trace and spectrum sums; run as
+        # a child process, so that a numpy warning would reach stderr as text
+        path = tmp_path / "huge.json"
+        matrix = [[1e308 if i in (0, 7) else 0.0, 0.0] for i in range(36)]
+        path.write_text(json.dumps({"mode_dims": [2, 3], "matrix": matrix}))
+        src = str(Path(qqent.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        for argv, error in ((["measure", str(path)], "InvalidState"),
+                            (["construct", "mems", "--spectrum", "1e308,1e308,0,0,0,0"],
+                             "InvalidSpectrum")):
+            done = subprocess.run([sys.executable, "-m", "qqent.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 2 and done.stdout == "", argv
+            assert done.stderr.startswith(f"error: {error}: ") and done.stderr.count("\n") == 1, (
+                done.stderr)
+
     @pytest.mark.parametrize(
         "text",
         ["[1, 2]", "3.5", '"state"', "null", '{"state": [1]}', '{"state": null}',

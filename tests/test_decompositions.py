@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import qqent.decompositions as decompositions
+from qqent import _screen
 from qqent._checks import as_density_matrix
+from qqent._screen import SCREEN_KAPPA, SCREEN_MARGIN
 from qqent.decompositions import (
     MixerParams,
     average_entanglement,
@@ -22,7 +24,7 @@ from qqent.errors import (
     NotUnitary,
 )
 from qqent.measures import min_sgx_i_concurrence, min_tgx_i_concurrence, pure_i_concurrence
-from qqent.numerics import BATCH_SIZE, SCREEN_KAPPA, SCREEN_MARGIN, haar_unitary, hermitian_eig
+from qqent.numerics import BATCH_SIZE, _haar_columns, haar_unitary, hermitian_eig
 from qqent.states import build_alpha_beta, build_epu_min_tgx, physical_entanglement
 
 from conftest import random_density, random_ket, random_spectrum, rotated_min_sgx
@@ -99,6 +101,25 @@ class TestAverageEntanglement:
             mixer = np.eye(1) if d == 1 else haar_unitary(d, rng)
             dec = decompose(rho, mixer)
             assert abs(average_entanglement(dec) - ref) < 1e-10
+
+    def test_equals_member_loop(self):
+        # the masked sum against the member-by-member loop it replaced; an
+        # identity mixer wider than the rank gives zero-weight members
+        def loop(dec):
+            total = 0.0
+            for w, ket in zip(dec.weights, dec.kets):
+                if w > decompositions.ZERO_WEIGHT_TOL:
+                    total += w * pure_i_concurrence(ket)
+            return total
+
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            rank = int(rng.integers(1, 7))
+            rho = random_density(rng, 6, rank=rank)
+            d = int(rng.integers(max(2, rank), 9))
+            for mixer in (haar_unitary(d, rng), np.eye(d)):
+                dec = decompose(rho, mixer)
+                assert abs(average_entanglement(dec) - loop(dec)) <= 1e-15
 
 
 class TestMinAverageSearch:
@@ -369,14 +390,14 @@ class TestScreenedSearch:
         # only, in an order the screen's own round-off does not follow
         rho = random_density(np.random.default_rng(31 + rank), 6, rank=rank)
         best = min_average_search(rho, d, 1000, 6)[1].trial
-        normals = decompositions._haar_normals
+        normals = _screen._haar_normals
 
-        def copies(rng, dim, count=None):
-            g = normals(rng, dim, count)
+        def copies(rng, dim, count=None, out=None):
+            g = normals(rng, dim, count, out)
             g[:64] = g[best] * np.linspace(1.0, 3.0, 64)[:, None, None, None]
             return g
 
-        monkeypatch.setattr(decompositions, "_haar_normals", copies)
+        monkeypatch.setattr(_screen, "_haar_normals", copies)
         rows = list(iter_decomposition_samples(rho, d, 1000, 6))
         assert len({avg for _, _, avg in rows[:64]}) > 1
         assert min_average_search(rho, d, 1000, 6) == first_minimum(rows, d, 6)
@@ -388,8 +409,9 @@ class TestScreenedSearch:
             root, vt = decompositions._spectral_factors(rho)
             for d in range(max(3, rank), min(rank * rank, 8) + 1):
                 g = rng.standard_normal((512, 2, d, d))
-                est, kappa = decompositions._screened_averages(g, root, vt)
-                exact = decompositions._averages(decompositions._haar_columns(g, rank), root, vt)
+                score, kappa = decompositions._screened_averages(g, root, vt)
+                est = -score
+                exact = decompositions._averages(_haar_columns(g, rank), root, vt)
                 kept = kappa <= SCREEN_KAPPA
                 assert np.max(np.abs(est - exact)[kept]) < SCREEN_ERROR, (rank, d)
         assert 2 * SCREEN_ERROR < SCREEN_MARGIN
@@ -400,16 +422,16 @@ class TestScreenedSearch:
         # copies another plus 1e-9 noise
         rho = random_density(np.random.default_rng(60 + rank), 6, rank=rank)
         d = min(rank * rank, 8)
-        normals = decompositions._haar_normals
+        normals = _screen._haar_normals
 
-        def crafted(rng, dim, count=None):
-            g = normals(rng, dim, count)
+        def crafted(rng, dim, count=None, out=None):
+            g = normals(rng, dim, count, out)
             for n in range(16):
                 noise = np.random.default_rng(n).standard_normal((2, dim))
                 g[n, :, :, (n + 1) % rank] = g[n, :, :, n % rank] + 1e-9 * noise
             return g
 
-        monkeypatch.setattr(decompositions, "_haar_normals", crafted)
+        monkeypatch.setattr(_screen, "_haar_normals", crafted)
         g = crafted(np.random.default_rng(5), d, 1000)
         root, vt = decompositions._spectral_factors(as_density_matrix(rho))
         _, kappa = decompositions._screened_averages(g, root, vt)
@@ -423,9 +445,9 @@ class TestScreenedSearch:
 
     def test_min_search_factors_only_candidates(self, monkeypatch):
         factored = []
-        columns = decompositions._haar_columns
+        columns = _screen._haar_columns
         monkeypatch.setattr(
-            decompositions, "_haar_columns", lambda g, k: factored.append(len(g)) or columns(g, k)
+            _screen, "_haar_columns", lambda g, k: factored.append(len(g)) or columns(g, k)
         )
         rng = np.random.default_rng(13)
         for rank, d in ((2, 3), (2, 4), (3, 4), (3, 8), (6, 6)):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qqent import measures
+from qqent import _screen, measures
 from qqent.decompositions import min_average_search
 from qqent.errors import (
     InvalidBudget,
@@ -36,7 +36,7 @@ from qqent.measures import (
     subspace_concurrence_vector,
     x_concurrence,
 )
-from qqent.numerics import BATCH_SIZE, haar_unitary, partial_transpose_negativity
+from qqent.numerics import BATCH_SIZE, _haar_columns, haar_unitary, partial_transpose_negativity
 from qqent.states import (
     COMPLEMENT_PAIRS,
     ME_TUPLES,
@@ -207,8 +207,9 @@ class TestPureIConcurrence:
             assert np.sum(vec > 1e-12) <= 1
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            pure_i_concurrence(np.ones(6))
+        for psi in (np.ones(6), np.full(6, 1e308)):  # the huge ket's norm overflows
+            with pytest.raises(NotNormalized):
+                pure_i_concurrence(psi)
 
 
 class TestMinTgx:
@@ -419,9 +420,9 @@ def unpruned_screen(g, root, r):
     """The screen's estimate of every draw, flagged ones included and none
     pruned, with the Gram-Schmidt certificates."""
     if r <= 2:
-        return measures._screened_preconcurrence(g, root, r)
-    qr, qi, kappa = measures._gram_schmidt(g, r)
-    return measures._gram_estimates(*measures._block_gram(qr, qi, root, r)), kappa
+        return _screen._screened_preconcurrence(g, root, r)
+    qr, qi, kappa = _screen._gram_schmidt(g, r)
+    return _screen._gram_estimates(*_screen._block_gram(qr, qi, root, r)), kappa
 
 
 def ill_conditioned_normals(rng, rank):
@@ -560,23 +561,23 @@ class TestSampledGenPreconcurrence:
                 r = int(np.flatnonzero(root)[-1]) + 1
                 g = rng.standard_normal((512, 2, 6, 6))
                 estimates, kappa = unpruned_screen(g, root, r)
-                unflagged = kappa <= measures.SCREEN_KAPPA
-                exact = measures._exact_preconcurrence(g, root)
+                unflagged = kappa <= _screen.SCREEN_KAPPA
+                exact = measures._exact_preconcurrence(_haar_columns(g, 6), root)
                 assert np.max(np.abs(estimates - exact)[unflagged]) < 1e-6
-                screened, screened_kappa = measures._screened_preconcurrence(g, root, r)
+                screened, screened_kappa = _screen._screened_preconcurrence(g, root, r)
                 assert (screened_kappa == kappa).all()
                 kept = screened > -np.inf
                 assert (screened[kept] == estimates[kept]).all()
                 assert kept.all() or r >= 3
-                candidates = measures._candidates(screened, kappa)
+                candidates = _screen._candidates(screened, kappa)
                 assert set(np.flatnonzero(~unflagged)) <= set(candidates)
-        assert 2e-6 < measures.SCREEN_MARGIN
+        assert 2e-6 < _screen.SCREEN_MARGIN
 
     def test_flat_spectrum_skips_screen(self, monkeypatch):
         calls = []
-        screen = measures._screened_preconcurrence
+        screen = _screen._screened_preconcurrence
         monkeypatch.setattr(
-            measures, "_screened_preconcurrence", lambda *a: calls.append(1) or screen(*a)
+            _screen, "_screened_preconcurrence", lambda *a: calls.append(1) or screen(*a)
         )
         for lam, screened in (([1 / 6] * 6, False), ([0.2] * 5 + [0.0], True)):
             calls.clear()
@@ -590,44 +591,44 @@ class TestSampledGenPreconcurrence:
         lam = screen_spectrum("random", rank, rng)
         root = np.sqrt(lam)
         g = ill_conditioned_normals(rng, rank)
-        qr, qi, kappa = measures._gram_schmidt(g, rank)
-        flagged = kappa > measures.SCREEN_KAPPA
+        qr, qi, kappa = _screen._gram_schmidt(g, rank)
+        flagged = kappa > _screen.SCREEN_KAPPA
         assert flagged[:32].all() if rank > 1 else not flagged.any()
         # below the cap the columns are orthonormal to a few eps; with one pass
         # (CGS1) the plain rank-6 draws lose about 3e-14
         q = (qr + 1j * qi).transpose(2, 1, 0)[~flagged]
         gram = q.conj().swapaxes(1, 2) @ q
         assert np.max(np.abs(gram - np.eye(rank))) < 5e-15
-        rows = []
+        rows, v = [], _haar_columns(g, 6)
         exact = measures._exact_preconcurrence
         monkeypatch.setattr(
-            measures, "_exact_preconcurrence", lambda g, root: rows.append(len(g)) or exact(g, root)
+            measures, "_exact_preconcurrence", lambda v, root: rows.append(len(v)) or exact(v, root)
         )
         # the screen scores nothing exactly and leaves every flagged draw a candidate
-        screened, kappa = measures._screened_preconcurrence(g, root, rank)
+        screened, kappa = _screen._screened_preconcurrence(g, root, rank)
         assert rows == []
-        assert set(np.flatnonzero(flagged)) <= set(measures._candidates(screened, kappa))
+        assert set(np.flatnonzero(flagged)) <= set(_screen._candidates(screened, kappa))
         # every unflagged draw's estimate is within 1e-6, and pruned ones far below the best
         estimates = unpruned_screen(g, root, rank)[0]
-        assert np.max(np.abs(estimates - exact(g, root))[~flagged]) < 1e-6
+        assert np.max(np.abs(estimates - exact(v, root))[~flagged]) < 1e-6
         pruned = (screened == -np.inf) & ~flagged
         best = screened[~flagged].max()
-        assert (estimates[pruned] < best - measures.SCREEN_MARGIN).all()
+        assert (estimates[pruned] < best - _screen.SCREEN_MARGIN).all()
         # end to end, every flagged draw reaches the exact scorer, and the
         # answer is the full SVD's on the same normals
         scored, screens = [], []
-        screen = measures._screened_preconcurrence
-        monkeypatch.setattr(measures, "_haar_normals", lambda *a, out: np.copyto(out, g) or out)
+        screen = _screen._screened_preconcurrence
+        monkeypatch.setattr(_screen, "_haar_normals", lambda *a, out: np.copyto(out, g) or out)
         monkeypatch.setattr(
-            measures, "_exact_preconcurrence", lambda g, root: scored.append(g) or exact(g, root)
+            measures, "_exact_preconcurrence", lambda v, root: scored.append(v) or exact(v, root)
         )
         monkeypatch.setattr(
-            measures, "_screened_preconcurrence", lambda *a: screens.append(1) or screen(*a)
+            _screen, "_screened_preconcurrence", lambda *a: screens.append(1) or screen(*a)
         )
-        assert sampled_gen_preconcurrence(lam, BATCH_SIZE) == exact(g, root).max()
+        assert sampled_gen_preconcurrence(lam, BATCH_SIZE) == exact(v, root).max()
         assert screens == [1]
         seen = {row.tobytes() for batch in scored for row in batch}
-        assert {g[k].tobytes() for k in np.flatnonzero(flagged)} <= seen
+        assert {v[k].tobytes() for k in np.flatnonzero(flagged)} <= seen
 
     @pytest.mark.parametrize("rank", range(3, 7))
     def test_block_gram_equals_matmul_reference(self, rank):
@@ -635,8 +636,8 @@ class TestSampledGenPreconcurrence:
         rng = np.random.default_rng(60 + rank)
         root = np.sqrt(screen_spectrum("random", rank, rng))
         g = rng.standard_normal((512, 2, 6, 6))
-        hr, hi = measures._block_gram(*measures._gram_schmidt(g, rank)[:2], root, rank)
-        b = root[:rank, None] * measures._haar_columns(g, rank)[:, :rank] * root[:rank]
+        hr, hi = _screen._block_gram(*_screen._gram_schmidt(g, rank)[:2], root, rank)
+        b = root[:rank, None] * _haar_columns(g, rank)[:, :rank] * root[:rank]
         h = np.matmul(b.conj().swapaxes(1, 2), b)
         assert np.max(np.abs((hr + 1j * hi).transpose(2, 0, 1) - h)) < 1e-14
 
@@ -647,12 +648,12 @@ class TestSampledGenPreconcurrence:
         rng = np.random.default_rng(80 + rank)
         root = np.sqrt(screen_spectrum("random", rank, rng))
         g = rng.standard_normal((512, 2, 6, 6))
-        qr, qi, _ = measures._gram_schmidt(g, rank)
-        trace = measures._trace_bound(qr, qi, root, rank)
-        hr, hi = measures._block_gram(qr, qi, root, rank)
+        qr, qi, _ = _screen._gram_schmidt(g, rank)
+        trace = _screen._trace_bound(qr, qi, root, rank)
+        hr, hi = _screen._block_gram(qr, qi, root, rank)
         assert (hr == hr.transpose(1, 0, 2)).all() and (hi == -hi.transpose(1, 0, 2)).all()
         before = hr.tobytes(), hi.tobytes()
-        measures._pruned(hr, hi, np.ones(len(g), dtype=bool), trace)
+        _screen._pruned(hr, hi, np.ones(len(g), dtype=bool), trace)
         assert (hr.tobytes(), hi.tobytes()) == before
 
     @pytest.mark.parametrize("rank", range(3, 7))
@@ -660,8 +661,8 @@ class TestSampledGenPreconcurrence:
         # H is written over the columns it is built from, not beside them
         rng = np.random.default_rng(100 + rank)
         root = np.sqrt(screen_spectrum("random", rank, rng))
-        qr, qi, _ = measures._gram_schmidt(rng.standard_normal((64, 2, 6, 6)), rank)
-        hr, hi = measures._block_gram(qr, qi, root, rank)
+        qr, qi, _ = _screen._gram_schmidt(rng.standard_normal((64, 2, 6, 6)), rank)
+        hr, hi = _screen._block_gram(qr, qi, root, rank)
         assert np.shares_memory(hr, qr) and np.shares_memory(hi, qi)
 
     @pytest.mark.parametrize("rank", range(3, 7))
@@ -677,20 +678,20 @@ class TestSampledGenPreconcurrence:
             r = int(np.flatnonzero(root)[-1]) + 1
             for g in (rng.standard_normal((512, 2, 6, 6)), ill_conditioned_normals(rng, r),
                       near_tie_normals(rng)):
-                qr, qi, kappa = measures._gram_schmidt(g, r)
-                below = kappa <= measures.SCREEN_KAPPA
-                trace = measures._trace_bound(qr, qi, root, r)
-                b = root[:r, None] * measures._haar_columns(g, r)[:, :r] * root[:r]
+                qr, qi, kappa = _screen._gram_schmidt(g, r)
+                below = kappa <= _screen.SCREEN_KAPPA
+                trace = _screen._trace_bound(qr, qi, root, r)
+                b = root[:r, None] * _haar_columns(g, r)[:, :r] * root[:r]
                 nuclear = np.linalg.svd(b, compute_uv=False).sum(axis=1)
                 assert (trace[below] <= nuclear[below] + 1e-12).all()
-                hr, hi = measures._block_gram(qr, qi, root, r)
-                exact = measures._exact_preconcurrence(g, root)
+                hr, hi = _screen._block_gram(qr, qi, root, r)
+                exact = measures._exact_preconcurrence(_haar_columns(g, 6), root)
                 frob2 = np.einsum("kkn->n", hr)
-                for t in np.quantile(exact, (0.5, 0.9, 0.99, 1.0)) - 2 * measures.SCREEN_MARGIN:
+                for t in np.quantile(exact, (0.5, 0.9, 0.99, 1.0)) - 2 * _screen.SCREEN_MARGIN:
                     y = 0.25 * (t + np.sqrt(t * t + 8.0 * frob2))
                     xr, xi = -hr, -hi
                     xr[range(r), range(r)] += y * y
-                    certified = measures._cholesky_passes(xr, xi) & below
+                    certified = _screen._cholesky_passes(xr, xi) & below
                     assert (exact[certified] <= 2 * y[certified] - frob2[certified] / y[certified]
                             + 1e-12).all()
 
@@ -709,9 +710,9 @@ class TestSampledGenPreconcurrence:
                                   np.random.default_rng(41 + r))
             assert int(np.flatnonzero(lam)[-1]) + 1 == r
         lam = np.array(lam) / sum(lam)
-        rows, estimates = [], measures._gram_estimates
+        rows, estimates = [], _screen._gram_estimates
         monkeypatch.setattr(
-            measures, "_gram_estimates", lambda hr, hi: rows.append(hr.shape[-1]) or estimates(hr, hi)
+            _screen, "_gram_estimates", lambda hr, hi: rows.append(hr.shape[-1]) or estimates(hr, hi)
         )
         assert sampled_gen_preconcurrence(lam, 10000, 7) == full_svd_preconcurrence(lam, 10000, 7)
         assert 0 < sum(rows) < 2000, sum(rows)
@@ -720,7 +721,7 @@ class TestSampledGenPreconcurrence:
     def test_gram_schmidt_certificate_equals_qr_reference(self, rank):
         # ||A_r||_F^r / prod |R_jj| of the complex normals A_r, by LAPACK
         g = np.random.default_rng(70 + rank).standard_normal((512, 2, 6, 6))
-        kappa = measures._gram_schmidt(g, rank)[2]
+        kappa = _screen._gram_schmidt(g, rank)[2]
         a = g[:, 0, :, :rank] + 1j * g[:, 1, :, :rank]
         diag = np.abs(np.diagonal(np.linalg.qr(a, mode="r"), axis1=1, axis2=2))
         ref = np.linalg.norm(a, axis=(1, 2)) ** rank / diag.prod(axis=1)
@@ -745,7 +746,7 @@ class TestSampledGenPreconcurrence:
         for rank in range(1, 7):
             root = np.sqrt(screen_spectrum("random", rank, rng))
             calls.clear()
-            measures._screened_preconcurrence(rng.standard_normal((4096, 2, 6, 6)), root, rank)
+            _screen._screened_preconcurrence(rng.standard_normal((4096, 2, 6, 6)), root, rank)
             assert "qr" not in calls
             assert (calls == []) if rank <= 2 else (set(calls) == {"eigvalsh"})
 
@@ -772,12 +773,12 @@ class TestSampledGenPreconcurrence:
         rows, eigvalsh = [], np.linalg.eigvalsh
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
-            screened, kappa = measures._screened_preconcurrence(g, root, r)
+            screened, kappa = _screen._screened_preconcurrence(g, root, r)
         estimates = unpruned_screen(g, root, r)[0]
-        unflagged = kappa <= measures.SCREEN_KAPPA
+        unflagged = kappa <= _screen.SCREEN_KAPPA
         assert screened[unflagged].max() == estimates[unflagged].max()
-        candidates = measures._candidates(screened, kappa)
-        assert (candidates == measures._candidates(estimates, kappa)).all()
+        candidates = _screen._candidates(screened, kappa)
+        assert (candidates == _screen._candidates(estimates, kappa)).all()
         kept = screened > -np.inf
         assert (screened[kept] == estimates[kept]).all()
         if kind == "random":
@@ -788,12 +789,12 @@ class TestSampledGenPreconcurrence:
         # cost relative to it (about 0.6 at rank 6), never exceed the samples
         # that scoring every draw exactly would take
         rows, screened = [], []
-        exact, screen = measures._exact_preconcurrence, measures._screened_preconcurrence
+        exact, screen = measures._exact_preconcurrence, _screen._screened_preconcurrence
         monkeypatch.setattr(
-            measures, "_exact_preconcurrence", lambda g, root: rows.append(len(g)) or exact(g, root)
+            measures, "_exact_preconcurrence", lambda v, root: rows.append(len(v)) or exact(v, root)
         )
         monkeypatch.setattr(
-            measures, "_screened_preconcurrence",
+            _screen, "_screened_preconcurrence",
             lambda g, root, r: screened.append(len(g)) or screen(g, root, r),
         )
         # near-flat spectra 1 + 6 gap x, normalized, so lam1 - lam6 is about gap
@@ -817,13 +818,13 @@ class TestSampledGenPreconcurrence:
         # the calling thread draws every batch, in stream order, into one
         # buffer per call and screens it itself; the answer is the full SVD's
         rng = np.random.default_rng(SCREEN_SPECTRA.index(kind))
-        draw, buffers = measures._haar_normals, []
+        draw, buffers = _screen._haar_normals, []
 
         def recorded(gen, dim, count, out):
             buffers.append(out)
             return draw(gen, dim, count, out)
 
-        monkeypatch.setattr(measures, "_haar_normals", recorded)
+        monkeypatch.setattr(_screen, "_haar_normals", recorded)
         alone = threading.active_count()
         for rank in range(1, 7):
             lam = screen_spectrum(kind, rank, rng)
@@ -867,8 +868,8 @@ class TestSampledGenPreconcurrence:
         rng = np.random.default_rng(11)
         root = np.sqrt(screen_spectrum("random", 6, rng))
         g = rng.standard_normal((BATCH_SIZE, 2, 6, 6))
-        measures._screened_preconcurrence(g, root, 6)
-        assert traced_peak(measures._screened_preconcurrence, g, root, 6) <= 1.6 * g.nbytes
+        _screen._screened_preconcurrence(g, root, 6)
+        assert traced_peak(_screen._screened_preconcurrence, g, root, 6) <= 1.6 * g.nbytes
 
     @pytest.mark.parametrize("calls", (1, 2))
     def test_call_working_set(self, calls):

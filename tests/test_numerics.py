@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qqent import decompositions
+from qqent._screen import SCREEN_KAPPA, SCREEN_MARGIN, _candidates
 from qqent._checks import as_density_matrix
 from qqent.errors import DTooLarge, DTooSmall, InvalidState, NotHermitian, NotSymmetric
 from qqent.numerics import (
     DEGENERACY_TOL,
     RANK_TOL,
     REAL_SYMMETRIC_TOL,
-    SCREEN_KAPPA,
-    SCREEN_MARGIN,
-    _candidates,
     _fix_phases,
     _haar_columns,
     _hermitian_eig_unchecked,
@@ -261,7 +259,8 @@ class TestCandidates:
             for d in range(max(3, rank), min(rank * rank, 8) + 1):
                 g = rng.standard_normal((512, 2, d, d))
                 g[:8, :, :, 1] = g[:8, :, :, 0] + 1e-9 * g[:8, :, :, 1]  # flagged
-                est, kappa = decompositions._screened_averages(g, root, vt)
+                score, kappa = decompositions._screened_averages(g, root, vt)
+                est = -score
                 assert (kappa[:8] > SCREEN_KAPPA).all() and (kappa[8:12] <= SCREEN_KAPPA).all()
                 assert np.array_equal(_candidates(-est, kappa), replaced(est, kappa))
                 # a tie with the least, the cut, and one ulp either side of it
