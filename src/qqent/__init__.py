@@ -68,53 +68,8 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EpuParams",
-    "HermitianEig",
-    "LSDecomposition",
-    "MixerParams",
-    "PureDecomposition",
-    "StateClass",
-    "TakagiFactorization",
-    "alpha_solve",
-    "average_entanglement",
-    "build_alpha_beta",
-    "build_epu_min_tgx",
-    "build_epu_x_2x2",
-    "build_mems",
-    "classify",
-    "concurrence_2x2",
-    "decompose",
-    "e_alpha_beta",
-    "e_mems",
-    "enumerate_lpus",
-    "epu_unitary",
-    "gen_concurrence_max",
-    "haar_unitary",
-    "hermitian_eig",
-    "iter_decomposition_samples",
-    "ls_explicit",
-    "ls_numeric",
-    "me_tgx_states",
-    "mems_entanglement",
-    "min_average_search",
-    "min_sgx_i_concurrence",
-    "min_tgx_i_concurrence",
-    "mixer_2",
-    "partial_transpose_negativity",
-    "physical_entanglement",
-    "pure_i_concurrence",
-    "quartet_x_concurrence",
-    "quartets",
-    "rank_of",
-    "sampled_gen_preconcurrence",
-    "spin_flip_operator",
-    "subspace_concurrence_vector",
-    "subspace_extract",
-    "takagi_symmetric",
-    "tau_matrix",
-    "wootters_xkets_explicit",
-    "x_concurrence",
-    "xi_explicit",
-    "xi_explicit_2x2",
-]
+#: the public names: those imported above, each defined in a submodule
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith(__name__ + ".")
+)

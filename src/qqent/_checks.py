@@ -1,10 +1,12 @@
-"""Shared input-validation helpers."""
+"""The validation boundary: every public argument is converted and gated here,
+and bad input, non-numeric and ragged input included, raises a typed error."""
 
 import math
 
 import numpy as np
 
-from .errors import InvalidBudget, InvalidSeed, InvalidSpectrum, InvalidState, NotNormalized
+from .errors import AngleOutOfRange, InvalidBudget, InvalidSeed, InvalidSpectrum, InvalidState
+from .errors import NotNormalized, NotUnitary
 
 DENSITY_TOL = 1e-10
 SPECTRUM_TOL = 1e-12
@@ -20,8 +22,10 @@ VERIFY_NEGATIVITY_TOL = 1e-8
 VERIFY_FORMULA_TOL = 1e-10
 #: ls --route explicit: largest entry gap to the canonical EPU layout
 CANONICAL_FORM_TOL = 1e-8
-#: mixer_2 accepts theta up to pi/2 plus this
+#: as_angle accepts an angle up to pi/2 plus this
 ANGLE_TOL = 1e-12
+#: as_mixer: largest entry of U^H U - I
+UNITARY_TOL = 1e-10
 #: epu_unitary: largest eigenvalue gap of two states taken to share a spectrum
 SPECTRUM_MATCH_TOL = 1e-9
 
@@ -31,6 +35,15 @@ def _as_array(values, dtype, error):
         return np.asarray(values, dtype=dtype)
     except OverflowError as exc:  # a Python int at or beyond 2**1024
         raise error(f"entry outside the float range: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a non-numeric entry, or ragged nesting
+        raise error(f"not a numeric array: {exc}") from exc
+
+
+def differs(a, b, tol):
+    """Whether max |a - b| is above tol, or NaN: the form of every entrywise
+    gate, which an overflow to inf or a NaN fails, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.abs(a - b).max(initial=0.0) <= tol
 
 
 def as_square_matrix(m, dim=None):
@@ -52,9 +65,9 @@ def as_density_matrix(rho, dim=None):
 def density_and_eigvals(rho, dim=None):
     """as_density_matrix that also returns the ascending eigenvalues it checked."""
     rho = as_square_matrix(rho, dim)
-    with np.errstate(over="ignore"):  # a huge entry's inf fails the gates below
-        if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
-            raise InvalidState("density matrix is not Hermitian to 1e-10")
+    if differs(rho, rho.conj().T, DENSITY_TOL):
+        raise InvalidState("density matrix is not Hermitian to 1e-10")
+    with np.errstate(over="ignore"):  # huge diagonal entries sum to inf, which fails the gate
         trace = rho.trace()
     if abs(trace.real - 1.0) > DENSITY_TOL or abs(trace.imag) > DENSITY_TOL:
         raise InvalidState("density matrix does not have unit trace to 1e-10")
@@ -94,6 +107,34 @@ def as_unit_ket(psi, dim):
         if abs(np.linalg.norm(psi) - 1.0) > KET_NORM_TOL:
             raise NotNormalized("ket is not unit-norm to 1e-10")
     return psi
+
+
+def as_mixer(u):
+    """Validate a square mixer with U^H U = I to 1e-10, which a non-finite entry fails."""
+    u = _as_array(u, complex, NotUnitary)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise NotUnitary(f"mixer must be square, got shape {u.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN product fails the gate
+        gram = u.conj().T @ u
+    if differs(gram, np.eye(len(u)), UNITARY_TOL):
+        raise NotUnitary("mixer is not unitary to 1e-10")
+    return u
+
+
+def as_real(value, name, error):
+    """Gate a real number argument, returned as it is: a bool, a string, a
+    complex number or an array raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name}={value!r} is not a real number")
+    return value
+
+
+def as_angle(value, name):
+    """Gate an angle, returned as it is: a real number in [0, pi/2], up to
+    ANGLE_TOL above it."""
+    if not 0.0 <= as_real(value, name, AngleOutOfRange) <= math.pi / 2 + ANGLE_TOL:
+        raise AngleOutOfRange(f"{name}={value} outside [0, pi/2]")
+    return value
 
 
 def as_seed(seed):

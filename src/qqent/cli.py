@@ -30,6 +30,7 @@ from ._checks import (
     as_budget,
     as_density_matrix,
     as_seed,
+    differs,
 )
 from .decompositions import _search_budget, _search_chunks
 from .errors import (
@@ -272,12 +273,27 @@ def cmd_construct(args):
     return 0
 
 
+def _spectral(rho):
+    """rho's eigenpairs, canonical above RANK_TOL, and its purity tr rho^2."""
+    return _hermitian_eig_unchecked(rho, RANK_TOL), float(np.trace(rho @ rho).real)
+
+
+def _closed_forms(rho, flags, eig, purity):
+    """The closed-form I-concurrences of the 2x3 state rho of class ``flags``,
+    None where one does not apply: (min-TGX, min-SGX, pure).  A formula is
+    the first that does."""
+    return (
+        _min_tgx_i_concurrence(rho) if flags.is_min_tgx else None,
+        _min_sgx_i_concurrence(rho) if flags.is_min_sgx else None,
+        pure_i_concurrence(eig.vectors[:, 0]) if purity >= 1.0 - PURITY_TOL else None,
+    )
+
+
 def cmd_measure(args):
     rho, dims = _load_state(args.input)
     flags = _classify(rho) if dims == (2, 3) else None
-    eig = _hermitian_eig_unchecked(rho, RANK_TOL)
+    eig, purity = _spectral(rho)
     lam = np.clip(eig.values, 0.0, None)
-    purity = float(np.trace(rho @ rho).real)
     outputs = {
         "mode_dims": list(dims),
         "spectrum": list(eig.values),
@@ -289,18 +305,15 @@ def cmd_measure(args):
         outputs["e_mems"] = _e_mems(lam)
         outputs["mems_entanglement"] = max(0.0, outputs["e_mems"])
         outputs["gen_concurrence_max"] = _gen_concurrence_max(lam)
-        if flags.is_min_tgx:
-            outputs["min_tgx_i_concurrence"] = _min_tgx_i_concurrence(rho)
-        else:
-            outputs["min_tgx_i_concurrence"] = None
+        tgx, sgx, pure = _closed_forms(rho, flags, eig, purity)
+        outputs["min_tgx_i_concurrence"] = tgx
+        if tgx is None:
             outputs["min_tgx_reason"] = "NotMinimalTGX"
-        if flags.is_min_sgx:
-            outputs["min_sgx_i_concurrence"] = _min_sgx_i_concurrence(rho)
-        else:
-            outputs["min_sgx_i_concurrence"] = None
+        outputs["min_sgx_i_concurrence"] = sgx
+        if sgx is None:
             outputs["min_sgx_reason"] = "NotMinimalSGX"
-        if purity >= 1.0 - PURITY_TOL:
-            outputs["pure_i_concurrence"] = pure_i_concurrence(eig.vectors[:, 0])
+        if pure is not None:
+            outputs["pure_i_concurrence"] = pure
     else:
         outputs["concurrence"] = _concurrence_block(rho)
         try:
@@ -342,7 +355,7 @@ def cmd_ls(args):
         e = _min_tgx_i_concurrence(rho)
         e_phys = _check_physical(e, max(0.0, _e_mems(lam)))
         ref, _ = _epu_min_tgx(lam, e_phys)
-        if np.max(np.abs(rho - ref)) > CANONICAL_FORM_TOL:
+        if differs(rho, ref, CANONICAL_FORM_TOL):
             raise NotMinimalSGX(
                 "explicit route requires the canonical orientation (coherence at levels 1,6)"
             )
@@ -367,17 +380,6 @@ def cmd_ls(args):
     return 0
 
 
-def _formula_value(rho):
-    flags = _classify(rho)
-    if flags.is_min_tgx:
-        return _min_tgx_i_concurrence(rho)
-    if flags.is_min_sgx:
-        return _min_sgx_i_concurrence(rho)
-    if float(np.trace(rho @ rho).real) >= 1.0 - PURITY_TOL:
-        return pure_i_concurrence(_hermitian_eig_unchecked(rho, RANK_TOL).vectors[:, 0])
-    return None
-
-
 def cmd_sample(args):
     """Write the search rows chunk by chunk, so memory stays bounded for any budget."""
     rho, dims = _load_state(args.input)
@@ -388,7 +390,8 @@ def cmd_sample(args):
     header = ["trial_index", *(["theta", "phi"] if grid else []), "avg_E"]
     chunks = _search_chunks(rho, args.D, args.budget, seed)
     chunks = itertools.chain([next(chunks)], chunks)  # input errors raise before any output
-    formula = _formula_value(rho)
+    forms = _closed_forms(rho, _classify(rho), *_spectral(rho))
+    formula = next((v for v in forms if v is not None), None)
     budget = _search_budget(args.D, args.budget)
     inputs = {"input": args.input, "D": args.D, "budget": budget, "seed": seed}
 

@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import ANGLE_TOL, as_budget, as_density_matrix, as_seed, density_and_eigvals
+from ._checks import as_angle, as_budget, as_density_matrix, as_mixer, as_real, as_seed
+from ._checks import density_and_eigvals
 from ._screen import _gram_schmidt, draws
-from .errors import AngleOutOfRange, DTooLarge, DTooSmall, NotUnitary, ValidationError
+from .errors import AngleOutOfRange, DTooLarge, DTooSmall, ValidationError
 from .measures import _pure_i_unnormalized
 from .numerics import BATCH_SIZE, HAAR_MAX_DIM, RANK_TOL, _hermitian_eig_unchecked
 
 ZERO_WEIGHT_TOL = 1e-14
-_UNITARY_TOL = 1e-10
 DEFAULT_GRID_BUDGET = 900
 DEFAULT_SAMPLE_BUDGET = 1000
 
@@ -67,9 +67,11 @@ def _mix(u, root, vt):
     """Subnormalized kets (rows) and weights p_j = sum_k |U_jk|^2 lam_k.
 
     ``u`` is one D x D mixer or a stack of them; the result stacks alike.
+    The stack's kets are one matrix product, not one per mixer.
     """
     amp = u[..., : root.size] * root
-    return amp @ vt, np.sum(np.abs(amp) ** 2, axis=-1)
+    bars = (amp.reshape(-1, root.size) @ vt).reshape(amp.shape[:-1] + vt.shape[-1:])
+    return bars, np.sum(np.abs(amp) ** 2, axis=-1)
 
 
 def _averages(u, root, vt):
@@ -94,15 +96,10 @@ def decompose(rho, mixer):
     seed s is decompose(rho, haar_unitary(D, s, count=i + 1)[i]).
     """
     rho = as_density_matrix(rho)
-    u = np.asarray(mixer, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotUnitary(f"mixer must be square, got shape {u.shape}")
-    d = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > _UNITARY_TOL:
-        raise NotUnitary("mixer is not unitary to 1e-10")
+    u = as_mixer(mixer)
     root, vt = _spectral_factors(rho)
-    if d < root.size:
-        raise DTooSmall(f"D={d} below rank {root.size}")
+    if len(u) < root.size:
+        raise DTooSmall(f"D={len(u)} below rank {root.size}")
     bars, weights = _mix(u, root, vt)
     kets = np.zeros_like(bars)
     keep = weights > ZERO_WEIGHT_TOL
@@ -112,9 +109,8 @@ def decompose(rho, mixer):
 
 def mixer_2(theta, phi):
     """The two-parameter special unitary [[c, s e^{i phi}], [-s e^{-i phi}, c]]."""
-    if not 0.0 <= theta <= np.pi / 2 + ANGLE_TOL:
-        raise AngleOutOfRange(f"theta={theta} outside [0, pi/2]")
-    if not 0.0 <= phi < 2 * np.pi:
+    as_angle(theta, "theta")
+    if not 0.0 <= as_real(phi, "phi", AngleOutOfRange) < 2 * np.pi:
         raise AngleOutOfRange(f"phi={phi} outside [0, 2*pi)")
     return _mixer_2_stack(theta, phi)
 

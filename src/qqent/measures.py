@@ -224,4 +224,5 @@ def sampled_gen_preconcurrence(spectrum, samples, seed=0):
     samples = as_budget(samples, "samples")
     root = np.sqrt(lam)
     batches = draws(as_seed(seed), 6, samples, 6, preconcurrence_estimator(root))
-    return max(float(_exact_preconcurrence(v, root).max()) for _, v in batches)
+    # map, unlike a loop variable, holds no batch while draws() makes the next
+    return max(map(lambda batch: float(_exact_preconcurrence(batch[1], root).max()), batches))

@@ -12,14 +12,9 @@ from itertools import permutations
 
 import numpy as np
 
-from ._checks import SPECTRUM_MATCH_TOL, as_density_matrix, as_spectrum
-from .errors import (
-    AngleOutOfRange,
-    EtaOutOfRange,
-    IndexOutOfRange,
-    SpectrumMismatch,
-    UnphysicalEntanglement,
-)
+from ._checks import SPECTRUM_MATCH_TOL, as_angle, as_density_matrix, as_real, as_spectrum
+from ._checks import as_square_matrix, differs
+from .errors import EtaOutOfRange, IndexOutOfRange, SpectrumMismatch, UnphysicalEntanglement
 from .numerics import _hermitian_eig_unchecked
 
 #: The three 2x2 product subspaces of the 2x3 level set, in canonical order.
@@ -106,7 +101,7 @@ def subspace_extract(rho, levels):
     ``levels`` are strictly increasing 1-based indices; the block is returned
     as-is, with trace <= 1.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = as_square_matrix(rho)
     idx = [int(v) for v in levels]
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise IndexOutOfRange("levels must be strictly increasing")
@@ -214,14 +209,14 @@ def _cap_2x2(lam):
 
 def physical_entanglement(spectrum, eta):
     """eta * max{0, e_mems(spectrum)} for eta in [0, 1]."""
-    if not 0.0 <= eta <= 1.0:
+    if not 0.0 <= as_real(eta, "eta", EtaOutOfRange) <= 1.0:
         raise EtaOutOfRange(f"eta={eta} outside [0, 1]")
     return float(eta * max(0.0, e_mems(spectrum)))
 
 
 def _check_physical(e, cap, what="E"):
     # written so that NaN fails it: every comparison with NaN is false
-    if not -DELTA_TOL <= e <= cap + DELTA_TOL:
+    if not -DELTA_TOL <= as_real(e, what, UnphysicalEntanglement) <= cap + DELTA_TOL:
         raise UnphysicalEntanglement(
             f"{what}={e} outside [0, {cap}], the built family's cap for this spectrum"
         )
@@ -300,9 +295,7 @@ def build_alpha_beta(spectrum, alpha, beta):
     (alpha, beta) = (pi/4, 0) the result is exactly build_mems(spectrum).
     """
     l1, l2, l3, l4, l5, l6 = as_spectrum(spectrum, 6).tolist()
-    for name, ang in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 <= ang <= np.pi / 2 + DELTA_TOL:
-            raise AngleOutOfRange(f"{name}={ang} outside [0, pi/2]")
+    alpha, beta = as_angle(alpha, "alpha"), as_angle(beta, "beta")
     ca2, sa2 = np.cos(alpha) ** 2, np.sin(alpha) ** 2
     cb2, sb2 = np.cos(beta) ** 2, np.sin(beta) ** 2
     return _state(
@@ -324,6 +317,6 @@ def epu_unitary(rho, target):
     target = as_density_matrix(target, dim=rho.shape[0])
     er = _hermitian_eig_unchecked(rho)
     et = _hermitian_eig_unchecked(target)
-    if np.max(np.abs(er.values - et.values)) > SPECTRUM_MATCH_TOL:
+    if differs(er.values, et.values, SPECTRUM_MATCH_TOL):
         raise SpectrumMismatch("states do not share a spectrum to 1e-9")
     return et.vectors @ er.vectors.conj().T

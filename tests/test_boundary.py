@@ -15,14 +15,17 @@ from hypothesis import strategies as st
 import qqent as qq
 from qqent import _checks, cli, decompositions, ls, measures, numerics, states
 from qqent.errors import (
+    AngleOutOfRange,
     DTooLarge,
     DTooSmall,
+    EtaOutOfRange,
     InvalidBudget,
     InvalidSeed,
     InvalidSpectrum,
     InvalidState,
     NotHermitian,
     NotSymmetric,
+    NotUnitary,
     UnphysicalEntanglement,
     ValidationError,
 )
@@ -32,8 +35,9 @@ from conftest import random_density, random_spectrum, rotated_min_sgx
 SETTINGS = settings(max_examples=40)
 
 MATRIX_KINDS = ("nan", "inf", "non_hermitian", "trace", "negative", "shape", "empty", "overflow",
-                "huge")
-SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape", "overflow", "huge")
+                "huge", "non_numeric", "ragged")
+SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape", "overflow", "huge",
+                  "non_numeric", "ragged")
 
 #: Public entry points taking a 2x3 density matrix; every bad kind is InvalidState.
 DENSITY_6 = {
@@ -109,6 +113,12 @@ def corrupt_matrix(rng, dim, kind):
         rho[i, j] = 2**1024
     elif kind == "huge":  # two finite diagonal entries whose sum, the trace, overflows
         rho[i, i] = rho[(i + 1) % dim, (i + 1) % dim] = 1e308 if j % 2 else -1e308
+    elif kind == "non_numeric":  # numpy's conversion raises ValueError for "x", TypeError for {}
+        rho = rho.astype(object)
+        rho[i, j] = "x" if j % 2 else {}
+    elif kind == "ragged":  # nested lists, one row short
+        rho = rho.tolist()
+        rho[i] = rho[i][:-1]
     elif kind == "non_hermitian":
         rho[i, (i + 1) % dim] += 1e-6
     elif kind == "trace":
@@ -128,6 +138,11 @@ def corrupt_spectrum(rng, n, kind):
         lam[int(rng.integers(n))] = 2**1024
     elif kind == "huge":  # finite, but the sum overflows
         lam[:2] = 1e308
+    elif kind == "non_numeric":
+        lam = lam.astype(object)
+        lam[int(rng.integers(n))] = "x"
+    elif kind == "ragged":
+        lam = [lam[:1].tolist(), lam[1:].tolist()]
     elif kind == "unsorted":
         lam = lam[::-1]
     elif kind == "negative":
@@ -160,7 +175,8 @@ def test_spectrum_entry_points_reject_invalid_spectra(seed, kind):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(("nan", "inf", "non_hermitian", "shape", "empty", "huge")),
+    kind=st.sampled_from(("nan", "inf", "non_hermitian", "shape", "empty", "huge", "non_numeric",
+                          "ragged")),
 )
 def test_kernel_entry_points_reject_invalid_matrices(seed, kind):
     """hermitian_eig and takagi_symmetric check shape, finiteness and symmetry
@@ -174,7 +190,8 @@ def test_kernel_entry_points_reject_invalid_matrices(seed, kind):
         assert raised(qq.takagi_symmetric, rho.real) is NotSymmetric
     else:
         assert raised(qq.hermitian_eig, rho) is InvalidState
-        assert raised(qq.takagi_symmetric, rho if kind == "shape" else rho + rho.T) is InvalidState
+        as_is = kind in ("shape", "non_numeric", "ragged")
+        assert raised(qq.takagi_symmetric, rho if as_is else rho + rho.T) is InvalidState
 
 
 #: Spectra at the edges of the 1e-12 spectrum check, with the outcome the
@@ -229,6 +246,76 @@ def test_spectrum_edges(name):
     assert got.dtype == np.float64
     assert [float(v).hex() for v in got] == [float.fromhex(h).hex() for h in expected]
     assert not np.signbit(got).any()
+
+
+#: Mixers that decompose refuses with NotUnitary.  Before, a NaN or inf mixer
+#: gave NaN weights, 1e308 I stopped on an overflow warning in the gate, and
+#: "x" and ragged rows raised a builtin ValueError.
+BAD_MIXERS = {
+    "nan": np.where(np.eye(6) > 0, np.nan, 0.0),
+    "inf": np.diag(np.full(6, np.inf)),
+    "huge": np.eye(6) * 1e308,
+    "non_numeric": "x",
+    "ragged": [[1.0, 0.0], [0.0]],
+    "non_square": np.eye(6)[:, :5],
+    "not_unitary": 2.0 * np.eye(6),
+}
+#: Matrices that subspace_extract refuses with InvalidState; a vector used to
+#: raise IndexError, the others a builtin ValueError or a NaN block.
+BAD_BLOCK_SOURCES = {
+    "vector": [1, 2, 3],
+    "non_numeric": "x",
+    "ragged": [[1.0, 0.0], [0.0]],
+    "nan": np.full((6, 6), np.nan),
+    "non_square": np.eye(6)[:, :5],
+}
+MATRIX_ARGUMENTS = [
+    *((f"decompose-{k}", lambda m: qq.decompose(np.eye(6) / 6, m), m, NotUnitary)
+      for k, m in BAD_MIXERS.items()),
+    *((f"subspace_extract-{k}", lambda m: qq.subspace_extract(m, [1]), m, InvalidState)
+      for k, m in BAD_BLOCK_SOURCES.items()),
+    # a 0 x 0 mixer passes the unitarity gate and is below every rank (was a ValueError)
+    ("decompose-empty", lambda m: qq.decompose(np.eye(6) / 6, m), np.zeros((0, 0)), DTooSmall),
+]
+
+
+@pytest.mark.parametrize("fn, value, error", [c[1:] for c in MATRIX_ARGUMENTS],
+                         ids=[c[0] for c in MATRIX_ARGUMENTS])
+def test_matrix_arguments_rejected(fn, value, error):
+    assert raised(fn, value) is error
+
+
+#: Scalar arguments (angle, eta, entanglement, concurrence) that are not a
+#: real number in range.  Before, a string, None, a complex number or a list
+#: raised a builtin TypeError, and True ran as 1.
+BAD_SCALARS = ["x", "0.5", None, 1j, np.complex128(0.5), [0.5], True, 2**1024, float("nan")]
+LAM_4 = (0.5, 0.3, 0.2, 0.0)
+#: entry point of each scalar argument, with the error it raises
+SCALAR_ARGUMENTS = {
+    "mixer_2.theta": (lambda x: qq.mixer_2(x, 0.0), AngleOutOfRange),
+    "mixer_2.phi": (lambda x: qq.mixer_2(0.0, x), AngleOutOfRange),
+    "build_alpha_beta.alpha": (lambda x: qq.build_alpha_beta(LAM_2, x, 0.0), AngleOutOfRange),
+    "build_alpha_beta.beta": (lambda x: qq.build_alpha_beta(LAM_2, 0.0, x), AngleOutOfRange),
+    "e_alpha_beta.alpha": (lambda x: qq.e_alpha_beta(LAM_2, x, 0.0), AngleOutOfRange),
+    "physical_entanglement.eta": (lambda x: qq.physical_entanglement(LAM_2, x), EtaOutOfRange),
+    "build_epu_min_tgx.E": (lambda x: qq.build_epu_min_tgx(LAM_2, x), UnphysicalEntanglement),
+    "build_epu_x_2x2.C": (lambda x: qq.build_epu_x_2x2(LAM_4, x), UnphysicalEntanglement),
+    "xi_explicit.E": (lambda x: qq.xi_explicit(LAM_2, x), UnphysicalEntanglement),
+}
+
+
+@pytest.mark.parametrize("value", BAD_SCALARS, ids=repr)
+@pytest.mark.parametrize("name", sorted(SCALAR_ARGUMENTS))
+def test_scalar_arguments_rejected(name, value):
+    fn, error = SCALAR_ARGUMENTS[name]
+    assert raised(fn, value) is error
+
+
+def test_scalar_arguments_accept_numpy_reals():
+    assert qq.mixer_2(np.float64(0.3), np.int64(1)).tolist() == qq.mixer_2(0.3, 1.0).tolist()
+    assert qq.physical_entanglement(LAM_2, np.float64(0.5)) == qq.physical_entanglement(LAM_2, 0.5)
+    assert np.array_equal(qq.build_alpha_beta(LAM_2, np.float64(0.2), 1),
+                          qq.build_alpha_beta(LAM_2, 0.2, 1.0))
 
 
 #: Public entry points taking a spectrum and an entanglement (or concurrence).

@@ -345,6 +345,21 @@ class TestSpectralMeasures:
         with pytest.raises(UnphysicalEntanglement):
             build_epu_min_tgx(lam, 0.8)
 
+    @pytest.mark.parametrize("lam1", (0.5, 0.6, 0.7, 0.8, 0.85))
+    def test_ceiling_gap_family(self, lam1):
+        # rho = lam1 |psi1><psi1| + (1 - lam1) |psi2><psi2|, with the witness's
+        # kets: its cap is lam1, but every ket of its support, so E(rho), is
+        # at least sqrt(3)/2, so the cap is below E on all of [1/2, sqrt(3)/2)
+        psi = np.zeros((2, 6))
+        psi[0, [0, 4]] = psi[1, [1, 5]] = 1 / np.sqrt(2)
+        rho = (psi.T * (lam1, 1 - lam1)) @ psi
+        assert mems_entanglement((lam1, 1 - lam1, 0, 0, 0, 0)) == lam1
+        rng = np.random.default_rng(23)
+        for ab in rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2)):
+            assert pure_i_concurrence(ab @ psi / np.linalg.norm(ab)) >= np.sqrt(3) / 2 - 1e-12
+        best = min_average_search(rho, 2, 2500, 0)[0]
+        assert np.sqrt(3) / 2 - 1e-9 <= best <= 1.0
+
     def test_negativity_below_searched_rank_two_minima(self):
         # 2N, a certified lower bound of E (Chen, Albeverio & Fei), stays below
         # the D = 2 grid and D = 3 Haar search minima, which bound E from
@@ -884,6 +899,16 @@ class TestSampledGenPreconcurrence:
 
         batch_bytes = np.empty((BATCH_SIZE, 2, 6, 6)).nbytes  # the normals of one batch
         assert traced_peak(run) <= 2.6 * batch_bytes
+
+    def test_unscreened_call_working_set(self):
+        # a rank-6 spectrum too flat to screen yields every draw's columns;
+        # each batch's are freed before the next batch is factored (the
+        # previous batch's, still held, took the peak to 6.2 batches)
+        lam = [1 / 6] * 6
+        assert measures.preconcurrence_estimator(np.sqrt(lam)) is None
+        sampled_gen_preconcurrence(lam, 9000, 3)
+        batch_bytes = np.empty((BATCH_SIZE, 2, 6, 6)).nbytes
+        assert traced_peak(sampled_gen_preconcurrence, lam, 9000, 3) <= 5.6 * batch_bytes
 
     def test_bound_is_attained_by_pairing_unitary(self):
         # the level pairing (1)(4)(2<->6)(3<->5) achieves the spectral maximum
