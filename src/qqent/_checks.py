@@ -12,14 +12,6 @@ DENSITY_TOL = 1e-10
 SPECTRUM_TOL = 1e-12
 KET_NORM_TOL = 1e-10
 
-# Thresholds on computed results rather than on inputs:
-#: LS weight p_E counted as 0 (or 1) by the CLI's LS residuals (qqent ls, verify ls)
-LS_WEIGHT_TOL = 1e-12
-#: verify suites: residual limit, and the separable remainder's negativity limit
-VERIFY_TOL = 1e-9
-VERIFY_NEGATIVITY_TOL = 1e-8
-#: verify formulas: pure-state consistency and LPU invariance
-VERIFY_FORMULA_TOL = 1e-10
 #: ls --route explicit: largest entry gap to the canonical EPU layout
 CANONICAL_FORM_TOL = 1e-8
 #: as_angle accepts an angle up to pi/2 plus this

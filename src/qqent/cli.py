@@ -23,15 +23,12 @@ import numpy as np
 from . import __version__
 from ._checks import (
     CANONICAL_FORM_TOL,
-    LS_WEIGHT_TOL,
-    VERIFY_FORMULA_TOL,
-    VERIFY_NEGATIVITY_TOL,
-    VERIFY_TOL,
     as_budget,
     as_density_matrix,
     as_seed,
     differs,
 )
+from ._invariants import _SUITES, _ls_residuals, _run_suite
 from .decompositions import _search_budget, _search_chunks
 from .errors import (
     FormError,
@@ -45,21 +42,16 @@ from .errors import (
     QQEntError,
     UnphysicalEntanglement,
 )
-from .ls import _ls_explicit, _ls_numeric, ls_explicit
+from .ls import _ls_explicit, _ls_numeric
 from .measures import (
     _concurrence_block,
     _gen_concurrence_max,
     _min_sgx_i_concurrence,
     _min_tgx_i_concurrence,
     _x_concurrence,
-    concurrence_2x2,
-    gen_concurrence_max,
-    min_tgx_i_concurrence,
     pure_i_concurrence,
-    sampled_gen_preconcurrence,
-    x_concurrence,
 )
-from .numerics import RANK_TOL, _hermitian_eig_unchecked, _negativity_unchecked, hermitian_eig
+from .numerics import RANK_TOL, _hermitian_eig_unchecked, _negativity_unchecked
 from .states import (
     _cap_2x2,
     _check_physical,
@@ -70,7 +62,6 @@ from .states import (
     build_epu_min_tgx,
     build_epu_x_2x2,
     build_mems,
-    enumerate_lpus,
     physical_entanglement,
 )
 
@@ -325,24 +316,6 @@ def cmd_measure(args):
     return 0
 
 
-def _ls_residuals(rho, dec, target):
-    """Residuals of the LS split ``dec`` of ``rho``: reconstruction, |p_E E(rho_E) - target|
-    with ``target`` an independent value of rho's I-concurrence (the split's
-    own xi would move with it), and the negativity of the separable remainder."""
-    recon = dec.p_e * dec.rho_e + (1.0 - dec.p_e) * dec.rho_s
-    if dec.p_e > LS_WEIGHT_TOL:
-        top = _hermitian_eig_unchecked(dec.rho_e, RANK_TOL).vectors[:, 0]
-        optimality = abs(dec.p_e * pure_i_concurrence(top) - target)
-    else:
-        optimality = abs(target)
-    neg = 0.0 if dec.p_e >= 1.0 - LS_WEIGHT_TOL else _negativity_unchecked(dec.rho_s)
-    return {
-        "reconstruction": float(np.max(np.abs(recon - rho))),
-        "optimality": float(optimality),
-        "separable_negativity": float(neg),
-    }
-
-
 def cmd_ls(args):
     rho, dims = _load_state(args.input)
     if dims != (2, 3):
@@ -424,94 +397,6 @@ def cmd_sample(args):
             formula_text = "" if formula is None else _fmt(formula)
             fh.write(f"\nmin_avg_E,{_fmt(best)},formula_E,{formula_text}\n")
     return 0
-
-
-# -- verification suites ---------------------------------------------------
-
-def _random_spectrum(rng, n=6, rank=None):
-    """n descending Dirichlet eigenvalues, zero past ``rank`` (drawn in 1..n if None)."""
-    rank = int(rng.integers(1, n + 1)) if rank is None else rank
-    lam = np.zeros(n)
-    lam[:rank] = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
-    return lam
-
-
-def _random_epu(rng):
-    """A random spectrum, a physical E for it, and the EPU-minimal TGX state of both."""
-    lam = _random_spectrum(rng)
-    e = physical_entanglement(lam, rng.uniform())
-    return lam, e, build_epu_min_tgx(lam, e)[0]
-
-
-# Each suite yields, per trial, its residuals and the trial's offending-input detail.
-
-def _trials_epu(rng):
-    while True:
-        lam, e, rho = _random_epu(rng)
-        residuals = {
-            "spectrum": float(np.max(np.abs(hermitian_eig(rho).values - lam))),
-            "entanglement": abs(min_tgx_i_concurrence(rho) - e),
-        }
-        yield residuals, f"spectrum={lam.tolist()} E={e}"
-
-
-def _trials_ls(rng):
-    while True:
-        lam, e, rho = _random_epu(rng)
-        yield _ls_residuals(rho, ls_explicit(lam, e), e), f"spectrum={lam.tolist()} E={e}"
-
-
-def _trials_formulas(rng):
-    lpus = enumerate_lpus()
-    while True:
-        psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        psi /= np.linalg.norm(psi)
-        red = psi.reshape(2, 3) @ psi.reshape(2, 3).conj().T
-        oracle = np.sqrt(max(2.0 * (1.0 - float(np.trace(red @ red).real)), 0.0))
-        lam4 = np.sort(rng.dirichlet(np.ones(4)))[::-1]
-        rho4 = build_epu_x_2x2(lam4, rng.uniform() * _cap_2x2(lam4))
-        lam = _random_spectrum(rng)
-        rho = build_alpha_beta(lam, rng.uniform(0, np.pi / 2), rng.uniform(0, np.pi / 2))
-        ref = min_tgx_i_concurrence(rho)
-        u = lpus[int(rng.integers(len(lpus)))]
-        residuals = {
-            "pure_consistency": abs(pure_i_concurrence(psi) - oracle),
-            "x_equivalence": abs(concurrence_2x2(rho4) - x_concurrence(rho4)),
-            "lpu_invariance": abs(min_tgx_i_concurrence(u @ rho @ u.T) - ref),
-        }
-        yield residuals, ""
-
-
-def _trials_genconc(rng):
-    while True:
-        lam = _random_spectrum(rng)
-        val = sampled_gen_preconcurrence(lam, 200, seed=int(rng.integers(2**31)))
-        yield {"bound_excess": val - gen_concurrence_max(lam)}, f"spectrum={lam.tolist()}"
-
-
-#: suite name -> (trial generator, limit of each residual, in output order)
-_SUITES = {
-    "epu": (_trials_epu, {"spectrum": VERIFY_TOL, "entanglement": VERIFY_TOL}),
-    "ls": (_trials_ls, {"reconstruction": VERIFY_TOL, "optimality": VERIFY_TOL,
-                        "separable_negativity": VERIFY_NEGATIVITY_TOL}),
-    "formulas": (_trials_formulas, {"pure_consistency": VERIFY_FORMULA_TOL,
-                                    "x_equivalence": VERIFY_TOL,
-                                    "lpu_invariance": VERIFY_FORMULA_TOL}),
-    "genconc": (_trials_genconc, {"bound_excess": VERIFY_TOL}),
-}
-
-
-def _run_suite(suite, trials, seed):
-    """(passed, worst value of each residual, offending input); stops at the first
-    trial that takes a residual past its limit."""
-    trial_residuals, limits = _SUITES[suite]
-    worst = {}
-    for t, (residuals, detail) in zip(range(trials), trial_residuals(np.random.default_rng(seed))):
-        for name, value in residuals.items():
-            worst[name] = max(worst.get(name, value), value)
-        if any(residuals[name] > limit for name, limit in limits.items()):
-            return False, worst, f"trial {t}: {detail}" if detail else f"trial {t}"
-    return True, worst, ""
 
 
 def cmd_verify(args):

@@ -192,8 +192,12 @@ def _search_chunks(rho, d, budget, seed, screen=False):
             yield params, _averages(_mixer_2_stack(theta, phi), root, vt)
         return
     estimate = (lambda g: _screened_averages(g, root, vt)) if screen else None
-    for index, v in draws(seed, d, budget, r, estimate):
-        yield [(k,) for k in index.tolist()], _averages(v, root, vt)
+
+    def scored(batch):
+        return [(k,) for k in batch[0].tolist()], _averages(batch[1], root, vt)
+
+    # map, unlike a loop variable, holds no batch while draws() makes the next
+    yield from map(scored, draws(seed, d, budget, r, estimate))
 
 
 def iter_decomposition_samples(rho, d, budget=None, seed=0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_density_matrix, as_spectrum
-from .errors import AmbiguousQuartet, InvalidQuartet, NotMinimalSGX
+from .errors import AmbiguousQuartet, NotMinimalSGX
 from .measures import _GRID, _QUARTET_IDX, SPIN_FLIP_4, _block_tau
 from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_unchecked
 from .states import (
@@ -28,6 +28,7 @@ from .states import (
     _epu_core,
     _offdiag_support,
     _physical_pair,
+    _quartet_index,
     _sgx_matches,
 )
 
@@ -57,10 +58,8 @@ class LSDecomposition:
 
 def spin_flip_operator(quartet=(1, 3, 4, 6)):
     """The two-qubit spin flip embedded in a quartet, zero elsewhere."""
-    if tuple(quartet) not in QUARTETS:
-        raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
     s = np.zeros((6, 6))
-    s[_GRID[QUARTETS.index(tuple(quartet))]] = SPIN_FLIP_4
+    s[_GRID[_quartet_index(quartet)]] = SPIN_FLIP_4
     return s
 
 
@@ -222,12 +221,9 @@ def tau_matrix(rho, quartet):
     canonical eigenbasis, not eigh's raw one, so entries match the closed form.
     """
     rho = as_density_matrix(rho, dim=6)
-    quartet = tuple(quartet)
-    if quartet not in QUARTETS:
-        raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
-    k = QUARTETS.index(quartet)
+    k = _quartet_index(quartet)
     if k not in _sgx_matches(_require_min_sgx(_offdiag_support(rho))):
-        raise NotMinimalSGX(f"coherence is not confined to quartet {quartet}")
+        raise NotMinimalSGX(f"coherence is not confined to quartet {QUARTETS[k]}")
     return _tau(rho, k)[1]
 
 

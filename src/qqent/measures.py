@@ -11,14 +11,13 @@ import numpy as np
 from ._checks import as_budget, as_density_matrix, as_seed, as_spectrum, as_unit_ket
 from ._screen import draws, preconcurrence_estimator
 from .errors import (
-    InvalidQuartet,
     NotMinimalSGX,
     NotMinimalTGX,
     NotTGXForm,
     NotXForm,
 )
 from .states import DELTA_TOL, QUARTETS, ZERO_TOL, _class_of, _classify, _coherent_quartet
-from .states import _offdiag_support, _physical_pair, build_alpha_beta, e_mems
+from .states import _offdiag_support, _physical_pair, _quartet_index, build_alpha_beta, e_mems
 
 #: QUARTETS as 0-based level indices, and the index grid of each quartet's 4x4 block.
 _QUARTET_IDX = tuple(tuple(k - 1 for k in q) for q in QUARTETS)
@@ -94,11 +93,10 @@ def quartet_x_concurrence(rho, quartet):
     every quartet subspace of a TGX state has X form.
     """
     rho = as_density_matrix(rho, dim=6)
-    if tuple(quartet) not in QUARTETS:
-        raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet")
+    k = _quartet_index(quartet)
     if not _classify(rho).is_tgx:
         raise NotTGXForm("state is not in TGX form")
-    return 2.0 * max(0.0, *_x_pair(rho, _clipped_diagonal(rho), *(k - 1 for k in quartet)))
+    return 2.0 * max(0.0, *_x_pair(rho, _clipped_diagonal(rho), *_QUARTET_IDX[k]))
 
 
 def subspace_concurrence_vector(rho):

@@ -6,6 +6,7 @@ coincidence index).  All level and quartet indices in the public API are
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
@@ -14,7 +15,8 @@ import numpy as np
 
 from ._checks import SPECTRUM_MATCH_TOL, as_angle, as_density_matrix, as_real, as_spectrum
 from ._checks import as_square_matrix, differs
-from .errors import EtaOutOfRange, IndexOutOfRange, SpectrumMismatch, UnphysicalEntanglement
+from .errors import EtaOutOfRange, IndexOutOfRange, InvalidQuartet, SpectrumMismatch
+from .errors import UnphysicalEntanglement
 from .numerics import _hermitian_eig_unchecked
 
 #: The three 2x2 product subspaces of the 2x3 level set, in canonical order.
@@ -95,14 +97,25 @@ def quartets():
     return [tuple(q) for q in QUARTETS]
 
 
+def _quartet_index(quartet):
+    """The index into QUARTETS of ``quartet``; anything else raises InvalidQuartet."""
+    try:
+        return QUARTETS.index(tuple(quartet))
+    except (TypeError, ValueError) as exc:  # not iterable, or not a product quartet
+        raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet") from exc
+
+
 def subspace_extract(rho, levels):
     """Extract the (unnormalized) subspace matrix rho[levels, levels].
 
-    ``levels`` are strictly increasing 1-based indices; the block is returned
+    ``levels`` are strictly increasing 1-based integers; the block is returned
     as-is, with trace <= 1.
     """
     rho = as_square_matrix(rho)
-    idx = [int(v) for v in levels]
+    try:
+        idx = [operator.index(v) for v in levels]
+    except TypeError as exc:  # not iterable, or a level that is not an integer
+        raise IndexOutOfRange(f"levels must be integers: {exc}") from exc
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise IndexOutOfRange("levels must be strictly increasing")
     if not idx or idx[0] < 1 or idx[-1] > rho.shape[0]:

@@ -3,11 +3,12 @@
 import ctypes
 import glob
 import os
+import tracemalloc
 
 import numpy as np
 from hypothesis import settings
 
-from qqent.cli import _random_spectrum as random_spectrum
+from qqent._invariants import _random_spectrum as random_spectrum
 from qqent.measures import SPIN_FLIP_4
 from qqent.numerics import haar_unitary
 
@@ -32,6 +33,22 @@ def blas_platform():
                 get.argtypes, get.restype = [], ctypes.c_char_p
                 found[key] = get().decode()
     return f"numpy {np.__version__}, OpenBLAS config {found['config']!r}, core {found['corename']!r}"
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while fn(*args) runs, above what was
+    traced before; numpy reports its buffers to tracemalloc, on every thread."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 QUARTET_IDX = {

@@ -19,7 +19,9 @@ from qqent.errors import (
     DTooLarge,
     DTooSmall,
     EtaOutOfRange,
+    IndexOutOfRange,
     InvalidBudget,
+    InvalidQuartet,
     InvalidSeed,
     InvalidSpectrum,
     InvalidState,
@@ -283,6 +285,36 @@ MATRIX_ARGUMENTS = [
                          ids=[c[0] for c in MATRIX_ARGUMENTS])
 def test_matrix_arguments_rejected(fn, value, error):
     assert raised(fn, value) is error
+
+
+#: Quartets that are not a product quartet, and levels that are not 1-based
+#: integers.  Before, each raised a builtin TypeError or ValueError, except
+#: [1.5, 2.7], which returned the block of levels 1 and 2.
+INDEX_ARGUMENTS = [
+    ("quartet_x_concurrence-int", lambda q: qq.quartet_x_concurrence(np.eye(6) / 6, q), 5,
+     InvalidQuartet),
+    ("tau_matrix-None", lambda q: qq.tau_matrix(np.eye(6) / 6, q), None, InvalidQuartet),
+    ("spin_flip_operator-int", qq.spin_flip_operator, 5, InvalidQuartet),
+    ("subspace_extract-str", lambda v: qq.subspace_extract(np.eye(6) / 6, v), ["x"],
+     IndexOutOfRange),
+    ("subspace_extract-int", lambda v: qq.subspace_extract(np.eye(6) / 6, v), 3, IndexOutOfRange),
+    ("subspace_extract-float", lambda v: qq.subspace_extract(np.eye(6) / 6, v), [1.5, 2.7],
+     IndexOutOfRange),
+]
+
+
+@pytest.mark.parametrize("fn, value, error", [c[1:] for c in INDEX_ARGUMENTS],
+                         ids=[c[0] for c in INDEX_ARGUMENTS])
+def test_index_arguments_rejected(fn, value, error):
+    assert raised(fn, value) is error
+
+
+def test_index_arguments_accept_ranges_and_numpy_integers():
+    rho = random_density(np.random.default_rng(3), 6)
+    assert np.array_equal(qq.subspace_extract(rho, range(1, 7)), rho)
+    assert np.array_equal(qq.subspace_extract(rho, np.array([2, 5])), rho[np.ix_([1, 4], [1, 4])])
+    assert np.array_equal(qq.spin_flip_operator(np.array([1, 2, 4, 5])),
+                          qq.spin_flip_operator((1, 2, 4, 5)))
 
 
 #: Scalar arguments (angle, eta, entanglement, concurrence) that are not a

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qqent
-from qqent import cli
+from qqent import _invariants, cli
 from qqent import ls as ls_module
 from qqent.cli import _parse_spectrum, main, state_from_wire
 from qqent.decompositions import average_entanglement, decompose
@@ -565,17 +565,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["epu", "ls", "formulas", "genconc"])
     def test_fail_stops_at_first_trial_over_limit(self, capsys, monkeypatch, suite):
-        trial_residuals, limits = cli._SUITES[suite]
+        trial, limits = _invariants._SUITES[suite]
         drawn = []
 
         def counted(rng):
-            for trial in trial_residuals(rng):
-                drawn.append(trial)
-                yield trial
+            drawn.append(trial(rng))
+            return drawn[-1]
 
         # genconc's bound excess is negative, so only a negative limit fails it
         limit = -1.0 if suite == "genconc" else 1e-17
-        monkeypatch.setitem(cli._SUITES, suite, (counted, dict.fromkeys(limits, limit)))
+        monkeypatch.setitem(_invariants._SUITES, suite, (counted, dict.fromkeys(limits, limit)))
         code, out, err = run(capsys, "verify", suite, "--trials", "20")
         assert code == 1
         assert out.startswith(f"FAIL suite={suite} trials=20 seed=0 ")

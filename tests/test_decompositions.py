@@ -27,7 +27,7 @@ from qqent.measures import min_sgx_i_concurrence, min_tgx_i_concurrence, pure_i_
 from qqent.numerics import BATCH_SIZE, _haar_columns, haar_unitary, hermitian_eig
 from qqent.states import build_alpha_beta, build_epu_min_tgx, physical_entanglement
 
-from conftest import random_density, random_ket, random_spectrum, rotated_min_sgx
+from conftest import random_density, random_ket, random_spectrum, rotated_min_sgx, traced_peak
 
 
 class TestDecompose:
@@ -248,6 +248,20 @@ class TestBatchedSearch:
         if rank * rank > 8:
             with pytest.raises(DTooLarge):
                 min_average_search(rho, 9)
+
+    def test_unscreened_call_working_set(self):
+        # unscreened rows: each batch's mixer columns are freed before the next
+        # batch is drawn (the previous batch's, still held, took the peak to
+        # 6.4 batches)
+        rho = random_density(np.random.default_rng(5), 6, rank=6)
+
+        def run():
+            for _ in iter_decomposition_samples(rho, 6, 9000, 3):
+                pass
+
+        run()
+        batch_bytes = np.empty((BATCH_SIZE, 2, 6, 6)).nbytes  # the normals of one batch
+        assert traced_peak(run) <= 5.8 * batch_bytes
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_budget_above_chunk_size(self, d, scored_mixers):

@@ -1,6 +1,5 @@
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +56,7 @@ from conftest import (
     random_x_state,
     reduction_purity_entanglement,
     rotated_min_sgx,
+    traced_peak,
 )
 
 
@@ -499,22 +499,6 @@ def full_svd_values(lam, samples, seed):
     v = haar_unitary(6, np.random.default_rng(seed), count=samples)
     s = np.linalg.svd(root[None, :, None] * v * root[None, None, :], compute_uv=False)
     return s[:, 0] - s[:, 1:].sum(axis=1)
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced by tracemalloc while fn(*args) runs, above what was
-    traced before; numpy reports its buffers to tracemalloc, on every thread."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestSampledGenPreconcurrence:
