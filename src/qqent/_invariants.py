@@ -2,16 +2,14 @@
 ``trial(rng) -> (residuals, detail)`` with a limit per residual, and the
 residuals of an LS split, which ``qqent ls`` also reports."""
 
-from functools import cache
-
 import numpy as np
 
 from .ls import ls_explicit
 from .measures import concurrence_2x2, gen_concurrence_max, min_tgx_i_concurrence
 from .measures import pure_i_concurrence, sampled_gen_preconcurrence, x_concurrence
 from .numerics import RANK_TOL, _hermitian_eig_unchecked, _negativity_unchecked, hermitian_eig
-from .states import _cap_2x2, build_alpha_beta, build_epu_min_tgx, build_epu_x_2x2
-from .states import enumerate_lpus, physical_entanglement
+from .states import _LPUS, _e_mems, _physical_pair_2x2, build_alpha_beta, build_epu_min_tgx
+from .states import build_epu_x_2x2, physical_entanglement
 
 #: LS weight p_E counted as 0 (or 1) by the LS residuals (qqent ls, verify ls)
 LS_WEIGHT_TOL = 1e-12
@@ -20,8 +18,6 @@ VERIFY_TOL = 1e-9
 VERIFY_NEGATIVITY_TOL = 1e-8
 #: verify formulas: pure-state consistency and LPU invariance
 VERIFY_FORMULA_TOL = 1e-10
-
-_lpus = cache(enumerate_lpus)
 
 
 def _ls_residuals(rho, dec, target):
@@ -77,11 +73,12 @@ def _trial_formulas(rng):
     red = psi.reshape(2, 3) @ psi.reshape(2, 3).conj().T
     oracle = np.sqrt(max(2.0 * (1.0 - float(np.trace(red @ red).real)), 0.0))
     lam4 = np.sort(rng.dirichlet(np.ones(4)))[::-1]
-    rho4 = build_epu_x_2x2(lam4, rng.uniform() * _cap_2x2(lam4))
+    cap = max(0.0, _e_mems(_physical_pair_2x2(lam4, 0.0)[0]))
+    rho4 = build_epu_x_2x2(lam4, rng.uniform() * cap)
     lam = _random_spectrum(rng)
     rho = build_alpha_beta(lam, rng.uniform(0, np.pi / 2), rng.uniform(0, np.pi / 2))
     ref = min_tgx_i_concurrence(rho)
-    u = _lpus()[int(rng.integers(len(_lpus())))]
+    u = _LPUS[int(rng.integers(len(_LPUS)))]
     residuals = {
         "pure_consistency": abs(pure_i_concurrence(psi) - oracle),
         "x_equivalence": abs(concurrence_2x2(rho4) - x_concurrence(rho4)),

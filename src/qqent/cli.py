@@ -53,11 +53,11 @@ from .measures import (
 )
 from .numerics import RANK_TOL, _hermitian_eig_unchecked, _negativity_unchecked
 from .states import (
-    _cap_2x2,
     _check_physical,
     _classify,
     _e_mems,
     _epu_min_tgx,
+    _physical_pair_2x2,
     build_alpha_beta,
     build_epu_min_tgx,
     build_epu_x_2x2,
@@ -253,9 +253,11 @@ def cmd_construct(args):
             rho, params = build_epu_min_tgx(lam, e)
             outputs.update({"q": params.q, "omega": params.omega, "delta": params.delta})
         else:  # epu-x-2x2
-            c = args.entanglement if args.entanglement is not None else args.eta * _cap_2x2(lam)
             if args.eta is not None and not 0.0 <= args.eta <= 1.0:
                 raise UnphysicalEntanglement(f"eta={args.eta} outside [0, 1]")
+            c = args.entanglement
+            if c is None:  # eta times the cap of the validated spectrum
+                c = args.eta * max(0.0, _e_mems(_physical_pair_2x2(lam, 0.0)[0]))
             inputs["concurrence"] = c
             rho = build_epu_x_2x2(lam, c)
     dims = (2, 2) if kind == "epu-x-2x2" else (2, 3)

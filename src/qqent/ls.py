@@ -12,28 +12,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_density_matrix, as_spectrum
+from ._checks import as_density_matrix
 from .errors import AmbiguousQuartet, NotMinimalSGX
-from .measures import _GRID, _QUARTET_IDX, SPIN_FLIP_4, _block_tau
+from .measures import SPIN_FLIP_4, _block_tau
 from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_unchecked
 from .states import (
-    COMPLEMENT_PAIRS,
+    _COMPLEMENT_GRID,
+    _GRID,
+    _QUARTET_IDX,
     DELTA_TOL,
     QUARTETS,
     ZERO_TOL,
-    _cap_2x2,
-    _check_physical,
     _class_of,
     _coherent_quartet,
     _epu_core,
     _offdiag_support,
     _physical_pair,
+    _physical_pair_2x2,
     _quartet_index,
     _sgx_matches,
 )
-
-#: Per quartet, in QUARTETS order: the index grid of the complement pair's 2x2 block.
-_COMPLEMENT_GRID = tuple(np.ix_(i, i) for i in (np.array(p) - 1 for p in COMPLEMENT_PAIRS))
 
 
 @dataclass(frozen=True)
@@ -63,9 +61,11 @@ def spin_flip_operator(quartet=(1, 3, 4, 6)):
     return s
 
 
-def _epu_xi(l1, l5, l4, l6, e):
+def _epu_xi(lam, e):
     """Delta, Omega, sqrt(Delta^2 - Omega) and the four xi values (a list)
-    of the canonical family, from the states EPU core."""
+    of the canonical family, from the states EPU core; ``lam`` is the
+    spectrum as a list of floats."""
+    l1, _, _, l4, l5, l6 = lam
     gap, _, omega, delta = _epu_core(l1, l5, l4, l6, e)
     rem = math.sqrt(max(delta**2 - omega, 0.0))
     inner = math.sqrt(4.0 * l1 * l5 * delta**2 + gap**2 * rem**2)
@@ -81,16 +81,14 @@ def xi_explicit(spectrum, entanglement):
     the entanglement (E when Q >= 0, zero when Q < 0).
     """
     lam, e = _physical_pair(spectrum, entanglement)
-    l1, _, _, l4, l5, l6 = lam.tolist()
-    return np.array(_epu_xi(l1, l5, l4, l6, e)[3])
+    return np.array(_epu_xi(lam.tolist(), e)[3])
 
 
 def xi_explicit_2x2(spectrum, concurrence):
-    """Two-qubit transplant of the closed-form xi values."""
-    lam = as_spectrum(spectrum, 4)
-    c = _check_physical(concurrence, _cap_2x2(lam), what="C")
-    l1, l2, l3, l4 = lam.tolist()
-    return np.array(_epu_xi(l1, l3, l2, l4, c)[3])
+    """Two-qubit transplant of the closed-form xi values: xi_explicit on the
+    six-level embedding of the spectrum (see states.build_epu_x_2x2)."""
+    lam, c = _physical_pair_2x2(spectrum, concurrence)
+    return np.array(_epu_xi(lam.tolist(), c)[3])
 
 
 def _fix_ket_phase(ket):
@@ -116,7 +114,7 @@ def wootters_xkets_explicit(spectrum, entanglement):
     """
     lam, e = _physical_pair(spectrum, entanglement)
     lam = lam.tolist()
-    return _wootters_xkets(lam, _epu_xi(lam[0], lam[4], lam[3], lam[5], e))
+    return _wootters_xkets(lam, _epu_xi(lam, e))
 
 
 def _wootters_xkets(lam, core):
@@ -183,7 +181,7 @@ def ls_explicit(spectrum, entanglement):
 
 def _ls_explicit(lam, e):
     lam = lam.tolist()
-    core = _epu_xi(lam[0], lam[4], lam[3], lam[5], e)
+    core = _epu_xi(lam, e)
     x, n1, n2 = _wootters_xkets(lam, core)
     outside = np.zeros((6, 6), dtype=complex)
     outside[1, 1] = lam[1]

@@ -16,12 +16,9 @@ from .errors import (
     NotTGXForm,
     NotXForm,
 )
-from .states import DELTA_TOL, QUARTETS, ZERO_TOL, _class_of, _classify, _coherent_quartet
-from .states import _offdiag_support, _physical_pair, _quartet_index, build_alpha_beta, e_mems
-
-#: QUARTETS as 0-based level indices, and the index grid of each quartet's 4x4 block.
-_QUARTET_IDX = tuple(tuple(k - 1 for k in q) for q in QUARTETS)
-_GRID = tuple(np.ix_(i, i) for i in _QUARTET_IDX)
+from .states import _GRID, _QUARTET_IDX, DELTA_TOL, ZERO_TOL, _class_of, _classify
+from .states import _coherent_quartet, _offdiag_support, _physical_pair, _quartet_index
+from .states import build_alpha_beta, e_mems
 
 #: sigma_y (x) sigma_y, the two-qubit spin flip.
 SPIN_FLIP_4 = np.array(

@@ -9,7 +9,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -26,29 +26,26 @@ QUARTETS = ((1, 2, 4, 5), (1, 3, 4, 6), (2, 3, 5, 6))
 ME_TUPLES = ((1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5))
 
 #: Levels outside each quartet, index-aligned with QUARTETS.
-COMPLEMENT_PAIRS = ((3, 6), (2, 5), (1, 4))
+COMPLEMENT_PAIRS = tuple(tuple(k for k in range(1, 7) if k not in q) for q in QUARTETS)
 
 ZERO_TOL = 1e-10
 DELTA_TOL = 1e-12
 
-# allowed strictly-upper off-diagonal positions (0-based) per template
-_TGX_POSITIONS = frozenset({(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)})
-_MIN_TGX_TEMPLATES = (
-    frozenset({(0, 4), (1, 3)}),
-    frozenset({(0, 5), (2, 3)}),
-    frozenset({(1, 5), (2, 4)}),
-)
-_X6_POSITIONS = frozenset({(0, 5), (1, 4), (2, 3)})
+#: QUARTETS and COMPLEMENT_PAIRS as 0-based levels, and the index grids of their blocks.
+_QUARTET_IDX = tuple(tuple(k - 1 for k in q) for q in QUARTETS)
+_GRID = tuple(np.ix_(i, i) for i in _QUARTET_IDX)
+_COMPLEMENT_GRID = tuple(np.ix_(i, i) for i in ((a - 1, b - 1) for a, b in COMPLEMENT_PAIRS))
 
-
-def _dense_quartet_positions(quartet):
-    idx = [k - 1 for k in quartet]
-    return frozenset((a, b) for a in idx for b in idx if a < b)
-
-
+# allowed strictly-upper off-diagonal positions (0-based) per template: TGX
+# holds every ME support, minimal TGX the two inside one quartet
+_TGX_POSITIONS = frozenset((a - 1, b - 1) for a, b in ME_TUPLES)
+_MIN_TGX_TEMPLATES = tuple(frozenset(p for p in _TGX_POSITIONS if set(p) <= set(i))
+                           for i in _QUARTET_IDX)
+_X6_POSITIONS = frozenset((i, 5 - i) for i in range(3))
+# a minimal SGX template: a whole quartet, and the pair outside it
 _MIN_SGX_TEMPLATES = tuple(
-    _dense_quartet_positions(q) | {(p[0] - 1, p[1] - 1)}
-    for q, p in zip(QUARTETS, COMPLEMENT_PAIRS)
+    frozenset(combinations(i, 2)) | {(a - 1, b - 1)}
+    for i, (a, b) in zip(_QUARTET_IDX, COMPLEMENT_PAIRS)
 )
 
 # A support mask has bit k set when the k-th strictly-upper entry (row-major)
@@ -67,7 +64,11 @@ _X6_MASK = _mask(_X6_POSITIONS)
 _SINGLE_MASKS = tuple(_BIT[p] for p in _TGX_POSITIONS)
 _MIN_TGX_MASKS = tuple(map(_mask, _MIN_TGX_TEMPLATES))
 _MIN_SGX_MASKS = tuple(map(_mask, _MIN_SGX_TEMPLATES))
-_QUARTET_MASKS = tuple(_mask(_dense_quartet_positions(q)) for q in QUARTETS)
+_QUARTET_MASKS = tuple(_mask(combinations(i, 2)) for i in _QUARTET_IDX)
+
+#: enumerate_lpus' matrices: those of the level maps 3a + b -> 3 p1[a] + p2[b] (0-based).
+_LPUS = tuple(np.ascontiguousarray(np.eye(6)[:, [3 * a + b for a in p1 for b in p2]])
+              for p1 in permutations(range(2)) for p2 in permutations(range(3)))
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,9 @@ def _coherent_quartet(nz):
 
 
 def enumerate_lpus():
-    """All 2! * 3! = 12 local-permutation unitaries as 6x6 0/1 matrices."""
-    return [np.kron(np.eye(2)[:, p1], np.eye(3)[:, p2])
-            for p1 in permutations(range(2)) for p2 in permutations(range(3))]
+    """All 2! * 3! = 12 local-permutation unitaries as 6x6 0/1 matrices,
+    qubit permutation outer; each call returns new arrays."""
+    return [u.copy() for u in _LPUS]
 
 
 def me_tgx_states():
@@ -213,13 +214,6 @@ def _e_mems(lam):
     return l1 - l5 - 2.0 * math.sqrt(l4 * l6)
 
 
-def _cap_2x2(lam):
-    """max{0, lam1 - lam3 - 2 sqrt(lam2 lam4)}: the largest concurrence of a
-    two-qubit spectrum (the product is clamped, so raw input cannot raise)."""
-    l1, l2, l3, l4 = (float(v) for v in lam)
-    return max(0.0, l1 - l3 - 2.0 * math.sqrt(max(l2 * l4, 0.0)))
-
-
 def physical_entanglement(spectrum, eta):
     """eta * max{0, e_mems(spectrum)} for eta in [0, 1]."""
     if not 0.0 <= as_real(eta, "eta", EtaOutOfRange) <= 1.0:
@@ -249,6 +243,14 @@ def _physical_pair(spectrum, entanglement):
     """Validated spectrum and its entanglement, clamped into [0, max{0, e_mems}]."""
     lam = as_spectrum(spectrum, 6)
     return lam, _check_physical(entanglement, max(0.0, _e_mems(lam)))
+
+
+def _physical_pair_2x2(spectrum, concurrence):
+    """Validated two-qubit spectrum embedded as the six levels (lam1, 0, 0, lam2, lam3,
+    lam4), and C clamped into [0, max{0, e_mems}] of it: lam1 - lam3 - 2 sqrt(lam2 lam4)."""
+    l1, l2, l3, l4 = as_spectrum(spectrum, 4).tolist()
+    lam = np.array([l1, 0.0, 0.0, l2, l3, l4])
+    return lam, _check_physical(concurrence, max(0.0, _e_mems(lam)), what="C")
 
 
 def build_mems(spectrum):
@@ -295,10 +297,7 @@ def build_epu_x_2x2(spectrum, concurrence):
     It is the {1,3,4,6} block of the 2x3 construction on the six levels
     (lam1, 0, 0, lam2, lam3, lam4), which runs the same arithmetic.
     """
-    lam = as_spectrum(spectrum, 4)
-    c = _check_physical(concurrence, _cap_2x2(lam), what="C")
-    rho, _ = _epu_min_tgx(np.array([lam[0], 0.0, 0.0, lam[1], lam[2], lam[3]]), c)
-    return rho[np.ix_((0, 2, 3, 5), (0, 2, 3, 5))]
+    return _epu_min_tgx(*_physical_pair_2x2(spectrum, concurrence))[0][_GRID[1]]
 
 
 def build_alpha_beta(spectrum, alpha, beta):

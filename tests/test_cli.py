@@ -462,11 +462,18 @@ class TestInputErrors:
             (["epu-min-tgx", "--eta", "nan"], "EtaOutOfRange"),
             (["epu-x-2x2", "--entanglement", "nan"], "UnphysicalEntanglement"),
             (["epu-x-2x2", "--eta", "nan"], "UnphysicalEntanglement"),
+            # a negative eigenvalue is refused before the cap is taken from it,
+            # which for this spectrum would take the root of -0.1
+            (["epu-x-2x2", "--eta", "0.5", "--spectrum", "0.6,0.5,0.1,-0.2"], "InvalidSpectrum"),
+            (["epu-x-2x2", "--entanglement", "0.1", "--spectrum", "0.6,0.5,0.1,-0.2"],
+             "InvalidSpectrum"),
         ],
     )
     def test_non_finite_entanglement_exit_2(self, capsys, args, error):
         spectrum = "0.7,0.3,0,0,0,0" if args[0] == "epu-min-tgx" else "0.5,0.3,0.2,0"
-        code, out, err = run(capsys, "construct", *args, "--spectrum", spectrum)
+        if "--spectrum" not in args:
+            args = [*args, "--spectrum", spectrum]
+        code, out, err = run(capsys, "construct", *args)
         assert code == 2 and out == ""
         assert error in err
 

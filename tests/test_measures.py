@@ -345,7 +345,13 @@ class TestSpectralMeasures:
         with pytest.raises(UnphysicalEntanglement):
             build_epu_min_tgx(lam, 0.8)
 
-    @pytest.mark.parametrize("lam1", (0.5, 0.6, 0.7, 0.8, 0.85))
+    #: lam1 -> (2N, the D = 2 search minimum with 2500 trials and seed 0)
+    CEILING_GAP_TABLE = {
+        0.5: (0.6180, 0.8662), 0.6: (0.6325, 0.8719), 0.7: (0.6769, 0.8889),
+        0.8: (0.7534, 0.9166), 0.85: (0.8040, 0.9341), 0.9: (0.8624, 0.9540),
+    }
+
+    @pytest.mark.parametrize("lam1", (0.5, 0.6, 0.7, 0.8, 0.85, 0.9))
     def test_ceiling_gap_family(self, lam1):
         # rho = lam1 |psi1><psi1| + (1 - lam1) |psi2><psi2|, with the witness's
         # kets: its cap is lam1, but every ket of its support, so E(rho), is
@@ -359,6 +365,12 @@ class TestSpectralMeasures:
             assert pure_i_concurrence(ab @ psi / np.linalg.norm(ab)) >= np.sqrt(3) / 2 - 1e-12
         best = min_average_search(rho, 2, 2500, 0)[0]
         assert np.sqrt(3) / 2 - 1e-9 <= best <= 1.0
+        two_n = 2 * partial_transpose_negativity(rho)
+        assert np.allclose((two_n, best), self.CEILING_GAP_TABLE[lam1], rtol=0, atol=1e-4)
+        if lam1 > np.sqrt(3) / 2:
+            # above sqrt(3)/2 the certified bound 2N lies below the cap, and
+            # only the search's upper bound lies above it
+            assert two_n < lam1 < best
 
     def test_negativity_below_searched_rank_two_minima(self):
         # 2N, a certified lower bound of E (Chen, Albeverio & Fei), stays below

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
@@ -158,13 +160,55 @@ class TestSupportMasks:
             assert states._sgx_matches(mask) == matched, pattern
             if matched:
                 # the first matched template whose quartet holds a support position
-                coherent = [k for k in matched
-                            if nz & states._dense_quartet_positions(states.QUARTETS[k])]
+                coherent = [
+                    k for k in matched
+                    if nz & {(a - 1, b - 1) for a, b in combinations(states.QUARTETS[k], 2)}
+                ]
                 expected = (coherent or [1 if 1 in matched else matched[0]])[0]
                 assert states._coherent_quartet(mask) == expected, pattern
 
 
+class TestDerivedTables:
+    """The tables states derives from QUARTETS and ME_TUPLES, against the
+    paper's tables written out here (0-based strictly-upper positions)."""
+
+    def test_complement_pairs(self):
+        assert states.COMPLEMENT_PAIRS == ((3, 6), (2, 5), (1, 4))
+
+    def test_template_positions(self):
+        assert states._TGX_POSITIONS == {(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)}
+        assert states._MIN_TGX_TEMPLATES == (
+            {(0, 4), (1, 3)}, {(0, 5), (2, 3)}, {(1, 5), (2, 4)}
+        )
+        assert states._X6_POSITIONS == {(0, 5), (1, 4), (2, 3)}
+
+    def test_index_grids(self):
+        rho = np.arange(36.0).reshape(6, 6)
+        quartets = ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5))
+        complements = ((2, 5), (1, 4), (0, 3))
+        for k, (q, p) in enumerate(zip(quartets, complements)):
+            assert np.array_equal(rho[states._GRID[k]], rho[q, :][:, q])
+            assert np.array_equal(rho[states._COMPLEMENT_GRID[k]], rho[p, :][:, p])
+
+
 class TestLPUs:
+    def test_same_matrices_and_order_as_kron(self):
+        # the Kronecker construction, qubit permutation outer
+        kron = [np.kron(np.eye(2)[:, p1], np.eye(3)[:, p2])
+                for p1 in permutations(range(2)) for p2 in permutations(range(3))]
+        lpus = enumerate_lpus()
+        assert len(lpus) == len(kron)
+        for u, v in zip(lpus, kron):
+            assert np.array_equal(u, v) and u.dtype == v.dtype
+            assert u.flags.c_contiguous and u.flags.writeable
+
+    def test_each_call_returns_new_arrays(self):
+        first = enumerate_lpus()
+        for u in first:
+            u[0, 0] = 7.0
+        assert not any((u == 7.0).any() for u in enumerate_lpus())
+        assert np.array_equal(enumerate_lpus()[0], np.eye(6))
+
     def test_twelve_distinct_permutation_unitaries(self):
         lpus = enumerate_lpus()
         assert len(lpus) == 12
