@@ -51,8 +51,9 @@ from .numerics import BATCH_SIZE, _haar_columns, _haar_normals
 #: Neumann's trace inequality gives T <= ||V_r|| ||b||_*, and V_r is a block
 #: of the columns Q that CGS2 returns, so ||V_r|| <= 1 + ||Q^H Q - I||, a few
 #: eps from 1 below the kappa cap.  The other is F / sigma1, F = ||b||_F^2 =
-#: tr H, H = b^H b, as sum sigma_k^2 <= sigma1 sum sigma_k.  Let L0 be an
-#: eigvalsh estimate of some unflagged draw of the batch, t = L0 - 2 SCREEN_MARGIN
+#: tr H, H = b^H b, as sum sigma_k^2 <= sigma1 sum sigma_k.  H is kept in its
+#: upper triangle and diagonal; the lower one is the recursion's scratch.  Let
+#: L0 be an eigvalsh estimate of an unflagged draw, t = L0 - 2 SCREEN_MARGIN
 #: and y the larger of (t + T) / 2 and (t + sqrt(t^2 + 8 F)) / 4, the root of
 #: 2 y - F / y = t.  A draw for which x I - H, x = y^2, passes the Cholesky
 #: recursion (_cholesky_passes) is certified: sigma1 < y, so its value
@@ -223,8 +224,8 @@ def _block_gram(qr, qi, root, r):
     imaginary (r, r, N) arrays, draw axis last, written over the first r
     rows of _gram_schmidt's columns ``qr``, ``qi``.  Those are scaled to b
     in place; row j of H reads only b's columns j and up, so it overwrites
-    column j, and its part left of the diagonal is the conjugate of the
-    rows above: H comes out exactly Hermitian."""
+    column j from the diagonal on.  H is its upper triangle and diagonal;
+    the lower triangle keeps b's leftover entries, as scratch for _pruned."""
     w = (root[:r, None] * root[:r])[..., None]
     hr, hi = (np.multiply(q[:, :r], w, out=q[:, :r]) for q in (qr, qi))  # b_ij at [j, i]
     for j in range(r):
@@ -233,14 +234,13 @@ def _block_gram(qr, qi, root, r):
         row_i = np.einsum("in,kin->kn", br[0], bi) - np.einsum("in,kin->kn", bi[0], br)
         row_i[0] = 0.0
         hr[j, j:], hi[j, j:] = row_r, row_i
-        hr[j, :j], hi[j, :j] = hr[:j, j], -hi[:j, j]
     return hr, hi
 
 
 def _gram_estimates(hr, hi):
-    """2 sigma1 - sum sigma_k of each b, from eigvalsh of its H (see _block_gram)."""
+    """2 sigma1 - sum sigma_k of each b, by eigvalsh of H's upper triangle (see _block_gram)."""
     h = (hr + 1j * hi).transpose(2, 0, 1)
-    s = np.sqrt(np.clip(np.linalg.eigvalsh(h), 0.0, None))
+    s = np.sqrt(np.clip(np.linalg.eigvalsh(h, UPLO="U"), 0.0, None))
     return 2.0 * s[:, -1] - s.sum(axis=1)
 
 
@@ -253,27 +253,20 @@ def _pruned(hr, hi, live, d):
     so 2 sigma1 - ||b||_* < t, for the larger of y = (t + d) / 2 and the
     root y of 2 y - tr H / y = t (||b||_* >= ||b||_F^2 / sigma1, and
     ||b||_F^2 = tr H); see SCREEN_MARGIN for the rounding.  The recursion
-    runs in place on H's lower triangle, rebuilt from the upper one after
-    it, so H comes back as it was and is never copied."""
+    runs in place on x I - H, written once into H's lower triangle and
+    diagonal; H's upper triangle is untouched and its diagonal restored."""
     diag = np.arange(hr.shape[0])
     h = hr[diag, diag]
     lead = np.where(live, 2.0 * np.sqrt(h.max(axis=0)) - d, -np.inf)
     probes = np.argpartition(lead, -_PROBES)[-_PROBES:]
     t = _gram_estimates(hr[..., probes], hi[..., probes]).max() - 2.0 * SCREEN_MARGIN
     y = np.maximum(0.5 * (t + d), 0.25 * (t + np.sqrt(t * t + 8.0 * h.sum(axis=0))))  # >= 0
-    _mirror(hr, hi, y * y - h, -1.0)
+    for j in range(len(hr)):  # row j of x I - H left of the diagonal: -conj(H_ij), i < j
+        hr[j, :j], hi[j, :j] = -hr[:j, j], hi[:j, j]
+    hr[diag, diag] = y * y - h
     ok = _cholesky_passes(hr, hi)
-    _mirror(hr, hi, h, 1.0)
+    hr[diag, diag] = h
     return ok
-
-
-def _mirror(hr, hi, diag, sign):
-    """Set the lower triangle of hr + i hi to ``sign`` times the conjugate
-    of its upper triangle, pair by pair, and the diagonal to ``diag``."""
-    for j in range(len(hr)):
-        np.multiply(hr[:j, j], sign, out=hr[j, :j])
-        np.multiply(hi[:j, j], -sign, out=hi[j, :j])
-        hr[j, j] = diag[j]
 
 
 def _cholesky_passes(hr, hi):
@@ -282,8 +275,8 @@ def _cholesky_passes(hr, hi):
     axis last, exceeds _PIVOT_FLOOR, which certifies it positive definite.
 
     A failed pivot is replaced by 1, so the rest of that draw's recursion
-    stays finite.  Reads and overwrites only the lower triangle, with the
-    diagonal, of both inputs.
+    stays finite.  Reads and overwrites only the lower triangle and the
+    diagonal of both inputs: H's scratch half in _pruned (see _block_gram).
     """
     r = hr.shape[0]
     ok = np.ones(hr.shape[-1], dtype=bool)

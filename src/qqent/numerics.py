@@ -91,9 +91,6 @@ def _canonical_subspace_basis(block):
             basis.append(cand / norm)
         if len(basis) == k:
             break
-    if len(basis) < k:
-        # projector too ill-conditioned to resolve; keep eigh's basis
-        return _fix_phases(block)
     basis = _fix_phases(np.column_stack(basis))
     idx, z = _lead(basis)
     return basis[:, np.lexsort((idx, -np.hypot(z.real, z.imag)))]

@@ -1,13 +1,19 @@
 import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qqent
 from qqent import _invariants, cli
@@ -17,6 +23,7 @@ from qqent.decompositions import average_entanglement, decompose
 from qqent.errors import InvalidSpectrum
 from qqent.measures import SPIN_FLIP_4
 from qqent.numerics import BATCH_SIZE, RANK_TOL, haar_unitary
+from qqent.states import build_epu_min_tgx
 
 from conftest import blas_platform
 
@@ -485,6 +492,14 @@ class TestInputErrors:
         assert code == 2
         assert "InvalidSpectrum" in err
 
+    @pytest.mark.parametrize("spectrum", ("0.5,0.5,0,0,0,nan", "nan,0.5,0.5,0,0,0",
+                                          "0.5,inf,0,0,0,0", "0.5,0.5,0,0,0,-inf"))
+    def test_non_finite_spectrum_not_called_unsorted(self, capsys, spectrum):
+        # no "sorted" warning ahead of the error: a NaN or inf entry has no order
+        code, out, err = run(capsys, "construct", "mems", "--spectrum", spectrum)
+        assert code == 2 and out == ""
+        assert err == "error: InvalidSpectrum: spectrum has a NaN or infinite eigenvalue\n"
+
 
 #: Diagonal states inside the state check's 1e-10 tolerance but outside the
 #: spectrum check's 1e-12: trace 1 + 3e-11, and an eigenvalue of -5e-11.
@@ -600,3 +615,93 @@ def test_cli_import_leaves_out_concurrent_futures():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+
+#: Valid state documents the wire fuzz mutates: two 2x3 states and a 2x2 one
+FUZZ_DOCS = (
+    cli.state_to_wire(build_epu_min_tgx((0.7, 0.3, 0, 0, 0, 0), 0.693)[0], (2, 3)),
+    cli.state_to_wire(np.eye(6) / 6, (2, 3)),
+    cli.state_to_wire(np.diag([0.4, 0.3, 0.2, 0.1]) + 0.05 * np.fliplr(np.eye(4)), (2, 2)),
+)
+#: JSON literals a mutation may write: booleans, non-finite floats, a float
+#: literal beyond the double range, an integer beyond it, and other types
+FUZZ_LITERALS = ("true", "false", "null", "NaN", "Infinity", "-Infinity", "1e309", "-1e309",
+                 str(10**400), "-0.0", "0", "-0", "0e400", "1e-400", "1", "2", "3", "0.5",
+                 "1e-320", "1e308", '"2"', '"0.5"', "[]", "{}")
+
+
+def fuzz_nodes(node, path=()):
+    """Every (path, value) of a JSON document, the document itself first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from fuzz_nodes(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The JSON text of a valid state document after one to three mutations.
+    Each picks a depth, then a node at that depth (the document itself, a
+    field, an item of one, a number), and replaces it by a literal, a
+    number, a copy of another node, the node wrapped in a list or a record,
+    the list without or with a repeat of one item, or with one item's
+    contents in its place, or the object without a key or with one more."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(fuzz_nodes(doc))
+        depth = draw(st.sampled_from(sorted({len(path) for path, _ in nodes})))
+        path, node = draw(st.sampled_from([n for n in nodes if len(n[0]) == depth]))
+        options = [
+            st.sampled_from(FUZZ_LITERALS).map(lambda text: f"\0{text}\0"),
+            st.integers(-10**30, 10**30),
+            st.floats(),
+            st.sampled_from([value for _, value in nodes]),
+            st.sampled_from(([node], {"state": node}, {"outputs": {"state": node}})),
+        ]
+        if isinstance(node, list) and node:
+            options.append(st.integers(0, len(node) - 1).flatmap(lambda k: st.sampled_from((
+                node[:k] + node[k + 1:], node[:k + 1] + node[k:],
+                node[:k] + (node[k] if isinstance(node[k], list) else [node[k]]) + node[k + 1:],
+            ))))
+        if isinstance(node, dict):
+            options.append(st.sampled_from([*node, "extra"]).map(
+                lambda key: {k: v for k, v in node.items() if k != key}))
+            options.append(st.sampled_from(("extra", "state", "outputs", "matrix")).map(
+                lambda key: {**node, key: copy.deepcopy(doc)}))
+        new = copy.deepcopy(draw(st.one_of(options)))
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = new
+        else:
+            doc = new
+    # each "\0text\0" string is written as the JSON literal text
+    return re.sub(r'"\\u0000(.*?)\\u0000"', lambda m: json.loads(f'"{m[1]}"'), json.dumps(doc))
+
+
+def run_stdin(command, text):
+    """cli.main on ``command -`` with ``text`` as stdin: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestWireFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(text=mutated_documents())
+    def test_mutated_documents_exit_cleanly(self, text):
+        # every mutated document gets an answer or a typed error: exit 0, 2 or
+        # 3, no stdout on an error, and on success the output of its
+        # canonical re-encoding
+        for command in ("measure", "ls"):
+            code, out, err = run_stdin(command, text)
+            assert code in (0, 2, 3), (command, code, err)
+            if code:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                canonical = json.dumps(cli.state_to_wire(*state_from_wire(json.loads(text))))
+                assert run_stdin(command, canonical) == (0, out, err)

@@ -643,29 +643,44 @@ class TestSampledGenPreconcurrence:
 
     @pytest.mark.parametrize("rank", range(3, 7))
     def test_block_gram_equals_matmul_reference(self, rank):
-        # H = b^H b of b = sqrt(L_r) V_r sqrt(L_r), V_r from the Householder path
+        # H = b^H b of b = sqrt(L_r) V_r sqrt(L_r), V_r from the Householder
+        # path, in the upper triangle and diagonal, the part H is kept in
         rng = np.random.default_rng(60 + rank)
         root = np.sqrt(screen_spectrum("random", rank, rng))
         g = rng.standard_normal((512, 2, 6, 6))
         hr, hi = _screen._block_gram(*_screen._gram_schmidt(g, rank)[:2], root, rank)
         b = root[:rank, None] * _haar_columns(g, rank)[:, :rank] * root[:rank]
         h = np.matmul(b.conj().swapaxes(1, 2), b)
-        assert np.max(np.abs((hr + 1j * hi).transpose(2, 0, 1) - h)) < 1e-14
+        upper = np.triu_indices(rank)
+        assert np.max(np.abs((hr + 1j * hi)[upper] - h[:, upper[0], upper[1]].T)) < 1e-14
 
     @pytest.mark.parametrize("rank", range(3, 7))
     def test_pruning_leaves_gram_matrices_unchanged(self, rank):
-        # the recursion overwrites H's lower triangle and rebuilds it from the
-        # upper one, which needs H exactly Hermitian
+        # the recursion runs on the lower triangle, and the diagonal it
+        # overwrites is restored: H's upper triangle and diagonal keep every bit
         rng = np.random.default_rng(80 + rank)
         root = np.sqrt(screen_spectrum("random", rank, rng))
         g = rng.standard_normal((512, 2, 6, 6))
         qr, qi, _ = _screen._gram_schmidt(g, rank)
         trace = _screen._trace_bound(qr, qi, root, rank)
         hr, hi = _screen._block_gram(qr, qi, root, rank)
-        assert (hr == hr.transpose(1, 0, 2)).all() and (hi == -hi.transpose(1, 0, 2)).all()
-        before = hr.tobytes(), hi.tobytes()
+        upper = np.triu_indices(rank)
+        before = hr[upper].tobytes(), hi[upper].tobytes()
         _screen._pruned(hr, hi, np.ones(len(g), dtype=bool), trace)
-        assert (hr.tobytes(), hi.tobytes()) == before
+        assert (hr[upper].tobytes(), hi[upper].tobytes()) == before
+
+    @pytest.mark.parametrize("rank", range(3, 7))
+    def test_gram_estimates_read_only_the_upper_triangle(self, rank):
+        # a NaN-filled lower triangle leaves every estimate's bits unchanged
+        rng = np.random.default_rng(110 + rank)
+        root = np.sqrt(screen_spectrum("random", rank, rng))
+        qr, qi, _ = _screen._gram_schmidt(rng.standard_normal((512, 2, 6, 6)), rank)
+        hr, hi = _screen._block_gram(qr, qi, root, rank)
+        before = _screen._gram_estimates(hr, hi)
+        lower = np.tril_indices(rank, -1)
+        hr[lower], hi[lower] = np.nan, np.nan
+        assert _screen._gram_estimates(hr, hi).tobytes() == before.tobytes()
+        assert np.isfinite(before).all()
 
     @pytest.mark.parametrize("rank", range(3, 7))
     def test_block_gram_overwrites_its_columns(self, rank):
@@ -698,9 +713,12 @@ class TestSampledGenPreconcurrence:
                 hr, hi = _screen._block_gram(qr, qi, root, r)
                 exact = measures._exact_preconcurrence(_haar_columns(g, 6), root)
                 frob2 = np.einsum("kkn->n", hr)
+                # the Hermitian H from its upper triangle and diagonal
+                upper = np.triu((hr + 1j * hi).transpose(2, 0, 1))
+                h = upper + np.triu(upper, 1).conj().swapaxes(1, 2)
                 for t in np.quantile(exact, (0.5, 0.9, 0.99, 1.0)) - 2 * _screen.SCREEN_MARGIN:
                     y = 0.25 * (t + np.sqrt(t * t + 8.0 * frob2))
-                    xr, xi = -hr, -hi
+                    xr, xi = -h.real.transpose(1, 2, 0), -h.imag.transpose(1, 2, 0)
                     xr[range(r), range(r)] += y * y
                     certified = _screen._cholesky_passes(xr, xi) & below
                     assert (exact[certified] <= 2 * y[certified] - frob2[certified] / y[certified]
@@ -783,7 +801,8 @@ class TestSampledGenPreconcurrence:
         r = int(np.flatnonzero(root)[-1]) + 1
         rows, eigvalsh = [], np.linalg.eigvalsh
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+            mp.setattr(np.linalg, "eigvalsh",
+                       lambda a, UPLO="L": rows.append(len(a)) or eigvalsh(a, UPLO=UPLO))
             screened, kappa = _screen._screened_preconcurrence(g, root, r)
         estimates = unpruned_screen(g, root, r)[0]
         unflagged = kappa <= _screen.SCREEN_KAPPA

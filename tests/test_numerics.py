@@ -22,7 +22,7 @@ from qqent.numerics import (
     partial_transpose_negativity,
     takagi_symmetric,
 )
-from qqent.states import build_mems
+from qqent.states import QUARTETS, build_mems, enumerate_lpus
 
 from conftest import (
     brute_force_negativity,
@@ -80,6 +80,31 @@ class TestHermitianEig:
         e2 = hermitian_eig(a.copy())
         assert np.array_equal(e1.values, e2.values)
         assert np.array_equal(e1.vectors, e2.vectors)
+
+    @pytest.mark.parametrize("spread", (0.0, 1e-12, 5e-11))
+    @pytest.mark.parametrize("size", range(2, 7))
+    def test_clusters_give_orthonormal_reconstructing_vectors(self, spread, size):
+        # a cluster of `size` levels spread evenly over `spread` (< DEGENERACY_TOL)
+        # on a diagonal state, or in one quartet's Haar-rotated block moved by
+        # an LPU; the cluster's canonical basis always has all its vectors.
+        # It diagonalizes the cluster only up to its spread, so the
+        # reconstruction is within 1e-13 plus the spread
+        rng = np.random.default_rng(1000 * size + int(spread * 1e14))
+        lpus = enumerate_lpus()
+        for _ in range(10):
+            lam = np.sort(rng.dirichlet(np.ones(6)))[::-1] * 0.5
+            lam[:size] = rng.uniform(0.05, 0.3) + spread * np.linspace(0.0, 1.0, size)
+            lam = lam[rng.permutation(6)]
+            block = [k - 1 for k in QUARTETS[rng.integers(3)]]
+            v = np.eye(6, dtype=complex)
+            v[np.ix_(block, block)] = haar_unitary(4, rng)
+            lpu = lpus[rng.integers(len(lpus))]
+            for a in (np.diag(lam) + 0j, lpu @ (v * lam) @ v.conj().T @ lpu.T):
+                a = (a + a.conj().T) / 2
+                eig = hermitian_eig(a)
+                assert np.max(np.abs(eig.vectors.conj().T @ eig.vectors - np.eye(6))) < 1e-13
+                recon = (eig.vectors * eig.values) @ eig.vectors.conj().T
+                assert np.max(np.abs(recon - a)) < 1e-13 + spread
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):

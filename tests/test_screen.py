@@ -20,7 +20,7 @@ SRC = Path(qqent.__file__).resolve().parent
 SCREEN_NAMES = {
     "SCREEN_MARGIN", "SCREEN_KAPPA", "_PROBES", "_PIVOT_FLOOR", "draws", "_candidates",
     "_gram_schmidt", "preconcurrence_estimator", "_screened_preconcurrence", "_trace_bound",
-    "_block_gram", "_gram_estimates", "_pruned", "_mirror", "_cholesky_passes",
+    "_block_gram", "_gram_estimates", "_pruned", "_cholesky_passes",
 }
 
 
