@@ -2,6 +2,7 @@
 and bad input, non-numeric and ragged input included, raises a typed error."""
 
 import math
+import operator
 
 import numpy as np
 
@@ -141,3 +142,15 @@ def as_budget(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise InvalidBudget(f"{name}={value!r} must be an integer of at least 1")
     return int(value)
+
+
+def as_indices(values, name, error):
+    """Gate an iterable of integer indices, returned as a tuple of ints: each
+    entry converts as operator.index does, not a bool; anything else raises ``error``."""
+    try:
+        values = list(values)
+        if any(isinstance(v, bool) for v in values):
+            raise TypeError("a bool is not an index")
+        return tuple(map(operator.index, values))
+    except TypeError as exc:  # not iterable, or an entry that is not an integer
+        raise error(f"{name} must be integers: {exc}") from exc

@@ -117,5 +117,5 @@ class NotMinimalSGX(FormError):
     pass
 
 
-class AmbiguousQuartet(FormError):
-    pass
+class AmbiguousQuartet(NotMinimalSGX):
+    """TGX coherence in more than one quartet, so no minimal-SGX template fits."""

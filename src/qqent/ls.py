@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_density_matrix
-from .errors import AmbiguousQuartet, NotMinimalSGX
 from .measures import SPIN_FLIP_4, _block_tau
 from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_unchecked
 from .states import (
@@ -21,16 +20,12 @@ from .states import (
     _GRID,
     _QUARTET_IDX,
     DELTA_TOL,
-    QUARTETS,
     ZERO_TOL,
-    _class_of,
-    _coherent_quartet,
     _epu_core,
-    _offdiag_support,
+    _min_sgx_quartet,
     _physical_pair,
     _physical_pair_2x2,
     _quartet_index,
-    _sgx_matches,
 )
 
 
@@ -192,19 +187,11 @@ def _ls_explicit(lam, e):
     )
 
 
-def _require_min_sgx(nz):
-    """Gate on the support mask ``nz``, returned unchanged."""
-    flags = _class_of(nz)
-    if not flags.is_min_sgx:
-        if flags.is_tgx:
-            raise AmbiguousQuartet("coherence spans more than one quartet")
-        raise NotMinimalSGX("state is not in minimal SGX form")
-    return nz
-
-
 def _tau(rho, k):
     """_block_tau of quartet k's block, with u 0-embedded in the full space.
-    The eigenbasis is canonical above RANK_TOL, since the kets are output."""
+    The eigenbasis is canonical above RANK_TOL, since the kets are output, so
+    within a near-degenerate cluster (see hermitian_eig) sum_a |x_a><x_a|
+    reconstructs the block only to within the cluster's spread."""
     eig = _hermitian_eig_unchecked(rho[_GRID[k]], RANK_TOL)
     u = np.zeros((4, 6), dtype=complex)
     u[:, _QUARTET_IDX[k]], tau = _block_tau(eig.values, eig.vectors)
@@ -219,10 +206,7 @@ def tau_matrix(rho, quartet):
     canonical eigenbasis, not eigh's raw one, so entries match the closed form.
     """
     rho = as_density_matrix(rho, dim=6)
-    k = _quartet_index(quartet)
-    if k not in _sgx_matches(_require_min_sgx(_offdiag_support(rho))):
-        raise NotMinimalSGX(f"coherence is not confined to quartet {QUARTETS[k]}")
-    return _tau(rho, k)[1]
+    return _tau(rho, _min_sgx_quartet(rho, _quartet_index(quartet)))[1]
 
 
 def ls_numeric(rho):
@@ -237,7 +221,7 @@ def ls_numeric(rho):
 
 
 def _ls_numeric(rho):
-    k = _coherent_quartet(_require_min_sgx(_offdiag_support(rho)))
+    k = _min_sgx_quartet(rho)
     u, tau = _tau(rho, k)
     fact = _takagi_unchecked(tau)
     xi = fact.values

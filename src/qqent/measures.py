@@ -10,14 +10,9 @@ import numpy as np
 
 from ._checks import as_budget, as_density_matrix, as_seed, as_spectrum, as_unit_ket
 from ._screen import draws, preconcurrence_estimator
-from .errors import (
-    NotMinimalSGX,
-    NotMinimalTGX,
-    NotTGXForm,
-    NotXForm,
-)
-from .states import _GRID, _QUARTET_IDX, DELTA_TOL, ZERO_TOL, _class_of, _classify
-from .states import _coherent_quartet, _offdiag_support, _physical_pair, _quartet_index
+from .errors import NotMinimalTGX, NotTGXForm, NotXForm
+from .states import _GRID, _QUARTET_IDX, DELTA_TOL, ZERO_TOL, _classify, _min_sgx_quartet
+from .states import _physical_pair, _quartet_index
 from .states import build_alpha_beta, e_mems
 
 #: sigma_y (x) sigma_y, the two-qubit spin flip.
@@ -137,7 +132,7 @@ def _min_tgx_i_concurrence(rho):
 
 def min_sgx_i_concurrence(rho):
     """I-concurrence of a minimal SGX state: the full (not X-shortcut)
-    concurrence of its coherent quartet (``states._coherent_quartet``), with
+    concurrence of its coherent quartet (``states._min_sgx_quartet``), with
     the block's eigh round-off eigenvalues cut (see _concurrence_block).  The
     other two quartet blocks hold only qubit-local coherences |1,a><2,a|, so
     they are block-diagonal in the qutrit, hence separable, with concurrence 0."""
@@ -145,10 +140,7 @@ def min_sgx_i_concurrence(rho):
 
 
 def _min_sgx_i_concurrence(rho):
-    nz = _offdiag_support(rho)
-    if not _class_of(nz).is_min_sgx:
-        raise NotMinimalSGX("state is not in minimal SGX form")
-    return _concurrence_block(rho[_GRID[_coherent_quartet(nz)]])
+    return _concurrence_block(rho[_GRID[_min_sgx_quartet(rho)]])
 
 
 def mems_entanglement(spectrum):

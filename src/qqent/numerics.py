@@ -99,10 +99,12 @@ def _canonical_subspace_basis(block):
 def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    The output basis is deterministic: eigenvalues within 1e-10 are treated
-    as one degenerate cluster and its eigenbasis is rebuilt canonically from
-    the cluster projector; every eigenvector's phase is fixed so its first
-    significant component is real positive.
+    The output basis is deterministic: eigenvalues whose adjacent gaps are at
+    most DEGENERACY_TOL (1e-10) form one degenerate cluster, whose eigenbasis
+    is rebuilt canonically from the cluster projector; every eigenvector's
+    phase is fixed so its first significant component is real positive.  A
+    cluster keeps eigh's values, so V diag(w) V^H reconstructs the input only
+    to within the cluster's spread (its largest minus smallest value).
     """
     a = as_square_matrix(a)
     if differs(a, a.conj().T, HERMITICITY_TOL):

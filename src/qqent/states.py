@@ -6,17 +6,16 @@ coincidence index).  All level and quartet indices in the public API are
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from ._checks import SPECTRUM_MATCH_TOL, as_angle, as_density_matrix, as_real, as_spectrum
-from ._checks import as_square_matrix, differs
-from .errors import EtaOutOfRange, IndexOutOfRange, InvalidQuartet, SpectrumMismatch
-from .errors import UnphysicalEntanglement
+from ._checks import SPECTRUM_MATCH_TOL, as_angle, as_density_matrix, as_indices, as_real
+from ._checks import as_spectrum, as_square_matrix, differs
+from .errors import AmbiguousQuartet, EtaOutOfRange, IndexOutOfRange, InvalidQuartet
+from .errors import NotMinimalSGX, SpectrumMismatch, UnphysicalEntanglement
 from .numerics import _hermitian_eig_unchecked
 
 #: The three 2x2 product subspaces of the 2x3 level set, in canonical order.
@@ -101,8 +100,8 @@ def quartets():
 def _quartet_index(quartet):
     """The index into QUARTETS of ``quartet``; anything else raises InvalidQuartet."""
     try:
-        return QUARTETS.index(tuple(quartet))
-    except (TypeError, ValueError) as exc:  # not iterable, or not a product quartet
+        return QUARTETS.index(as_indices(quartet, "quartet entries", InvalidQuartet))
+    except ValueError as exc:  # integers, but not a product quartet
         raise InvalidQuartet(f"{quartet} is not a 2x3 product quartet") from exc
 
 
@@ -113,10 +112,7 @@ def subspace_extract(rho, levels):
     as-is, with trace <= 1.
     """
     rho = as_square_matrix(rho)
-    try:
-        idx = [operator.index(v) for v in levels]
-    except TypeError as exc:  # not iterable, or a level that is not an integer
-        raise IndexOutOfRange(f"levels must be integers: {exc}") from exc
+    idx = as_indices(levels, "levels", IndexOutOfRange)
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise IndexOutOfRange("levels must be strictly increasing")
     if not idx or idx[0] < 1 or idx[-1] > rho.shape[0]:
@@ -169,12 +165,23 @@ def _sgx_matches(nz):
     return [k for k, m in enumerate(_MIN_SGX_MASKS) if nz & ~m == 0]
 
 
-def _coherent_quartet(nz):
-    """Index (into QUARTETS) of the quartet holding a minimal SGX mask's coherence:
-    the first matched template whose quartet has a set bit, else {1,3,4,6}
-    if it matches, else the first match.  ``nz`` must match a template."""
+def _min_sgx_quartet(rho, k=None):
+    """The minimal-SGX gate of a validated 6x6 state: the index (into QUARTETS)
+    of the quartet holding its coherence, the first matched template whose
+    quartet has a set bit, else {1,3,4,6} if it matches, else the first match.
+    With ``k`` given, k if quartet k's template fits.  TGX coherence in more
+    than one quartet raises AmbiguousQuartet, any other misfit NotMinimalSGX."""
+    nz = _offdiag_support(rho)
     matched = _sgx_matches(nz)
-    return next((k for k in matched if nz & _QUARTET_MASKS[k]), 1 if 1 in matched else matched[0])
+    if not matched:
+        if _class_of(nz).is_tgx:
+            raise AmbiguousQuartet("coherence spans more than one quartet")
+        raise NotMinimalSGX("state is not in minimal SGX form")
+    if k is not None:
+        if k not in matched:
+            raise NotMinimalSGX(f"coherence is not confined to quartet {QUARTETS[k]}")
+        return k
+    return next((j for j in matched if nz & _QUARTET_MASKS[j]), 1 if 1 in matched else matched[0])
 
 
 def enumerate_lpus():

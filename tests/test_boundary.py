@@ -300,6 +300,12 @@ INDEX_ARGUMENTS = [
     ("subspace_extract-int", lambda v: qq.subspace_extract(np.eye(6) / 6, v), 3, IndexOutOfRange),
     ("subspace_extract-float", lambda v: qq.subspace_extract(np.eye(6) / 6, v), [1.5, 2.7],
      IndexOutOfRange),
+    # a bool or an integral float is not an index, as for seeds and budgets
+    ("subspace_extract-bool", lambda v: qq.subspace_extract(np.eye(6) / 6, v), [True, 2],
+     IndexOutOfRange),
+    ("quartet_x_concurrence-bool", lambda q: qq.quartet_x_concurrence(np.eye(6) / 6, q),
+     (True, 3, 4, 6), InvalidQuartet),
+    ("spin_flip_operator-float", qq.spin_flip_operator, (1.0, 3.0, 4.0, 6.0), InvalidQuartet),
 ]
 
 

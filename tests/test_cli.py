@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import qqent
 from qqent import _invariants, cli
 from qqent import ls as ls_module
-from qqent.cli import _parse_spectrum, main, state_from_wire
+from qqent.cli import _parse_spectrum, build_parser, main, state_from_wire
 from qqent.decompositions import average_entanglement, decompose
 from qqent.errors import InvalidSpectrum
 from qqent.measures import SPIN_FLIP_4
@@ -705,3 +706,108 @@ class TestWireFuzz:
             else:
                 canonical = json.dumps(cli.state_to_wire(*state_from_wire(json.loads(text))))
                 assert run_stdin(command, canonical) == (0, out, err)
+
+
+def mostly(valid, invalid):
+    """``valid`` about three times in four, else ``invalid`` (one_of would
+    pick each distinct branch equally often)."""
+    return st.tuples(st.integers(0, 3), valid, invalid).map(lambda t: t[1] if t[0] else t[2])
+
+
+#: argv values: numbers as the shell passes them, non-finite and beyond the
+#: double range included; strings, the empty one included; small budgets
+ARGV_STRINGS = st.one_of(
+    st.sampled_from(["", "x", "-", "0,0", "--"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6),
+)
+ARGV_FLOATS = mostly(
+    st.one_of(st.sampled_from(["0", "0.5", "1", "-0.0"]), st.floats(0, 1).map(repr)),
+    st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "-1", "2"]),
+              st.floats().map(repr), st.integers(-10**30, 10**30).map(str), ARGV_STRINGS),
+)
+ARGV_INTS = mostly(
+    st.integers(-1, 8).map(str),
+    st.one_of(st.sampled_from(["nan", "inf", "1e400", "2.5"]),
+              st.integers(-10**30, 10**30).map(str), ARGV_STRINGS),
+)
+ARGV_BUDGETS = mostly(st.sampled_from(["1", "2", "7", "50"]),
+                      st.sampled_from(["-1", "0", "nan", "1e400", "2.5", "", "x"]))
+ARGV_SPECTRA = mostly(
+    st.sampled_from(["0.7,0.3,0,0,0,0", "0.4,0.3,0.2,0.1,0,0", "0.5,0.3,0.2,0",
+                     "0.1,0.2,0.7,0,0,0", "0.25,0.25,0.25,0.25"]),
+    st.one_of(st.lists(ARGV_FLOATS, max_size=7).map(",".join), ARGV_STRINGS),
+)
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The fuzz's input paths (a rank-2 2x3 and a 2x2 state, malformed JSON, a
+    missing file, and - for stdin), its --output paths, and the stdin document,
+    the maximally mixed 2x3 state."""
+    root = tmp_path_factory.mktemp("argv")
+    inputs = [root / name for name in ("state23.json", "state22.json", "bad.json", "missing.json")]
+    for path, doc in zip(inputs, (FUZZ_DOCS[0], FUZZ_DOCS[2])):
+        path.write_text(json.dumps(doc))
+    inputs[2].write_text('{"mode_dims": [2, 3], "matrix": [[0.5, 0')
+    outputs = [root / "out.txt", root / "no-such-dir" / "out.txt", root]
+    return [*map(str, inputs), "-"], list(map(str, outputs)), json.dumps(FUZZ_DOCS[1])
+
+
+def subcommand_parsers():
+    """build_parser()'s subcommands, name to parser."""
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def argv_value(action, inputs, outputs):
+    """A strategy for the value of one parser action."""
+    if action.dest == "input":
+        return st.sampled_from(inputs)
+    if action.dest == "output":
+        return st.sampled_from(outputs)
+    if action.dest in ("budget", "trials"):
+        return ARGV_BUDGETS
+    if action.choices:
+        return mostly(st.sampled_from(sorted(action.choices)), ARGV_STRINGS)
+    return {int: ARGV_INTS, float: ARGV_FLOATS}.get(action.type, ARGV_SPECTRA)
+
+
+@st.composite
+def argv_lists(draw, inputs, outputs):
+    """A subcommand, its positionals, then a subset of its options in drawn
+    order; --budget and --trials always, so no search runs its default
+    budget.  Never --help, and --version is not a subcommand option."""
+    name = draw(st.sampled_from(sorted(subcommand_parsers())))
+    argv = [name]
+    options = []
+    for action in subcommand_parsers()[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        value = draw(argv_value(action, inputs, outputs))
+        if not action.option_strings:
+            argv.append(value)
+        elif action.required or action.dest in ("budget", "trials") or draw(st.booleans()):
+            options.append([action.option_strings[0], value])
+    for option in draw(st.permutations(options)):
+        argv += option
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_argv_lists_exit_cleanly(self, argv_files, data):
+        # every argv gets an answer or a typed error: exit 0, 2 or 3, or
+        # argparse's SystemExit(2), with no stdout unless the exit is 0
+        inputs, outputs, stdin = argv_files
+        argv = data.draw(argv_lists(inputs, outputs))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, (argv, err.getvalue())
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert code == 0 or out.getvalue() == "", (argv, code, out.getvalue())

@@ -22,8 +22,7 @@ from qqent.measures import (
 from qqent.numerics import _negativity_unchecked, hermitian_eig
 from qqent.states import (
     QUARTETS,
-    _coherent_quartet,
-    _offdiag_support,
+    _min_sgx_quartet,
     build_epu_min_tgx,
     build_epu_x_2x2,
     build_mems,
@@ -53,6 +52,25 @@ def entangled_part_value(dec):
         return 0.0
     top = hermitian_eig(dec.rho_e).vectors[:, 0]
     return dec.p_e * pure_i_concurrence(top)
+
+
+def two_quartet_tgx():
+    """A TGX state with coherence in quartets {1,2,4,5} and {1,3,4,6}."""
+    tgx = np.diag([0.3, 0.2, 0.2, 0.1, 0.1, 0.1]).astype(complex)
+    tgx[0, 4] = tgx[4, 0] = 0.05
+    tgx[0, 5] = tgx[5, 0] = 0.05
+    return tgx
+
+
+@pytest.mark.parametrize("entry", [
+    min_sgx_i_concurrence, ls_numeric, lambda rho: tau_matrix(rho, (1, 3, 4, 6)),
+], ids=["min_sgx_i_concurrence", "ls_numeric", "tau_matrix"])
+def test_minimal_sgx_entry_points_share_one_gate(entry):
+    # the closed form, the numeric split and tau_matrix raise the same error,
+    # which an except NotMinimalSGX still catches
+    with pytest.raises(NotMinimalSGX) as exc:
+        entry(two_quartet_tgx())
+    assert exc.type is AmbiguousQuartet
 
 
 class TestSpinFlip:
@@ -118,11 +136,8 @@ class TestTauMatrix:
         with pytest.raises(NotMinimalSGX):
             tau_matrix(rho, (1, 3, 4, 6))
         # two-quartet TGX coherence is ambiguous
-        tgx = np.diag([0.3, 0.2, 0.2, 0.1, 0.1, 0.1]).astype(complex)
-        tgx[0, 4] = tgx[4, 0] = 0.05
-        tgx[0, 5] = tgx[5, 0] = 0.05
         with pytest.raises(AmbiguousQuartet):
-            tau_matrix(tgx, (1, 3, 4, 6))
+            tau_matrix(two_quartet_tgx(), (1, 3, 4, 6))
         # valid state but wrong quartet requested
         rho2, _ = build_epu_min_tgx((0.7, 0.3, 0, 0, 0, 0), 0.5)
         with pytest.raises(NotMinimalSGX):
@@ -301,11 +316,8 @@ class TestLsNumeric:
     def test_gates(self):
         with pytest.raises(NotMinimalSGX):
             ls_numeric(random_density(np.random.default_rng(10), 6))
-        tgx = np.diag([0.3, 0.2, 0.2, 0.1, 0.1, 0.1]).astype(complex)
-        tgx[0, 4] = tgx[4, 0] = 0.05
-        tgx[0, 5] = tgx[5, 0] = 0.05
         with pytest.raises(AmbiguousQuartet):
-            ls_numeric(tgx)
+            ls_numeric(two_quartet_tgx())
 
 
 class TestLsNumericRoundOffCut:
@@ -341,7 +353,7 @@ class TestLsNumericContract:
            rank=st.integers(1, 6))
     def test_kets_tilde_orthogonal_and_complete(self, seed, family, rank):
         rho = contract_state(seed, family, rank)
-        quartet = QUARTETS[_coherent_quartet(_offdiag_support(rho))]
+        quartet = QUARTETS[_min_sgx_quartet(rho)]
         dec = ls_numeric(rho)
         x = dec.x_kets
         overlap = x.conj() @ spin_flip_operator(quartet) @ x.conj().T

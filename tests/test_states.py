@@ -1,14 +1,18 @@
+import ast
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qqent import states
 from qqent.errors import (
+    AmbiguousQuartet,
     AngleOutOfRange,
     EtaOutOfRange,
     IndexOutOfRange,
     InvalidSpectrum,
+    NotMinimalSGX,
     SpectrumMismatch,
     UnphysicalEntanglement,
 )
@@ -139,6 +143,14 @@ class TestSupportMasks:
             is_diagonal=not nz,
         )
 
+    @staticmethod
+    def gate(rho, *k):
+        """_min_sgx_quartet's quartet index, or the exact type of the error it raises."""
+        try:
+            return states._min_sgx_quartet(rho, *k)
+        except NotMinimalSGX as exc:
+            return type(exc)
+
     def test_every_support_pattern(self):
         """All 2**15 strictly-upper patterns; entries at exactly ZERO_TOL count
         as zero, entries one ulp above it as nonzero."""
@@ -165,7 +177,22 @@ class TestSupportMasks:
                     if nz & {(a - 1, b - 1) for a, b in combinations(states.QUARTETS[k], 2)}
                 ]
                 expected = (coherent or [1 if 1 in matched else matched[0]])[0]
-                assert states._coherent_quartet(mask) == expected, pattern
+                for k in range(3):
+                    assert self.gate(rho, k) == (k if k in matched else NotMinimalSGX), pattern
+            else:
+                # off every template: ambiguous exactly when the coherence is TGX
+                expected = AmbiguousQuartet if nz <= states._TGX_POSITIONS else NotMinimalSGX
+            assert self.gate(rho) == expected, pattern
+
+    def test_support_masks_named_only_in_states(self):
+        # every form gate reads the masks through states' own functions, so the
+        # minimal-SGX decision has one home, _min_sgx_quartet
+        names = {"_offdiag_support", "_class_of", "_sgx_matches", "_QUARTET_MASKS"}
+        for path in Path(states.__file__).parent.glob("*.py"):
+            # names, attributes, imports and definitions
+            named = {getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text()))
+                     for field in ("id", "attr", "name")}
+            assert path.stem == "states" or not names & named, path.stem
 
 
 class TestDerivedTables:
