@@ -18,8 +18,9 @@ settings.load_profile("seeded")
 
 def blas_platform():
     """numpy's version and the run-time config and core of its scipy-openblas
-    (None where the library or symbol is absent), for the message of a failed
-    output digest: LAPACK's last bits depend on the kernels that ran."""
+    (None where the library or symbol is absent), which tests/golden.json
+    records and a failed output digest reports: LAPACK's last bits depend on
+    the kernels that ran."""
     found = dict.fromkeys(("config", "corename"))
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                        "*openblas*")):
@@ -32,7 +33,8 @@ def blas_platform():
             if get is not None:
                 get.argtypes, get.restype = [], ctypes.c_char_p
                 found[key] = get().decode()
-    return f"numpy {np.__version__}, OpenBLAS config {found['config']!r}, core {found['corename']!r}"
+    return {"numpy": np.__version__, "openblas_config": found["config"],
+            "openblas_core": found["corename"]}
 
 
 def traced_peak(fn, *args):

@@ -324,6 +324,7 @@ class TestSample:
         (("--D", "3", "--budget", "5000", "--seed", "11", "--format", "json"), 173839,
          "f185725740430d81e08e8ed9519d6471d6f86f803ee27a3cdc511f001796f6c3"),
     ], ids=["d2-csv", "d2-json", "d3-csv", "d3-json"])
+    @pytest.mark.digest
     def test_streamed_bytes_unchanged(self, tmp_path, capsys, monkeypatch, argv, size, digest):
         monkeypatch.chdir(tmp_path)
         write_fig2(tmp_path)
@@ -581,6 +582,7 @@ class TestVerify:
         ("genconc", 5, 0, "ec3ba53b6d184adfe325b981d584c458ebff1af169772b5725889942a645f4a6"),
         ("genconc", 5, 7, "3fc2a10bf16c6fb9b0064114aea1511f14deb7812961832ebd7bbb0a56718eb7"),
     ])
+    @pytest.mark.digest
     def test_bytes_unchanged(self, capsys, suite, trials, seed, digest):
         code, out, _ = run(capsys, "verify", suite, "--trials", str(trials), "--seed", str(seed))
         assert code == 0
