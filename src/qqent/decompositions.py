@@ -67,11 +67,9 @@ def _mix(u, root, vt):
     """Subnormalized kets (rows) and weights p_j = sum_k |U_jk|^2 lam_k.
 
     ``u`` is one D x D mixer or a stack of them; the result stacks alike.
-    The stack's kets are one matrix product, not one per mixer.
     """
     amp = u[..., : root.size] * root
-    bars = (amp.reshape(-1, root.size) @ vt).reshape(amp.shape[:-1] + vt.shape[-1:])
-    return bars, np.sum(np.abs(amp) ** 2, axis=-1)
+    return amp @ vt, np.sum(np.abs(amp) ** 2, axis=-1)
 
 
 def _averages(u, root, vt):
