@@ -14,7 +14,7 @@ import numpy as np
 
 from ._checks import as_density_matrix
 from .measures import SPIN_FLIP_4, _block_tau
-from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_unchecked
+from .numerics import RANK_TOL, _hermitian_eig_unchecked, _takagi_embedded
 from .states import (
     _COMPLEMENT_GRID,
     _GRID,
@@ -223,7 +223,7 @@ def ls_numeric(rho):
 def _ls_numeric(rho):
     k = _min_sgx_quartet(rho)
     u, tau = _tau(rho, k)
-    fact = _takagi_unchecked(tau)
+    fact = _takagi_embedded(tau)
     xi = fact.values
     x = np.array([_fix_ket_phase(ket) for ket in (fact.unitary.T @ u).tolist()])
     outside = np.zeros((6, 6), dtype=complex)

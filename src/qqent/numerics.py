@@ -134,17 +134,6 @@ def _hermitian_eig_unchecked(a, cut=-np.inf):
     return HermitianEig(values=w, vectors=v)
 
 
-def _takagi_real(t):
-    # real symmetric shortcut: eigendecompose, then turn each negative
-    # eigenvalue's sign into a factor of i on its eigenvector
-    w, v = np.linalg.eigh(t)
-    phases = np.where(w < 0.0, 1j, 1.0 + 0.0j)
-    u = v.astype(complex) * phases
-    vals = np.abs(w)
-    order = np.argsort(-vals, kind="stable")
-    return TakagiFactorization(unitary=u[:, order], values=vals[order])
-
-
 def _takagi_embedded(t):
     """Takagi factorization of a complex symmetric T = A + iB from the real
     symmetric M = [[A, B], [B, -A]] (Horn & Johnson, Matrix Analysis, 2nd ed.,
@@ -169,20 +158,14 @@ def takagi_symmetric(t):
     """Autonne-Takagi factorization T = U diag(d) U^T of a complex symmetric T.
 
     Returns a unitary U and nonnegative values d sorted descending; the
-    values equal the singular values of T as a multiset.  For complex T, U's
+    values equal the singular values of T as a multiset.  Real and complex T
+    take one route, the real symmetric embedding of _takagi_embedded.  U's
     columns for values at or below 1e-12 are a deterministic orthonormal
     completion; in a degenerate cluster U is one Takagi basis of many.
     """
     t = as_square_matrix(t)
     if differs(t, t.T, HERMITICITY_TOL):
         raise NotSymmetric("matrix is not symmetric to 1e-10")
-    return _takagi_unchecked(t)
-
-
-def _takagi_unchecked(t):
-    """takagi_symmetric for a finite complex square matrix already known symmetric."""
-    if np.max(np.abs(t.imag)) <= REAL_SYMMETRIC_TOL:
-        return _takagi_real(t.real)
     return _takagi_embedded(t)
 
 

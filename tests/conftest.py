@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from qqent._invariants import _random_spectrum as random_spectrum
 from qqent.measures import SPIN_FLIP_4
-from qqent.numerics import haar_unitary
+from qqent.numerics import TakagiFactorization, haar_unitary
 
 # every property test is seeded: the same examples on every run
 settings.register_profile("seeded", derandomize=True, deadline=None)
@@ -200,3 +200,14 @@ def ref_hermitian_eig(a):
         else:
             v[:, lo] = ref_fix_phase(v[:, lo])
     return w, v
+
+
+def ref_takagi_real(t):
+    """Takagi factorization of a real symmetric T: eigendecompose, then turn
+    each negative eigenvalue's sign into a factor of i on its eigenvector."""
+    w, v = np.linalg.eigh(t)
+    phases = np.where(w < 0.0, 1j, 1.0 + 0.0j)
+    u = v.astype(complex) * phases
+    vals = np.abs(w)
+    order = np.argsort(-vals, kind="stable")
+    return TakagiFactorization(unitary=u[:, order], values=vals[order])

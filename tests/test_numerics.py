@@ -30,6 +30,7 @@ from conftest import (
     random_spectrum,
     ref_fix_phase,
     ref_hermitian_eig,
+    ref_takagi_real,
 )
 
 
@@ -444,3 +445,45 @@ class TestTakagiKernelMatchesReference:
         fact = _takagi_embedded(np.array([[z]]))
         assert fact.values.tolist() == [1.0]
         assert abs(fact.unitary[0, 0] ** 2 - z) < 1e-15
+
+
+REAL_TAU_KINDS = ("generic", "pm_pair", "zero_pair", "pm_and_zero_pair", "rank_one")
+
+
+def real_tau_case(seed, kind, n):
+    """A real symmetric n x n O diag(w) O^T with |w| distinct multiples of 0.1
+    except where ``kind`` makes a +-w pair, a zero pair or rank one (set
+    through slices, so a kind clips to n)."""
+    rng = np.random.default_rng(seed)
+    w = rng.choice(np.arange(1, 11) / 10, n, replace=False) * rng.choice((-1.0, 1.0), n)
+    if kind in ("pm_pair", "pm_and_zero_pair"):
+        w[1:2] = -w[:1]
+    if kind in ("zero_pair", "pm_and_zero_pair"):
+        w[-2:] = 0.0
+    if kind == "rank_one":
+        w[1:] = 0.0
+    o = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    t = (o * w) @ o.T
+    return (t + t.T) / 2
+
+
+class TestTakagiMatchesRealReference:
+    """takagi_symmetric on real symmetric T, which takes the embedding route
+    like any T, against the eigh-based reference: equal values, equal
+    column spans within each cluster of equal values (a degenerate cluster
+    has many Takagi bases), and the reconstruction."""
+
+    @settings(max_examples=300)
+    @given(seed=SEEDS, kind=st.sampled_from(REAL_TAU_KINDS), n=st.integers(1, 6))
+    def test_values_spans_and_reconstruction(self, seed, kind, n):
+        t = real_tau_case(seed, kind, n)
+        fact, ref = takagi_symmetric(t), ref_takagi_real(t)
+        d, u = fact.values, fact.unitary
+        assert np.max(np.abs(d - ref.values)) <= 1e-15
+        lo = 0
+        for hi in [*np.flatnonzero(np.diff(ref.values) < -1e-12) + 1, n]:
+            span = u[:, lo:hi] @ u[:, lo:hi].conj().T
+            ref_span = ref.unitary[:, lo:hi] @ ref.unitary[:, lo:hi].conj().T
+            assert np.max(np.abs(span - ref_span)) <= 1e-12, (lo, hi)
+            lo = hi
+        assert np.max(np.abs((u * d) @ u.T - t)) <= 1e-14
