@@ -156,11 +156,6 @@ def _class_of(nz):
     )
 
 
-def matched_sgx_templates(rho):
-    """Indices (into quartets()) of the minimal SGX templates a state fits."""
-    return _sgx_matches(_offdiag_support(as_density_matrix(rho, dim=6)))
-
-
 def _sgx_matches(nz):
     return [k for k, m in enumerate(_MIN_SGX_MASKS) if nz & ~m == 0]
 

@@ -44,7 +44,6 @@ SPECTRUM_KINDS = ("nan", "inf", "unsorted", "negative", "sum", "shape", "overflo
 #: Public entry points taking a 2x3 density matrix; every bad kind is InvalidState.
 DENSITY_6 = {
     "classify": qq.classify,
-    "matched_sgx_templates": states.matched_sgx_templates,
     "epu_unitary.rho": lambda r: qq.epu_unitary(r, np.eye(6) / 6),
     "epu_unitary.target": lambda r: qq.epu_unitary(np.eye(6) / 6, r),
     "quartet_x_concurrence": lambda r: qq.quartet_x_concurrence(r, (1, 3, 4, 6)),
