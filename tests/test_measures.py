@@ -349,28 +349,37 @@ class TestSpectralMeasures:
     CEILING_GAP_TABLE = {
         0.5: (0.6180, 0.8662), 0.6: (0.6325, 0.8719), 0.7: (0.6769, 0.8889),
         0.8: (0.7534, 0.9166), 0.85: (0.8040, 0.9341), 0.9: (0.8624, 0.9540),
+        0.99: (0.9851, 0.9950),
     }
 
-    @pytest.mark.parametrize("lam1", (0.5, 0.6, 0.7, 0.8, 0.85, 0.9))
+    @pytest.mark.parametrize("lam1", (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.99))
     def test_ceiling_gap_family(self, lam1):
         # rho = lam1 |psi1><psi1| + (1 - lam1) |psi2><psi2|, with the witness's
-        # kets: its cap is lam1, but every ket of its support, so E(rho), is
-        # at least sqrt(3)/2, so the cap is below E on all of [1/2, sqrt(3)/2)
+        # kets: its cap is lam1.  A ket a psi1 + b psi2 of its support with
+        # z = |a|^2 - |b|^2 has I-concurrence h(z) = sqrt(3 + z^2)/2, convex in
+        # z, and every decomposition averages z to 2 lam1 - 1, so by Jensen
+        # E(rho) = h(2 lam1 - 1), reached by sqrt(lam1) psi1 +- sqrt(1 - lam1) psi2
+        # with weight 1/2 each; h(2 lam1 - 1) > lam1 on all of [1/2, 1)
         psi = np.zeros((2, 6))
         psi[0, [0, 4]] = psi[1, [1, 5]] = 1 / np.sqrt(2)
         rho = (psi.T * (lam1, 1 - lam1)) @ psi
         assert mems_entanglement((lam1, 1 - lam1, 0, 0, 0, 0)) == lam1
+        exact = np.sqrt(3 + (2 * lam1 - 1) ** 2) / 2
+        assert exact > lam1
+        pair = np.array([[np.sqrt(lam1), s * np.sqrt(1 - lam1)] for s in (1, -1)]) @ psi
+        assert np.max(np.abs(pair.T @ pair / 2 - rho)) < 1e-15
+        assert abs(sum(pure_i_concurrence(k) for k in pair) / 2 - exact) < 1e-15
         rng = np.random.default_rng(23)
         for ab in rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2)):
             assert pure_i_concurrence(ab @ psi / np.linalg.norm(ab)) >= np.sqrt(3) / 2 - 1e-12
         best = min_average_search(rho, 2, 2500, 0)[0]
-        assert np.sqrt(3) / 2 - 1e-9 <= best <= 1.0
+        assert exact <= best <= exact + 2e-4
         two_n = 2 * partial_transpose_negativity(rho)
         assert np.allclose((two_n, best), self.CEILING_GAP_TABLE[lam1], rtol=0, atol=1e-4)
         if lam1 > np.sqrt(3) / 2:
-            # above sqrt(3)/2 the certified bound 2N lies below the cap, and
-            # only the search's upper bound lies above it
-            assert two_n < lam1 < best
+            # above sqrt(3)/2 the certified bound 2N lies below the cap, while
+            # the exact E, and so the search's upper bound, lie above it
+            assert two_n < lam1 < exact <= best
 
     def test_negativity_below_searched_rank_two_minima(self):
         # 2N, a certified lower bound of E (Chen, Albeverio & Fei), stays below
