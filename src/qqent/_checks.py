@@ -25,7 +25,10 @@ SPECTRUM_MATCH_TOL = 1e-9
 
 def _as_array(values, dtype, error):
     try:
-        return np.asarray(values, dtype=dtype)
+        arr = np.asarray(values)
+        if dtype is float and arr.dtype.kind == "c":  # a cast would drop the imaginary parts
+            raise TypeError("complex entries where real numbers are due")
+        return arr.astype(dtype, copy=False)
     except OverflowError as exc:  # a Python int at or beyond 2**1024
         raise error(f"entry outside the float range: {exc}") from exc
     except (TypeError, ValueError) as exc:  # a non-numeric entry, or ragged nesting

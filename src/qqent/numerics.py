@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_budget, as_density_matrix, as_seed, as_square_matrix, differs
-from .errors import DTooLarge, DTooSmall, NotHermitian, NotSymmetric, ValidationError
+from .errors import DTooLarge, DTooSmall, InvalidState, NotHermitian, NotSymmetric
+from .errors import ValidationError
 
 HERMITICITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
@@ -109,7 +110,15 @@ def hermitian_eig(a):
     a = as_square_matrix(a)
     if differs(a, a.conj().T, HERMITICITY_TOL):
         raise NotHermitian("matrix is not Hermitian to 1e-10")
-    return _hermitian_eig_unchecked(a)
+    return _finite(_hermitian_eig_unchecked(a))
+
+
+def _finite(fact):
+    """A factorization of a checked matrix, refused (InvalidState) where the
+    entries are so large that its values overflow to inf."""
+    if not np.isfinite(fact.values).all():
+        raise InvalidState("matrix entries so large that its values overflow the float range")
+    return fact
 
 
 def _hermitian_eig_unchecked(a, cut=-np.inf):
@@ -166,7 +175,7 @@ def takagi_symmetric(t):
     t = as_square_matrix(t)
     if differs(t, t.T, HERMITICITY_TOL):
         raise NotSymmetric("matrix is not symmetric to 1e-10")
-    return _takagi_embedded(t)
+    return _finite(_takagi_embedded(t))
 
 
 def _negativity_unchecked(rho, dims=(2, 3)):

@@ -7,6 +7,8 @@ closed-form and LS entry points must each call a ``_checks`` validator
 exactly once per call.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from qqent.errors import (
     NotHermitian,
     NotSymmetric,
     NotUnitary,
+    QQEntError,
     UnphysicalEntanglement,
     ValidationError,
 )
@@ -523,3 +526,104 @@ def test_rank_of_solves_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     assert qq.rank_of(SGX) == 5
     assert solves == ["eigvalsh"]
+
+
+#: Every public function that takes an array, with the fuzzed array at ``a``
+#: and its other arguments valid.  Not here: haar_unitary, mixer_2 (scalars),
+#: quartets, enumerate_lpus, me_tgx_states (no argument) and
+#: average_entanglement (a PureDecomposition).
+FUZZED = {
+    "alpha_solve": lambda a: qq.alpha_solve(a, 0.0),
+    "build_alpha_beta": lambda a: qq.build_alpha_beta(a, 0.0, 0.0),
+    "build_epu_min_tgx": lambda a: qq.build_epu_min_tgx(a, 0.0),
+    "build_epu_x_2x2": lambda a: qq.build_epu_x_2x2(a, 0.0),
+    "build_mems": qq.build_mems,
+    "classify": qq.classify,
+    "concurrence_2x2": qq.concurrence_2x2,
+    "decompose": lambda a: qq.decompose(a, np.eye(6)),
+    "decompose.mixer": lambda a: qq.decompose(np.eye(6) / 6, a),
+    "e_alpha_beta": lambda a: qq.e_alpha_beta(a, 0.0, 0.0),
+    "e_mems": qq.e_mems,
+    "epu_unitary": lambda a: qq.epu_unitary(a, np.eye(6) / 6),
+    "epu_unitary.target": lambda a: qq.epu_unitary(np.eye(6) / 6, a),
+    "gen_concurrence_max": qq.gen_concurrence_max,
+    "hermitian_eig": qq.hermitian_eig,
+    "iter_decomposition_samples": lambda a: list(qq.iter_decomposition_samples(a, 6, 4)),
+    "ls_explicit": lambda a: qq.ls_explicit(a, 0.0),
+    "ls_numeric": qq.ls_numeric,
+    "mems_entanglement": qq.mems_entanglement,
+    "min_average_search": lambda a: qq.min_average_search(a, 6, 4),
+    "min_sgx_i_concurrence": qq.min_sgx_i_concurrence,
+    "min_tgx_i_concurrence": qq.min_tgx_i_concurrence,
+    "partial_transpose_negativity": qq.partial_transpose_negativity,
+    "physical_entanglement": lambda a: qq.physical_entanglement(a, 0.5),
+    "pure_i_concurrence": qq.pure_i_concurrence,
+    "quartet_x_concurrence": lambda a: qq.quartet_x_concurrence(a, (1, 3, 4, 6)),
+    "rank_of": qq.rank_of,
+    "sampled_gen_preconcurrence": lambda a: qq.sampled_gen_preconcurrence(a, 1),
+    "spin_flip_operator": qq.spin_flip_operator,
+    "subspace_concurrence_vector": qq.subspace_concurrence_vector,
+    "subspace_extract": lambda a: qq.subspace_extract(a, (1, 2)),
+    "takagi_symmetric": qq.takagi_symmetric,
+    "tau_matrix": lambda a: qq.tau_matrix(a, (1, 3, 4, 6)),
+    "wootters_xkets_explicit": lambda a: qq.wootters_xkets_explicit(a, 0.0),
+    "x_concurrence": qq.x_concurrence,
+    "xi_explicit": lambda a: qq.xi_explicit(a, 0.0),
+    "xi_explicit_2x2": lambda a: qq.xi_explicit_2x2(a, 0.0),
+}
+FUZZ_SHAPES = ((), (0,), (0, 0), (4,), (6,), (2, 3), (4, 4), (6, 6), (6, 6, 1), (5, 5))
+#: huge, non-finite and ordinary entries
+FUZZ_VALUES = (1e308, -1e308, np.inf, -np.inf, np.nan, 0.0, 1.0, 0.25, 1 / 6, -1e-300)
+
+
+def test_fuzzed_names_cover_the_array_taking_api():
+    others = {"haar_unitary", "mixer_2", "quartets", "enumerate_lpus", "me_tgx_states",
+              "average_entanglement"}
+    functions = {name for name in qq.__all__ if not isinstance(getattr(qq, name), type)}
+    assert {name.split(".")[0] for name in FUZZED} == functions - others
+
+
+def fuzz_array(shape, base, dtype, edits):
+    """An array of ``shape`` and ``dtype``: zeros, all +1e308 or all -1e308,
+    the maximally mixed state or a flat spectrum, with ``edits`` (where, as a
+    fraction of the size; value; imaginary part or None) applied."""
+    size = int(np.prod(shape))
+    if base == "mixed" and len(shape) == 2 and shape[0] == shape[1] and size:
+        a = np.eye(shape[0], dtype=dtype) / shape[0]
+    elif base in ("huge", "-huge"):
+        a = np.full(shape, 1e308 if base == "huge" else -1e308, dtype=dtype)
+    else:
+        a = np.zeros(shape, dtype) if base == "zeros" or not size else np.full(shape, 1 / size, dtype)
+    for where, value, imag in edits if size else ():
+        a.flat[int(where * size)] = value if imag is None or dtype is float else complex(value, imag)
+    return a
+
+
+def finite(out):
+    """Whether every number in a result (arrays, sequences, dataclasses) is finite."""
+    if dataclasses.is_dataclass(out):
+        return all(finite(getattr(out, f.name)) for f in dataclasses.fields(out))
+    if isinstance(out, (list, tuple)):
+        return all(map(finite, out))
+    return out is None or isinstance(out, (bool, str)) or bool(np.isfinite(out).all())
+
+
+FUZZ_EDITS = st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(FUZZ_VALUES),
+                                 st.sampled_from((None,) + FUZZ_VALUES)), max_size=3)
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED))
+@settings(max_examples=4, deadline=None)
+@given(edits=FUZZ_EDITS)
+def test_fuzzed_arrays_give_a_typed_error_or_a_finite_answer(name, edits):
+    # every shape, base and dtype with the same edits; a builtin error, or a
+    # RuntimeWarning (an error under the pytest filterwarnings), fails
+    for shape in FUZZ_SHAPES:
+        for base in ("zeros", "huge", "-huge", "mixed", "flat"):
+            for dtype in (float, complex):
+                a = fuzz_array(shape, base, dtype, edits)
+                try:
+                    out = FUZZED[name](a.copy())
+                except QQEntError:
+                    continue
+                assert finite(out), (name, a)
