@@ -27,7 +27,9 @@ def _as_array(values, dtype, error):
     try:
         arr = np.asarray(values)
         if dtype is float and arr.dtype.kind == "c":  # a cast would drop the imaginary parts
-            raise TypeError("complex entries where real numbers are due")
+            if np.any(arr.imag):
+                raise TypeError("complex entries where real numbers are due")
+            arr = arr.real
         return arr.astype(dtype, copy=False)
     except OverflowError as exc:  # a Python int at or beyond 2**1024
         raise error(f"entry outside the float range: {exc}") from exc

@@ -176,6 +176,25 @@ def test_spectrum_entry_points_reject_invalid_spectra(seed, kind):
         assert got == dict.fromkeys(table, InvalidSpectrum)
 
 
+def same(a, b):
+    """Whether two results (arrays, sequences, dataclasses) are equal entry by entry."""
+    if dataclasses.is_dataclass(a):
+        return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same, a, b))
+    return np.array_equal(a, b)
+
+
+def test_complex_spectra_need_zero_imaginary_parts():
+    # a cast to float would drop nonzero imaginary parts, so those are refused;
+    # a complex spectrum with zero imaginary parts runs as its real part
+    for table, lam in ((SPECTRUM_6, (0.4, 0.3, 0.2, 0.1, 0, 0)), (SPECTRUM_4, (0.5, 0.3, 0.2, 0))):
+        real = np.array(lam)
+        for name, fn in table.items():
+            assert raised(fn, real + 1e-3j * (real > 0)) is InvalidSpectrum, name
+            assert same(fn(real + 0j), fn(real)), name
+
+
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
